@@ -5,6 +5,7 @@ elliptic-curve point counting over prime fields.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from fractions import Fraction
@@ -38,6 +39,22 @@ def lambda_k(n: int, k: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be positive")
     return Fraction(sum(min(d, n // d) ** k for d in divisors(n)), 2)
+
+
+def divisor_sieve(max_n: int, k: int) -> tuple[list[int], list[int]]:
+    """sigma_1(n) and 2*lambda_k(n), as two lists indexed by 0 <= n <= max_n
+    (entry 0 is 0), from one sieve over the divisor pairs n = d*m, d <= m."""
+    sigma = [0] * (max_n + 1)
+    lam = [0] * (max_n + 1)
+    for d in range(1, isqrt(max_n) + 1):
+        dk = d ** k
+        sigma[d * d] += d
+        lam[d * d] += dk
+        pairs = slice(d * (d + 1), max_n + 1, d)
+        sigma[pairs] = [v + d + m for v, m in
+                        zip(sigma[pairs], range(d + 1, max_n // d + 1))]
+        lam[pairs] = [v + 2 * dk for v in lam[pairs]]
+    return sigma, lam
 
 
 def lambda_k_pa(n: int, k: int, p: int, a: int) -> Fraction:
@@ -120,13 +137,19 @@ def hurwitz_oracle(n: int) -> Fraction:
 class HurwitzCache:
     """Table of Hurwitz class numbers, persisted as CSV "n,num,den".
 
+    ``_table`` is a flat ``list[int]`` in units of 1/12: ``_table[n]`` is
+    ``12*H(n)`` for ``0 <= n <= max_computed``, so ``_table[0] == -1`` and
+    every entry is an integer (a reduced form counts 12, ``(a, 0, a)`` counts
+    6 and ``(a, a, a)`` counts 4).  The relation checks sum these integers
+    directly; :meth:`get` turns one entry into the exact ``Fraction``.
+
     The table is filled by a bulk sweep over reduced forms (much faster than
     per-n enumeration) and is safe for concurrent reads; writes happen under
     an internal lock.
     """
 
     def __init__(self, cache_dir: str | None = None):
-        self._table: dict[int, Fraction] = {0: H0}
+        self._table: list[int] = [-1]
         self._max = 0
         self._lock = threading.Lock()
         self._dir = cache_dir
@@ -147,18 +170,28 @@ class HurwitzCache:
                 return
             self._bulk_fill(max_n)
 
+    def scaled_table(self, max_n: int) -> list[int]:
+        """The live ``12*H`` table, filled to at least max_n.  Read only."""
+        self.ensure(max_n)
+        return self._table
+
     def _bulk_fill(self, max_n: int) -> None:
-        table = {0: H0}
+        table = [0] * (max_n + 1)
+        table[0] = -1
         a = 1
         while 3 * a * a <= max_n:
-            for b in range(-a, a + 1):
-                for c in range(a, (b * b + max_n) // (4 * a) + 1):
-                    n = 4 * a * c - b * b
-                    if n <= 0 or n > max_n:
-                        continue
-                    if b < 0 and (c == a or -b == a):
-                        continue
-                    table[n] = table.get(n, Fraction(0)) + _form_weight(a, b, c)
+            step = 4 * a
+            for b in range(a + 1):
+                # n = 4ac - b^2 runs over n0 + 4a*(c - a).  At c = a only
+                # (a, b, a) is reduced, with weight 1/2 at b = 0 and 1/3 at
+                # b = a; for c > a both (a, +-b, c) are, unless b is 0 or a.
+                n0 = 4 * a * a - b * b
+                if n0 > max_n:
+                    continue
+                table[n0] += 6 if b == 0 else 4 if b == a else 12
+                weight = 24 if 0 < b < a else 12
+                tail = slice(n0 + step, max_n + 1, step)
+                table[tail] = [v + weight for v in table[tail]]
             a += 1
         self._table = table
         self._max = max_n
@@ -170,39 +203,70 @@ class HurwitzCache:
             return H0
         if n > self._max:
             self.ensure(max(n, 2 * self._max, 512))
-        return self._table.get(n, Fraction(0))
+        return Fraction(self._table[n], 12)
 
     def load(self, path: str | None = None) -> bool:
-        """Load the CSV cache if present; returns True on success."""
+        """Load the CSV cache if present; returns True on success.
+
+        Raises ValueError when a line is not "n,num,den" with 12*num/den
+        an integer, when it is not a class number (n off the residues 0, 3
+        mod 4, H(0) other than -1/12, H(n) <= 0 for n > 0), or when a
+        discriminant below the largest n is missing.
+        """
         path = path or self._path()
         if not os.path.exists(path):
             return False
-        table = {0: H0}
-        max_n = 0
+        entries: dict[int, int] = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                n, num, den = map(int, line.split(","))
-                table[n] = Fraction(num, den)
-                max_n = max(max_n, n)
+                where = f"{path}:{lineno}: {line!r}"
+                try:
+                    n, num, den = map(int, line.split(","))
+                except ValueError:
+                    raise ValueError(f"{where}: not three integers") from None
+                if den < 1 or 12 * num % den:
+                    raise ValueError(f"{where}: 12*H(n) is not an integer")
+                v = 12 * num // den
+                if n < 0 or n % 4 in (1, 2) or (v != -1 if n == 0 else v < 1):
+                    raise ValueError(f"{where}: not a Hurwitz class number")
+                entries[n] = v
+        max_n = max(entries, default=0)
+        if len(entries) != 1 + max_n // 4 + (max_n + 1) // 4:
+            raise ValueError(f"{path}: a discriminant up to {max_n} is missing")
+        table = [0] * (max_n + 1)
+        for n, v in entries.items():
+            table[n] = v
         with self._lock:
             self._table = table
             self._max = max_n
         return True
 
     def save(self, path: str | None = None) -> str:
+        """Write the table as "n,num,den" lines for n = 0 and every
+        discriminant n = 0, 3 (mod 4) up to max_computed, atomically: a
+        reader sees the old file or the new one, never a partial one."""
         path = path or self._path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            for n in sorted(self._table):
-                c = self._table[n]
-                fh.write(f"{n},{c.numerator},{c.denominator}\n")
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                for n, v in enumerate(self._table):
+                    if v:
+                        g = gcd(v, 12)
+                        fh.write(f"{n},{v // g},{12 // g}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path
 
     def build(self, max_n: int, path: str | None = None) -> str:
-        """Extend the persistent cache up to max_n (idempotent)."""
+        """Write the persistent cache up to at least max_n, starting from
+        the file's table when it is there (idempotent)."""
         self.load(path)
         self.ensure(max_n)
         return self.save(path)

@@ -123,7 +123,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    reports = relations.verify_all(args.max)
+    try:
+        reports = relations.verify_all(args.max)
+    except ValueError as exc:
+        print(f"qrel verify-all: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -154,8 +158,9 @@ def make_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("hurwitz", help="build/extend the Hurwitz class number cache")
-    p.add_argument("--max", type=int, required=True, help="largest n to cache")
+    p = sub.add_parser("hurwitz", help="compute the Hurwitz class numbers up to "
+                                       "--max and write the table as CSV")
+    p.add_argument("--max", type=int, required=True, help="largest n to write")
     p.add_argument("--out", default=None,
                    help="write the CSV here instead of the cache directory "
                         "(env QREL_CACHE_DIR, default ./.qrel-cache/)")

@@ -10,7 +10,7 @@ from functools import cache
 from math import isqrt
 
 from . import arith
-from .arith import DirichletCharacter, ec_ap, hecke_extend, hurwitz, _primes_upto
+from .arith import DirichletCharacter, ec_ap, hecke_extend, _primes_upto
 from .qseries import QSeries, eta_product
 
 # Cremona 49a1: y^2 = x^3 - 2835 x - 71442, conductor 49
@@ -22,8 +22,8 @@ G7_BAD_PRIMES = (2, 3, 7)
 @cache
 def hurwitz_series(T: int) -> QSeries:
     """Generating function of the Hurwitz class numbers, constant -1/12."""
-    arith.hurwitz_cache().ensure(T)
-    return QSeries({n: hurwitz(n) for n in range(T + 1)}, T)
+    table = arith.hurwitz_cache().scaled_table(T)
+    return QSeries({n: Fraction(v, 12) for n, v in enumerate(table[:T + 1]) if v}, T)
 
 
 @cache
@@ -86,9 +86,9 @@ def theta_congruence(p: int, a: int, T: int) -> QSeries:
 @cache
 def eisenstein_g2(T: int) -> QSeries:
     """G_2 = -1/24 + sum sigma_1(n) q^n."""
-    coeffs: dict[int, Fraction | int] = {0: Fraction(-1, 24)}
-    for n in range(1, T + 1):
-        coeffs[n] = arith.sigma_k(n, 1)
+    sigma, _ = arith.divisor_sieve(T, 1)
+    coeffs: dict[int, Fraction | int] = dict(enumerate(sigma))
+    coeffs[0] = Fraction(-1, 24)
     return QSeries(coeffs, T)
 
 

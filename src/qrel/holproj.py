@@ -379,6 +379,11 @@ def indefinite_double_sum(s: int, t: int, chi, psi, nu: int, r: int):
     return _indef_coeff_orbit(s, t, chi, psi, nu, r)
 
 
+def _check_positive(s: int, t: int) -> None:
+    if s < 1 or t < 1:
+        raise ValueError(f"s and t must be positive, got s={s}, t={t}")
+
+
 def _unscale(value, s: int, nu: int):
     root = isqrt(s)
     return value / Fraction(root) ** (2 * nu + 1)
@@ -397,6 +402,7 @@ def lambda_indef(s: int, t: int, chi: DirichletCharacter,
     sqrt(s), so the returned series is scaled by s^{nu + 1/2} to stay inside
     one quadratic field.
     """
+    _check_positive(s, t)
     if not (chi.is_even and psi.is_even):
         raise ValueError("lambda_indef needs even characters")
     coeffs: dict = {}
@@ -424,6 +430,7 @@ def delta_indef(s: int, t: int, chi: DirichletCharacter,
                 psi: DirichletCharacter, nu: int, T: int) -> QSeries:
     """Delta_{s,t}^{chi,psi}: the same double sum with odd characters and no
     boundary term (psi(0) = 0 for odd psi)."""
+    _check_positive(s, t)
     if not (chi.is_odd and psi.is_odd):
         raise ValueError("delta_indef needs odd characters")
     coeffs: dict = {}

@@ -4,7 +4,9 @@ traces of Hecke operators, and indefinite theta series.
 Every check returns a :class:`RelationReport` with an explicit index-set
 policy, so a report can never silently skip indices.  All arithmetic is
 exact (``fractions.Fraction`` or :class:`~qrel.scalars.QuadExt`); a check
-passes only when both sides agree on every index in the policy set.
+passes only when both sides agree on every index in the policy set.  The
+class number relations compare integers: both sides times 12 (or 24, or
+4), summed from the ``12*H`` table of :class:`~qrel.arith.HurwitzCache`.
 
 Where a widely printed form of an identity disagrees with direct
 evaluation, the checker tests the candidate variants and records in the
@@ -20,8 +22,8 @@ from fractions import Fraction
 from math import isqrt
 
 from . import forms, holproj
-from .arith import (_primes_upto, hurwitz, hurwitz_cache, kronecker_character,
-                    lambda_k, sigma_k)
+from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
+                    kronecker_character)
 from .qseries import QSeries
 from .scalars import PiScalar, QuadExt, gen_binom, factorial
 
@@ -67,6 +69,13 @@ class RelationReport:
         if lhs != rhs:
             self.failures.append((n, lhs, rhs))
 
+    def record_scaled(self, n: int, lhs: int, rhs: int, scale: int) -> None:
+        """Record lhs/scale = rhs/scale, compared as integers; a failure
+        keeps the two sides as exact Fractions."""
+        self.checked += 1
+        if lhs != rhs:
+            self.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
+
     def to_dict(self) -> dict:
         return {
             "relation": self.relation,
@@ -106,15 +115,26 @@ class _Timer:
 # Classical class number relations
 
 
+def _symmetric_sum(tab: list[int], m: int, weight=None) -> int:
+    """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
+    even in s (1 when omitted), folding s and -s into one term."""
+    r = isqrt(m)
+    if weight is None:
+        return tab[m] + 2 * sum([tab[m - s * s] for s in range(1, r + 1)])
+    return weight(0) * tab[m] + 2 * sum([weight(s) * tab[m - s * s]
+                                         for s in range(1, r + 1)])
+
+
 def check_eichler(max_n: int = 2000) -> RelationReport:
     """sum_s H(n - s^2) + lambda_1(n) = sigma_1(n)/3 for odd n."""
     rep = RelationReport("eichler", 1, max_n, "odd n")
     with _Timer(rep):
-        hurwitz_cache().ensure(max_n)
+        # times 12: sum_s 12 H(n - s^2) + 6 (2 lambda_1(n)) = 4 sigma_1(n)
+        tab = hurwitz_cache().scaled_table(max_n)
+        sigma, lam = divisor_sieve(max_n, 1)
         for n in range(1, max_n + 1, 2):
-            lhs = sum(hurwitz(n - s * s)
-                      for s in range(-isqrt(n), isqrt(n) + 1)) + lambda_k(n, 1)
-            rep.record(n, lhs, Fraction(sigma_k(n, 1), 3))
+            rep.record_scaled(n, _symmetric_sum(tab, n) + 6 * lam[n],
+                              4 * sigma[n], 12)
     return rep
 
 
@@ -122,11 +142,12 @@ def check_cohen(max_n: int = 2000) -> RelationReport:
     """sum_s (4s^2 - n) H(n - s^2) + lambda_3(n) = 0 for odd n."""
     rep = RelationReport("cohen", 1, max_n, "odd n")
     with _Timer(rep):
-        hurwitz_cache().ensure(max_n)
+        # times 12: sum_s (4s^2 - n) 12 H(n - s^2) + 6 (2 lambda_3(n)) = 0
+        tab = hurwitz_cache().scaled_table(max_n)
+        _, lam = divisor_sieve(max_n, 3)
         for n in range(1, max_n + 1, 2):
-            lhs = sum((4 * s * s - n) * hurwitz(n - s * s)
-                      for s in range(-isqrt(n), isqrt(n) + 1)) + lambda_k(n, 3)
-            rep.record(n, lhs, Fraction(0))
+            tot = _symmetric_sum(tab, n, lambda s: 4 * s * s - n)
+            rep.record_scaled(n, tot + 6 * lam[n], 0, 12)
     return rep
 
 
@@ -139,16 +160,15 @@ def check_kronecker_hurwitz(max_n: int = 2000) -> RelationReport:
     """
     rep = RelationReport("kronecker_hurwitz", 1, max_n, "all n")
     with _Timer(rep):
-        hurwitz_cache().ensure(4 * max_n)
+        # times 12: sum_s 12 H(4n - s^2) +- 12 (2 lambda_1(n)) = 24 sigma_1(n)
+        tab = hurwitz_cache().scaled_table(4 * max_n)
+        sigma, lam = divisor_sieve(max_n, 1)
         plus_fail, minus_fail = [], []
         for n in range(1, max_n + 1):
-            tot = sum(hurwitz(4 * n - s * s)
-                      for s in range(-isqrt(4 * n), isqrt(4 * n) + 1))
-            lam, rhs = 2 * lambda_k(n, 1), 2 * sigma_k(n, 1)
-            if tot + lam != rhs:
-                plus_fail.append((n, tot + lam, Fraction(rhs)))
-            if tot - lam != rhs:
-                minus_fail.append((n, tot - lam, Fraction(rhs)))
+            tot, lam12, rhs = _symmetric_sum(tab, 4 * n), 12 * lam[n], 24 * sigma[n]
+            for fails, lhs in ((plus_fail, tot + lam12), (minus_fail, tot - lam12)):
+                if lhs != rhs:
+                    fails.append((n, Fraction(lhs, 12), Fraction(rhs, 12)))
         if len(plus_fail) <= len(minus_fail):
             rep.failures, variant = plus_fail, "+2*lambda_1"
         else:
@@ -192,14 +212,15 @@ def check_trace_level1(nu: int, max_n: int | None = None) -> RelationReport:
         max_n = _TRACE1_DEFAULT_MAX[nu]
     rep = RelationReport(f"trace1_nu{nu}", 1, max_n, "all n")
     with _Timer(rep):
-        hurwitz_cache().ensure(4 * max_n)
+        # times 24: -sum_s g 12 H(4n - s^2) - 12 (2 lambda(n)) = 24 tau(n)
+        tab = hurwitz_cache().scaled_table(4 * max_n)
+        _, lam = divisor_sieve(max_n, 2 * nu + 1)
         tau = forms.delta12(max_n) if nu == 5 else None
         for n in range(1, max_n + 1):
-            tot = sum(g_coeff(s, n, nu, double_s=False) * hurwitz(4 * n - s * s)
-                      for s in range(-isqrt(4 * n), isqrt(4 * n) + 1))
-            lhs = -Fraction(1, 2) * tot - lambda_k(n, 2 * nu + 1)
-            rhs = Fraction(tau.coeff(n)) if tau is not None else Fraction(0)
-            rep.record(n, lhs, rhs)
+            tot = _symmetric_sum(tab, 4 * n,
+                                 lambda s: g_coeff(s, n, nu, double_s=False))
+            rhs = 24 * tau.coeff(n) if tau is not None else 0
+            rep.record_scaled(n, -tot - 12 * lam[n], rhs, 24)
     return rep
 
 
@@ -214,14 +235,15 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
         max_n = _TRACE4_DEFAULT_MAX[nu]
     rep = RelationReport(f"trace4_nu{nu}", 1, max_n, "odd n")
     with _Timer(rep):
-        hurwitz_cache().ensure(max_n)
+        # times 4: -sum_s g 12 H(n - s^2) - 6 (2 lambda(n)) = 4 eta(n)
+        tab = hurwitz_cache().scaled_table(max_n)
+        _, lam = divisor_sieve(max_n, 2 * nu + 1)
         eta = forms.eta2_pow12(max_n) if nu == 2 else None
         for n in range(1, max_n + 1, 2):
-            tot = sum(g_coeff(s, n, nu, double_s=True) * hurwitz(n - s * s)
-                      for s in range(-isqrt(n), isqrt(n) + 1))
-            lhs = -3 * tot - 3 * lambda_k(n, 2 * nu + 1)
-            rhs = Fraction(eta.coeff(n)) if eta is not None else Fraction(0)
-            rep.record(n, lhs, rhs)
+            tot = _symmetric_sum(tab, n,
+                                 lambda s: g_coeff(s, n, nu, double_s=True))
+            rhs = 4 * eta.coeff(n) if eta is not None else 0
+            rep.record_scaled(n, -tot - 6 * lam[n], rhs, 4)
     return rep
 
 
@@ -234,8 +256,8 @@ def hap(a: int, p: int, n: int) -> Fraction:
     smax = isqrt(4 * n)
     s0 = a % p
     start = s0 - ((s0 + smax) // p) * p
-    return sum((hurwitz(4 * n - s * s) for s in range(start, smax + 1, p)),
-               Fraction(0))
+    tab = hurwitz_cache().scaled_table(4 * n)
+    return Fraction(sum([tab[4 * n - s * s] for s in range(start, smax + 1, p)]), 12)
 
 
 def hap5_closed_form(a: int, ell: int) -> Fraction | None:
@@ -614,21 +636,27 @@ def check_identities() -> RelationReport:
 # Registry
 
 
+def _ranged(check, *args):
+    """Registry entry for check(*args, max_n): max_n is passed only when
+    given, so each default range lives in the check's signature alone."""
+    return lambda max_n=None: check(*args) if max_n is None else check(*args, max_n)
+
+
 _REGISTRY: dict[str, object] = {
-    "eichler": lambda max_n=None: check_eichler(max_n or 2000),
-    "cohen": lambda max_n=None: check_cohen(max_n or 2000),
-    "kronecker_hurwitz": lambda max_n=None: check_kronecker_hurwitz(max_n or 2000),
-    "trace1_nu1": lambda max_n=None: check_trace_level1(1, max_n),
-    "trace1_nu2": lambda max_n=None: check_trace_level1(2, max_n),
-    "trace1_nu3": lambda max_n=None: check_trace_level1(3, max_n),
-    "trace1_nu4": lambda max_n=None: check_trace_level1(4, max_n),
-    "trace1_nu5": lambda max_n=None: check_trace_level1(5, max_n),
-    "trace4_nu1": lambda max_n=None: check_trace_level4(1, max_n),
-    "trace4_nu2": lambda max_n=None: check_trace_level4(2, max_n),
-    "hap_table": lambda max_n=None: check_hap_table(max_n or 200),
-    "cor_i": lambda max_n=None: check_cor_i(max_n or 1000),
-    "cor_ii": lambda max_n=None: check_cor_ii(max_n or 500),
-    "prop72": lambda max_n=None: check_prop72(max_n or 500),
+    "eichler": _ranged(check_eichler),
+    "cohen": _ranged(check_cohen),
+    "kronecker_hurwitz": _ranged(check_kronecker_hurwitz),
+    "trace1_nu1": _ranged(check_trace_level1, 1),
+    "trace1_nu2": _ranged(check_trace_level1, 2),
+    "trace1_nu3": _ranged(check_trace_level1, 3),
+    "trace1_nu4": _ranged(check_trace_level1, 4),
+    "trace1_nu5": _ranged(check_trace_level1, 5),
+    "trace4_nu1": _ranged(check_trace_level4, 1),
+    "trace4_nu2": _ranged(check_trace_level4, 2),
+    "hap_table": _ranged(check_hap_table),
+    "cor_i": _ranged(check_cor_i),
+    "cor_ii": _ranged(check_cor_ii),
+    "prop72": _ranged(check_prop72),
     "identities": lambda max_n=None: check_identities(),
 }
 
@@ -641,6 +669,8 @@ def run_check(relation_id: str, max_n: int | None = None) -> RelationReport:
     if relation_id not in _REGISTRY:
         raise KeyError(f"unknown relation {relation_id!r}; "
                        f"known: {', '.join(_REGISTRY)}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"the range end must be at least 1, got {max_n}")
     return _REGISTRY[relation_id](max_n)
 
 

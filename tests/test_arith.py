@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrel.arith import (DirichletCharacter, divisors, ec_ap, hecke_extend,
-                        hurwitz, hurwitz_cache, hurwitz_oracle, HurwitzCache,
+from qrel.arith import (DirichletCharacter, class_number_decomposition,
+                        divisor_sieve, divisors, ec_ap, hecke_extend, hurwitz,
+                        hurwitz_cache, hurwitz_oracle, HurwitzCache,
                         jacobi_symbol, kronecker_character, lambda_k,
                         lambda_k_pa, legendre_symbol, reduced_forms, sigma_k)
 
@@ -42,6 +43,14 @@ class TestDivisorSums:
         for n in (1, 4, 6, 12, 36):
             assert lambda_k_pa(n, 1, 1, 0) == 2 * lambda_k(n, 1)
 
+    @pytest.mark.parametrize("k", [1, 3, 11])
+    def test_sieve_matches_trial_division(self, k):
+        sigma, lam = divisor_sieve(5000, k)
+        assert sigma[0] == lam[0] == 0
+        for n in range(1, 5001):
+            assert sigma[n] == sigma_k(n, 1), n
+            assert Fraction(lam[n], 2) == lambda_k(n, k), n
+
 
 class TestHurwitz:
     KNOWN = {0: Fraction(-1, 12), 1: 0, 2: 0, 3: Fraction(1, 3),
@@ -66,8 +75,28 @@ class TestHurwitz:
         assert reduced_forms(3) == [(1, 1, 1)]
 
     def test_oracle_matches_bulk_fill(self):
-        for n in list(range(0, 200)) + [399, 400, 4000]:
+        table = hurwitz_cache().scaled_table(3000)
+        for n in range(0, 3001):
+            assert Fraction(table[n], 12) == hurwitz_oracle(n), n
             assert hurwitz(n) == hurwitz_oracle(n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=20000))
+    def test_oracle_matches_bulk_fill_large(self, n):
+        table = hurwitz_cache().scaled_table(20000)
+        assert Fraction(table[n], 12) == hurwitz_oracle(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=3000))
+    def test_primitive_decomposition(self, n):
+        # H(n) = sum over f^2 | n of the weighted primitive class numbers
+        # of discriminant -n/f^2: an oracle independent of the fill.
+        assert class_number_decomposition(n) == hurwitz(n)
+
+    def test_table_units(self):
+        # 12*H: -1 at 0, 4 for (1,1,1), 6 for (1,0,1), 12 per plain form
+        table = hurwitz_cache().scaled_table(23)
+        assert [table[n] for n in (0, 1, 3, 4, 7, 23)] == [-1, 0, 4, 6, 12, 36]
 
     def test_cache_roundtrip(self, tmp_path):
         cache = HurwitzCache(cache_dir=str(tmp_path))
@@ -79,6 +108,38 @@ class TestHurwitz:
         fresh = HurwitzCache(cache_dir=str(tmp_path))
         assert fresh.load()
         assert fresh.get(23) == 3
+
+    def test_save_replaces_atomically(self, tmp_path):
+        cache = HurwitzCache(cache_dir=str(tmp_path))
+        cache.ensure(30)
+        cache.save()
+        cache.ensure(60)
+        path = cache.save()
+        assert os.listdir(tmp_path) == ["hurwitz.csv"]
+        assert open(path).read().splitlines()[-1] == "60,4,1"
+
+    @pytest.mark.parametrize("bad", [
+        "3,1",            # two fields
+        "3,one,3",        # not an integer
+        "3,1,0",          # zero denominator
+        "3,1,5",          # 12 * 1/5 is not an integer
+        "5,1,1",          # 5 = 1 (mod 4) is not a discriminant
+        "3,0,1",          # H(3) must be positive
+    ])
+    def test_load_rejects_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "hurwitz.csv"
+        path.write_text(f"0,-1,12\n{bad}\n4,1,2\n")
+        with pytest.raises(ValueError):
+            HurwitzCache().load(str(path))
+
+    def test_load_rejects_gaps_and_bad_h0(self, tmp_path):
+        path = tmp_path / "hurwitz.csv"
+        path.write_text("0,-1,12\n4,1,2\n")          # 3 is missing
+        with pytest.raises(ValueError):
+            HurwitzCache().load(str(path))
+        path.write_text("0,1,12\n3,1,3\n")           # H(0) = -1/12
+        with pytest.raises(ValueError):
+            HurwitzCache().load(str(path))
 
     def test_build_idempotent(self, tmp_path):
         cache = HurwitzCache(cache_dir=str(tmp_path))

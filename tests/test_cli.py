@@ -1,9 +1,13 @@
 """The command-line front end: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qrel
 from qrel import cli
 
 
@@ -11,6 +15,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*argv):
+    """Run the CLI in a new interpreter, with an empty Hurwitz table."""
+    src = os.path.dirname(os.path.dirname(qrel.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "qrel.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestSeries:
@@ -52,6 +64,13 @@ class TestSeries:
         assert code == 0
         assert out.strip().split(", ")[8] == "-4"
 
+    @pytest.mark.parametrize("name", ["lambda:0:2:1:1:0", "delta:1:-3:-4:-4:0"])
+    def test_nonpositive_s_t_rejected(self, name):
+        # s = 0 used to loop forever in the boundary-term loop
+        proc = run_fresh("series", "--name", name, "--terms", "3")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "s and t must be positive" in proc.stderr
+
     def test_byte_determinism(self, capsys):
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]
@@ -72,6 +91,13 @@ class TestBracket:
         assert code == 1
 
 
+HURWITZ_50_CSV = "".join(f"{line}\n" for line in (
+    "0,-1,12", "3,1,3", "4,1,2", "7,1,1", "8,1,1", "11,1,1", "12,4,3",
+    "15,2,1", "16,3,2", "19,1,1", "20,2,1", "23,3,1", "24,2,1", "27,4,3",
+    "28,2,1", "31,3,1", "32,3,1", "35,2,1", "36,5,2", "39,4,1", "40,2,1",
+    "43,1,1", "44,4,1", "47,5,1", "48,10,3"))
+
+
 class TestHurwitzCmd:
     def test_writes_and_idempotent(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QREL_CACHE_DIR", str(tmp_path))
@@ -88,6 +114,12 @@ class TestHurwitzCmd:
         code, out, _ = run(capsys, "hurwitz", "--max", "50", "--out", str(target))
         assert code == 0 and out.strip() == str(target)
         assert "4,1,2" in target.read_text()
+
+    def test_file_text_pinned(self, tmp_path):
+        target = tmp_path / "h.csv"
+        proc = run_fresh("hurwitz", "--max", "50", "--out", str(target))
+        assert proc.returncode == 0 and proc.stdout == f"{target}\n"
+        assert target.read_text() == HURWITZ_50_CSV
 
 
 class TestVerify:
@@ -118,6 +150,14 @@ class TestVerify:
         monkeypatch.setitem(relations._REGISTRY, "eichler", broken)
         code, out, _ = run(capsys, "verify", "eichler")
         assert code == 2 and "fail" in out
+
+    @pytest.mark.parametrize("argv", [["verify", "eichler", "--max", "0"],
+                                      ["verify", "eichler", "--max", "-5"],
+                                      ["verify-all", "--max", "0"]])
+    def test_nonpositive_max_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "at least 1" in err
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

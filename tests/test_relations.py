@@ -35,8 +35,12 @@ class TestReports:
     def test_failure_serialization(self):
         rep = R.RelationReport("demo", 1, 5, "all n")
         rep.record(3, Fraction(1, 3), Fraction(2, 3))
+        rep.record_scaled(4, 4, 8, 12)
+        rep.record_scaled(5, 6, 6, 12)
         doc = rep.to_dict()
-        assert doc["failures"] == [{"n": 3, "lhs": "1/3", "rhs": "2/3"}]
+        assert doc["failures"] == [{"n": 3, "lhs": "1/3", "rhs": "2/3"},
+                                   {"n": 4, "lhs": "1/3", "rhs": "2/3"}]
+        assert rep.checked == 3
 
     def test_format_scalar(self):
         assert R.format_scalar(Fraction(-1, 12)) == "-1/12"
@@ -56,6 +60,18 @@ class TestRegistry:
     def test_unknown_relation(self):
         with pytest.raises(KeyError):
             R.run_check("nosuch")
+
+    def test_default_range_is_the_signature_default(self):
+        assert R.run_check("eichler").hi == 2000
+        assert R.run_check("hap_table").hi == 200
+        assert R.run_check("trace4_nu2").hi == 301
+
+    @pytest.mark.parametrize("max_n", [0, -5])
+    def test_nonpositive_range_rejected(self, max_n):
+        with pytest.raises(ValueError):
+            R.run_check("eichler", max_n)
+        with pytest.raises(ValueError):
+            R.verify_all(max_n)
 
     def test_verify_all_order_deterministic(self):
         a = [r.relation for r in R.verify_all(30)]

@@ -172,8 +172,13 @@ class HurwitzCache:
 
     def scaled_table(self, max_n: int) -> list[int]:
         """The live ``12*H`` table, filled to at least max_n.  Read only."""
-        self.ensure(max_n)
+        self._grow(max_n)
         return self._table
+
+    def _grow(self, n: int) -> None:
+        # Grow geometrically, so callers walking up n refill O(log n) times.
+        if n > self._max:
+            self.ensure(max(n, 2 * self._max, 512))
 
     def _bulk_fill(self, max_n: int) -> None:
         table = [0] * (max_n + 1)
@@ -201,8 +206,7 @@ class HurwitzCache:
             return Fraction(0)
         if n == 0:
             return H0
-        if n > self._max:
-            self.ensure(max(n, 2 * self._max, 512))
+        self._grow(n)
         return Fraction(self._table[n], 12)
 
     def load(self, path: str | None = None) -> bool:

@@ -43,6 +43,12 @@ def format_scalar(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def scaled_failure(n: int, lhs: int, rhs: int, scale: int) -> tuple:
+    """A failure entry for sides compared times scale: both sides as exact
+    Fractions, as reports hand them out."""
+    return (n, Fraction(lhs, scale), Fraction(rhs, scale))
+
+
 @dataclass
 class RelationReport:
     relation: str
@@ -70,11 +76,10 @@ class RelationReport:
             self.failures.append((n, lhs, rhs))
 
     def record_scaled(self, n: int, lhs: int, rhs: int, scale: int) -> None:
-        """Record lhs/scale = rhs/scale, compared as integers; a failure
-        keeps the two sides as exact Fractions."""
+        """Record lhs/scale = rhs/scale, compared as integers."""
         self.checked += 1
         if lhs != rhs:
-            self.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
+            self.failures.append(scaled_failure(n, lhs, rhs, scale))
 
     def to_dict(self) -> dict:
         return {
@@ -115,14 +120,11 @@ class _Timer:
 # Classical class number relations
 
 
-def _symmetric_sum(tab: list[int], m: int, weight=None) -> int:
+def _symmetric_sum(tab: list[int], m: int, weight=lambda s: 1) -> int:
     """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
-    even in s (1 when omitted), folding s and -s into one term."""
-    r = isqrt(m)
-    if weight is None:
-        return tab[m] + 2 * sum([tab[m - s * s] for s in range(1, r + 1)])
+    even in s, folding s and -s into one term."""
     return weight(0) * tab[m] + 2 * sum([weight(s) * tab[m - s * s]
-                                         for s in range(1, r + 1)])
+                                         for s in range(1, isqrt(m) + 1)])
 
 
 def check_eichler(max_n: int = 2000) -> RelationReport:
@@ -168,7 +170,7 @@ def check_kronecker_hurwitz(max_n: int = 2000) -> RelationReport:
             tot, lam12, rhs = _symmetric_sum(tab, 4 * n), 12 * lam[n], 24 * sigma[n]
             for fails, lhs in ((plus_fail, tot + lam12), (minus_fail, tot - lam12)):
                 if lhs != rhs:
-                    fails.append((n, Fraction(lhs, 12), Fraction(rhs, 12)))
+                    fails.append(scaled_failure(n, lhs, rhs, 12))
         if len(plus_fail) <= len(minus_fail):
             rep.failures, variant = plus_fail, "+2*lambda_1"
         else:

@@ -75,8 +75,8 @@ class TestHurwitz:
         assert reduced_forms(3) == [(1, 1, 1)]
 
     def test_oracle_matches_bulk_fill(self):
-        table = hurwitz_cache().scaled_table(3000)
-        for n in range(0, 3001):
+        table = hurwitz_cache().scaled_table(4000)
+        for n in list(range(0, 3001)) + [4000]:
             assert Fraction(table[n], 12) == hurwitz_oracle(n), n
             assert hurwitz(n) == hurwitz_oracle(n), n
 
@@ -97,6 +97,15 @@ class TestHurwitz:
         # 12*H: -1 at 0, 4 for (1,1,1), 6 for (1,0,1), 12 per plain form
         table = hurwitz_cache().scaled_table(23)
         assert [table[n] for n in (0, 1, 3, 4, 7, 23)] == [-1, 0, 4, 6, 12, 36]
+
+    def test_scaled_table_grows_geometrically(self):
+        # Like get: a caller walking up n refills O(log n) times, not at
+        # every step.
+        cache = HurwitzCache()
+        assert len(cache.scaled_table(600)) == 601
+        assert len(cache.scaled_table(700)) == 1201
+        cache.get(1300)
+        assert cache.max_computed == 2400
 
     def test_cache_roundtrip(self, tmp_path):
         cache = HurwitzCache(cache_dir=str(tmp_path))

@@ -248,16 +248,18 @@ class HurwitzCache:
             self._max = max_n
         return True
 
-    def save(self, path: str | None = None) -> str:
+    def save(self, path: str | None = None, max_n: int | None = None) -> str:
         """Write the table as "n,num,den" lines for n = 0 and every
-        discriminant n = 0, 3 (mod 4) up to max_computed, atomically: a
-        reader sees the old file or the new one, never a partial one."""
+        discriminant n = 0, 3 (mod 4) up to max_n (default: max_computed),
+        atomically: a reader sees the old file or the new one, never a
+        partial one."""
         path = path or self._path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        rows = self._table if max_n is None else self._table[:max(max_n, 0) + 1]
         try:
             with open(tmp, "w") as fh:
-                for n, v in enumerate(self._table):
+                for n, v in enumerate(rows):
                     if v:
                         g = gcd(v, 12)
                         fh.write(f"{n},{v // g},{12 // g}\n")

@@ -43,20 +43,16 @@ def build_series(series_id: str, T: int):
     "lambda:s:t:chi:psi:nu", "delta:s:t:chi:psi:nu" and
     "bracket:f:g:k:l:nu" (characters given as kronecker_character
     integers, weights as fractions like 3/2)."""
-    parts = series_id.split(":")
-    name, args = parts[0], parts[1:]
+    name = series_id.split(":")[0]
     if name in ("lambda", "delta"):
-        s, t = int(args[0]), int(args[1])
-        chi = kronecker_character(int(args[2]))
-        psi = kronecker_character(int(args[3]))
-        nu = int(args[4])
+        form = f"{name}:s:t:chi:psi:nu"
+        s, t, chi, psi, nu = map(int, forms.id_fields(series_id, form))
         fn = holproj.lambda_indef if name == "lambda" else holproj.delta_indef
-        return fn(s, t, chi, psi, nu, T)
+        return fn(s, t, kronecker_character(chi), kronecker_character(psi), nu, T)
     if name == "bracket":
-        f = forms.build(args[0], T)
-        g = forms.build(args[1], T)
-        spec = holproj.BracketSpec(Fraction(args[2]), Fraction(args[3]), int(args[4]))
-        return holproj.rankin_cohen(f, g, spec)
+        f, g, k, l, nu = forms.id_fields(series_id, "bracket:f:g:k:l:nu")
+        spec = holproj.BracketSpec(Fraction(k), Fraction(l), int(nu))
+        return holproj.rankin_cohen(forms.build(f, T), forms.build(g, T), spec)
     return forms.build(series_id, T)
 
 
@@ -87,7 +83,7 @@ def cmd_hurwitz(args) -> int:
     cache = hurwitz_cache()
     cache.ensure(args.max)
     try:
-        path = cache.save(args.out)
+        path = cache.save(args.out, args.max)
     except OSError as exc:
         print(f"qrel hurwitz: cannot write cache: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -157,6 +157,17 @@ def _parse_chi(token: str) -> DirichletCharacter:
     return arith.kronecker_character(int(token))
 
 
+def id_fields(series_id: str, form: str) -> list[str]:
+    """The fields after the name in a parameterised series id, which must
+    be as many as in its form (e.g. "theta_half:s:chi")."""
+    fields = series_id.split(":")[1:]
+    want = form.count(":")
+    if len(fields) != want:
+        raise ValueError(f"{form} takes {want} fields after the name, "
+                         f"got {len(fields)}")
+    return fields
+
+
 def build(series_id: str, T: int):
     """Build a series by catalog id.
 
@@ -164,18 +175,20 @@ def build(series_id: str, T: int):
     "G2", "Delta", "eta2_12", "g7".  Character specifiers are the integers
     accepted by kronecker_character (1, -4, or an odd prime).
     """
-    parts = series_id.split(":")
-    name, args = parts[0], parts[1:]
+    name = series_id.split(":")[0]
     if name == "H":
         return hurwitz_series(T)
     if name == "theta":
         return theta_classical(T)
     if name == "theta_half":
-        return theta_half(int(args[0]), _parse_chi(args[1]), T)
+        s, chi = id_fields(series_id, "theta_half:s:chi")
+        return theta_half(int(s), _parse_chi(chi), T)
     if name == "theta32":
-        return theta_three_half(int(args[0]), _parse_chi(args[1]), T)
+        s, chi = id_fields(series_id, "theta32:s:chi")
+        return theta_three_half(int(s), _parse_chi(chi), T)
     if name == "theta_pa":
-        return theta_congruence(int(args[0]), int(args[1]), T)
+        p, a = id_fields(series_id, "theta_pa:p:a")
+        return theta_congruence(int(p), int(a), T)
     if name == "G2":
         return eisenstein_g2(T)
     if name == "Delta":

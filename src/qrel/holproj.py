@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .arith import DirichletCharacter
@@ -248,17 +249,37 @@ class PellOrbitData:
     window_reps: list[tuple[int, int]]             # internal (u, n) = (s*m, n) reps
 
 
-def _advance(u: int, n: int, x: int, y: int, st: int) -> tuple[int, int]:
-    return u * x + n * y * st, u * y + n * x
+def _advance(u: int, n: int, x: int, y: int, d: int) -> tuple[int, int]:
+    """(u + n sqrt(d)) * (x + y sqrt(d)) as an (int, int) pair."""
+    return u * x + n * y * d, u * y + n * x
+
+
+def _orbit(u: int, n: int, x: int, y: int, d: int, mod: int = 0):
+    """The one orbit walker: u + n sqrt(d) times (x + y sqrt(d))^k for
+    k = 0, 1, ..., as (int, int) pairs, reduced mod `mod` when given.  It
+    moves Pell solutions along their orbit (d = st) and terms in Z[sqrt(D)]."""
+    while True:
+        if mod:
+            u, n = u % mod, n % mod
+        yield u, n
+        u, n = _advance(u, n, x, y, d)
+
+
+def _zpow(a: int, b: int, e: int, d: int) -> tuple[int, int]:
+    return next(islice(_orbit(1, 0, a, b, d), e, None))
 
 
 def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
     """Decompose {(m, n): s m^2 - t n^2 = r, m, n >= 1} into unit orbits.
 
-    Internally works with u = s*m, so u^2 - st n^2 = s*r; the fundamental
-    unit of x^2 - st y^2 = 1 acts on (u, n) and preserves u = 0 (mod s).
-    Each returned fundamental solution generates its orbit upward; together
-    they cover every solution exactly once.
+    Internally works with u = s*m, so u^2 - st n^2 = s*r; the unit
+    x + y sqrt(st) acts on (u, n) and preserves u = 0 (mod s).  Each
+    returned fundamental solution generates its orbit upward; together they
+    cover every solution exactly once.  Window representatives have n >= 0
+    and a predecessor with n < 0.  By Nagell's bound (Introduction to Number
+    Theory, Thm. 108) each orbit holds (u, +-n) with 2(x+1) n^2 <= y^2 sr,
+    so a scan of O(sqrt(y sr)) values of n finds them all: each hit, and
+    the unit image of its conjugate.
     """
     if s < 1 or t < 1 or r < 1:
         raise ValueError("s, t, r must be positive")
@@ -266,34 +287,43 @@ def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
     if is_square(st):
         raise ValueError("s*t is a perfect square; use the finite factorization path")
     _, D = squarefree_split(st)
-    c = isqrt(st // D)
     x, y = pell_fundamental(st)
-    unit = QuadExt(x, y * c, D)
+    unit = QuadExt(x, y * isqrt(st // D), D)
     sr = s * r
-    window = []
-    n = 0
-    n_max = y * (isqrt(sr) + 1)
-    while n <= n_max:
+    reps = set()
+    for n in range(isqrt(y * y * sr // (2 * (x + 1))) + 1):
         uu = sr + st * n * n
         u = isqrt(uu)
-        if u * u == uu and u > 0 and n * x - u * y < 0 and u % s == 0:
-            window.append((u, n))
-        n += 1
-    fundamental = []
-    for u, n in window:
-        while n < 1 or u < s:
-            u, n = _advance(u, n, x, y, st)
-        fundamental.append((u // s, n))
-    fundamental.sort()
+        if u * u == uu and u % s == 0:
+            reps.add((u, n))
+            if n:
+                reps.add(_advance(u, -n, x, y, st))
+    window = sorted(reps, key=lambda rep: rep[1])
+    fundamental = sorted(next((u // s, n) for u, n in _orbit(*rep, x, y, st) if n)
+                         for rep in window)
     return PellOrbitData(s, t, r, D, unit, (x, y), fundamental, window)
+
+
+def _orbit_walks(orbits: PellOrbitData, nu: int, mod: int = 0):
+    """w = eps^{-(2nu+1)} and, per orbit, alpha = (u - c n sqrt(D))^{2nu+1}
+    at its fundamental (u, n) = (s m, n), c^2 D = st, with the walk from
+    there: pairs of (u_k, n_k) (mod `mod` when given) and the k-th term
+    alpha * w^k, all in integers."""
+    s, st, D = orbits.s, orbits.s * orbits.t, orbits.D
+    x, y = orbits.unit_xy
+    c = isqrt(st // D)
+    e = 2 * nu + 1
+    w = _zpow(x, -y * c, e, D)
+    walks = []
+    for m, n in orbits.fundamental_solutions:
+        alpha = _zpow(s * m, -c * n, e, D)
+        walk = zip(_orbit(s * m, n, x, y, st, mod), _orbit(*alpha, *w, D))
+        walks.append((alpha, walk))
+    return w, walks
 
 
 # ---------------------------------------------------------------------------
 # Indefinite theta series Lambda and Delta
-
-
-def _psi_at_zero(psi: DirichletCharacter) -> int:
-    return 1 if psi.modulus == 1 else 0
 
 
 def _indef_coeff_square(s: int, t: int, chi, psi, nu: int, r: int):
@@ -321,52 +351,29 @@ def _indef_coeff_square(s: int, t: int, chi, psi, nu: int, r: int):
     return total
 
 
-def _orbit_period(u: int, n: int, x: int, y: int, st: int, L: int) -> int:
-    """Period of (u, n) mod L under the unit action."""
-    if L == 1:
-        return 1
-    u0, n0 = u % L, n % L
-    uu, nn = u0, n0
-    period = 0
-    while True:
-        uu, nn = _advance(uu, nn, x, y, st)
-        uu, nn = uu % L, nn % L
-        period += 1
-        if (uu, nn) == (u0, n0):
-            return period
-
-
 def _indef_coeff_orbit(s: int, t: int, chi, psi, nu: int, r: int):
     """Double-sum coefficient (scaled by s^{nu+1/2}) via exact orbit sums.
 
-    Per orbit the solution values form a geometric progression in the
-    conjugate unit; characters are handled by splitting the orbit into
-    finitely many residue classes of the unit action.
+    An orbit's terms alpha * w^k form a geometric progression and
+    chi(m) psi(n) depends on (u, n) mod L = s * mod(chi) * mod(psi) only,
+    so one period P of the orbit mod L is summed in integers, then divided
+    by 1 - w^P.
     """
     orbits = pell_orbit(s, t, r)
-    st = s * t
-    x, y = orbits.unit_xy
     D = orbits.D
-    c = isqrt(st // D)
-    e = 2 * nu + 1
-    eps_inv_e = orbits.unit.inverse() ** e
-    L = s * chi.modulus * psi.modulus
+    _, walks = _orbit_walks(orbits, nu, s * chi.modulus * psi.modulus)
     total = QuadExt(0, 0, D)
-    for m0, n0 in orbits.fundamental_solutions:
-        u0 = s * m0
-        alpha_conj = QuadExt(u0, -c * n0, D) ** e
-        period = _orbit_period(u0, n0, x, y, st, L)
-        geom = (1 - eps_inv_e ** period).inverse()
-        u, n = u0, n0
-        part = QuadExt(0, 0, D)
-        factor = alpha_conj
-        for _ in range(period):
+    for alpha, walk in walks:
+        start, pa, pb = None, 0, 0
+        for (u, n), (a, b) in walk:     # one period: until (u, n) mod L recurs
+            if (u, n) == start:
+                break
+            start = start or (u, n)
             cv = chi(u // s) * psi(n)
-            if cv:
-                part = part + cv * factor
-            factor = factor * eps_inv_e
-            u, n = _advance(u, n, x, y, st)
-        total = total + part * geom
+            pa, pb = pa + cv * a, pb + cv * b
+        # (a, b) = alpha w^P, so part / (1 - w^P) = part alpha / (alpha - (a, b))
+        num = QuadExt(*_advance(pa, pb, *alpha, D), D)
+        total = total + num / QuadExt(alpha[0] - a, alpha[1] - b, D)
     return total
 
 
@@ -405,25 +412,7 @@ def lambda_indef(s: int, t: int, chi: DirichletCharacter,
     _check_positive(s, t)
     if not (chi.is_even and psi.is_even):
         raise ValueError("lambda_indef needs even characters")
-    coeffs: dict = {}
-    for r in range(1, T + 1):
-        v = 2 * indefinite_double_sum(s, t, chi, psi, nu, r)
-        if v:
-            coeffs[r] = coeffs.get(r, 0) + v
-    psi0 = _psi_at_zero(psi)
-    if psi0:
-        rho = 1
-        while s * rho * rho <= T:
-            cv = psi0 * chi(rho)
-            if cv:
-                # (sqrt(s) rho)^{2nu+1} scaled by s^{nu+1/2} is s^{2nu+1} rho^{2nu+1}
-                term = cv * Fraction(s * rho) ** (2 * nu + 1)
-                key = s * rho * rho
-                coeffs[key] = coeffs.get(key, 0) + term
-            rho += 1
-    if is_square(s):
-        coeffs = {n: _unscale(v, s, nu) for n, v in coeffs.items()}
-    return QSeries(coeffs, T)
+    return _indef_series(s, t, chi, psi, nu, T)
 
 
 def delta_indef(s: int, t: int, chi: DirichletCharacter,
@@ -433,11 +422,21 @@ def delta_indef(s: int, t: int, chi: DirichletCharacter,
     _check_positive(s, t)
     if not (chi.is_odd and psi.is_odd):
         raise ValueError("delta_indef needs odd characters")
+    return _indef_series(s, t, chi, psi, nu, T)
+
+
+def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
     coeffs: dict = {}
     for r in range(1, T + 1):
         v = 2 * indefinite_double_sum(s, t, chi, psi, nu, r)
         if v:
             coeffs[r] = v
+    if psi.modulus == 1:    # boundary terms at r = s rho^2, weighted by psi(0)
+        for rho in range(1, isqrt(T // s) + 1):
+            # (sqrt(s) rho)^{2nu+1} scaled by s^{nu+1/2} is s^{2nu+1} rho^{2nu+1}
+            term = chi(rho) * Fraction(s * rho) ** (2 * nu + 1)
+            if term:
+                coeffs[s * rho * rho] = coeffs.get(s * rho * rho, 0) + term
     if is_square(s):
         coeffs = {n: _unscale(v, s, nu) for n, v in coeffs.items()}
     return QSeries(coeffs, T)
@@ -451,23 +450,16 @@ def orbit_tail_split(s: int, t: int, nu: int, r: int, m_bound: int):
     over m > m_bound.  head + tail equals indefinite_double_sum.
     """
     orbits = pell_orbit(s, t, r)
-    st = s * t
-    x, y = orbits.unit_xy
     D = orbits.D
-    c = isqrt(st // D)
-    e = 2 * nu + 1
-    eps_inv_e = orbits.unit.inverse() ** e
-    geom = (1 - eps_inv_e).inverse()
-    head, tail = QuadExt(0, 0, D), QuadExt(0, 0, D)
-    for m0, n0 in orbits.fundamental_solutions:
-        u, n = s * m0, n0
-        factor = QuadExt(u, -c * n, D) ** e
-        while u // s <= m_bound:
-            head = head + factor
-            factor = factor * eps_inv_e
-            u, n = _advance(u, n, x, y, st)
-        tail = tail + factor * geom
-    return head, tail
+    w, walks = _orbit_walks(orbits, nu)
+    ha = hb = ta = tb = 0
+    for _, walk in walks:
+        for (u, n), (a, b) in walk:
+            if u // s > m_bound:
+                break
+            ha, hb = ha + a, hb + b
+        ta, tb = ta + a, tb + b
+    return QuadExt(ha, hb, D), QuadExt(ta, tb, D) / QuadExt(1 - w[0], -w[1], D)
 
 
 # ---------------------------------------------------------------------------

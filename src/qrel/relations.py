@@ -659,8 +659,11 @@ _REGISTRY: dict[str, object] = {
     "cor_i": _ranged(check_cor_i),
     "cor_ii": _ranged(check_cor_ii),
     "prop72": _ranged(check_prop72),
-    "identities": lambda max_n=None: check_identities(),
+    "identities": _ranged(check_identities),
 }
+# Checks whose parameter ranges are fixed: a range end given for one alone
+# is an error, and verify_all runs them at their fixed ranges.
+_FIXED_RANGE = {"identities"}
 
 
 def relation_ids() -> list[str]:
@@ -673,10 +676,14 @@ def run_check(relation_id: str, max_n: int | None = None) -> RelationReport:
                        f"known: {', '.join(_REGISTRY)}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"the range end must be at least 1, got {max_n}")
+    if max_n is not None and relation_id in _FIXED_RANGE:
+        raise ValueError(f"{relation_id} has fixed parameter ranges; "
+                         f"a range end (--max) does not apply to it")
     return _REGISTRY[relation_id](max_n)
 
 
 def verify_all(max_n: int | None = None) -> list[RelationReport]:
     """Run every registered check, in registry order, at its default range
-    (or at max_n for all of them when given)."""
-    return [run_check(rid, max_n) for rid in _REGISTRY]
+    (or at max_n for all of them when given, except the fixed-range ones)."""
+    return [run_check(rid, None if rid in _FIXED_RANGE else max_n)
+            for rid in _REGISTRY]

@@ -9,6 +9,7 @@ import pytest
 
 import qrel
 from qrel import cli
+from qrel.arith import hurwitz_cache
 
 
 def run(capsys, *argv):
@@ -71,6 +72,22 @@ class TestSeries:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "s and t must be positive" in proc.stderr
 
+    @pytest.mark.parametrize("name, form, got", [
+        ("theta_half:1", "theta_half:s:chi takes 2", 1),
+        ("lambda:1:2", "lambda:s:t:chi:psi:nu takes 5", 2),
+        ("bracket:Delta", "bracket:f:g:k:l:nu takes 5", 1),
+        ("delta:1:1:-4:-4:0:9", "delta:s:t:chi:psi:nu takes 5", 6)])
+    def test_wrong_field_count(self, capsys, name, form, got):
+        code, out, err = run(capsys, "series", "--name", name, "--terms", "3")
+        assert code == 1 and out == ""
+        assert f"{form} fields after the name, got {got}" in err
+
+    def test_large_pell_unit_finishes(self):
+        # st = 61 has fundamental unit y ~ 2.3e8; the linear scan hung here
+        proc = run_fresh("series", "--name", "lambda:1:61:1:1:0", "--terms", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == "0, 0/1+3805/29718*sqrt(61), 0, 0/1+722/14859*sqrt(61)\n"
+
     def test_byte_determinism(self, capsys):
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]
@@ -115,6 +132,13 @@ class TestHurwitzCmd:
         assert code == 0 and out.strip() == str(target)
         assert "4,1,2" in target.read_text()
 
+    def test_writes_only_up_to_max(self, capsys, tmp_path):
+        # the process's table already holds more than --max asks for
+        hurwitz_cache().ensure(8000)
+        target = tmp_path / "h.csv"
+        code, _, _ = run(capsys, "hurwitz", "--max", "50", "--out", str(target))
+        assert code == 0 and target.read_text() == HURWITZ_50_CSV
+
     def test_file_text_pinned(self, tmp_path):
         target = tmp_path / "h.csv"
         proc = run_fresh("hurwitz", "--max", "50", "--out", str(target))
@@ -158,6 +182,13 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "at least 1" in err
+
+    def test_fixed_range_check_rejects_max(self, capsys):
+        code, out, err = run(capsys, "verify", "identities", "--max", "5")
+        assert code == 1 and out == ""
+        assert "identities has fixed parameter ranges" in err
+        code, out, _ = run(capsys, "verify", "identities")
+        assert code == 0 and "[0,0]" in out and " pass" in out
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

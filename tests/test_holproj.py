@@ -9,7 +9,7 @@ import pytest
 from qrel import forms, holproj as hp
 from qrel.arith import kronecker_character
 from qrel.qseries import QSeries
-from qrel.scalars import PiScalar, QuadExt
+from qrel.scalars import PiScalar, QuadExt, is_square
 
 TRIV = kronecker_character(1)
 CHI5 = kronecker_character(5)
@@ -153,6 +153,56 @@ class TestPellOrbit:
             assert sorted(got) == want
 
 
+    def test_nagell_scan_matches_linear_scan(self):
+        # the scan to Nagell's bound against the full linear scan it replaced
+        cases = 0
+        for s in (1, 2, 3):
+            for st in range(max(s, 2), 201, s):
+                if is_square(st) or hp.pell_fundamental(st)[1] > 500:
+                    continue
+                for r in range(1, 41):
+                    orb = hp.pell_orbit(s, st // s, r)
+                    fundamental, window = _linear_scan(s, st // s, r)
+                    assert orb.fundamental_solutions == fundamental, (s, st, r)
+                    assert orb.window_reps == window, (s, st, r)
+                    cases += 1
+        assert cases > 10000
+
+    @pytest.mark.parametrize("t", [61, 109])
+    def test_large_units_exact(self, t):
+        # y = 226153980 (st = 61) and y = 15140424455100 (st = 109): the
+        # linear scan took minutes or days here
+        for r in (1, 2, 3):
+            orb = hp.pell_orbit(1, t, r)
+            x, y = orb.unit_xy
+            assert x * x - t * y * y == 1
+            for m, n in orb.fundamental_solutions:
+                assert m * m - t * n * n == r
+                pm, pn = m * x - n * y * t, n * x - m * y   # unit predecessor
+                assert pm < 1 or pn < 1
+
+    def test_st61_fan_covers_brute_force(self):
+        M = 10 ** 5
+        found = 0
+        for r in (1, 2, 3):
+            want = []
+            for m in range(1, M + 1):
+                v = m * m - r
+                if v > 0 and v % 61 == 0 and isqrt(v // 61) ** 2 * 61 == v:
+                    want.append((m, isqrt(v // 61)))
+            got = []
+            orb = hp.pell_orbit(1, 61, r)
+            x, y = orb.unit_xy
+            for m0, n0 in orb.fundamental_solutions:
+                for m, n in hp._orbit(m0, n0, x, y, 61):
+                    if m > M:
+                        break
+                    got.append((m, n))
+            assert sorted(got) == want
+            found += len(want)
+        assert found > 0
+
+
 class TestLambdaIndef:
     def test_square_path_values(self):
         lam = hp.lambda_indef(1, 1, TRIV, TRIV, 0, 20)
@@ -245,6 +295,25 @@ class TestCharacterOrbits:
                     exact = hp.indefinite_double_sum(s, t, chi, psi, 0, r)
                     brute = _exact_partial_sum(s, t, chi, psi, 1, r, 4000)
                     assert abs(_dfloat(exact - brute)) < (r / 4000) * 10
+
+
+def _linear_scan(s: int, t: int, r: int):
+    """Test oracle: pell_orbit's former scan over every n <= y (sqrt(sr) + 1),
+    returning (fundamental_solutions, window_reps)."""
+    st, sr = s * t, s * r
+    x, y = hp.pell_fundamental(st)
+    window = []
+    for n in range(y * (isqrt(sr) + 1) + 1):
+        uu = sr + st * n * n
+        u = isqrt(uu)
+        if u * u == uu and n * x - u * y < 0 and u % s == 0:
+            window.append((u, n))
+    fundamental = []
+    for u, n in window:
+        while n < 1 or u < s:
+            u, n = hp._advance(u, n, x, y, st)
+        fundamental.append((u // s, n))
+    return sorted(fundamental), window
 
 
 def _dfloat(x) -> float:

@@ -266,6 +266,7 @@ def _orbit(u: int, n: int, x: int, y: int, d: int, mod: int = 0):
 
 
 def _zpow(a: int, b: int, e: int, d: int) -> tuple[int, int]:
+    """(a + b sqrt(d))^e for e >= 0, as an (int, int) pair."""
     return next(islice(_orbit(1, 0, a, b, d), e, None))
 
 

@@ -300,6 +300,7 @@ def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
             if n:
                 reps.add(_advance(u, -n, x, y, st))
     window = sorted(reps, key=lambda rep: rep[1])
+    # first orbit point with n >= 1; m >= 1 already holds, as u > 0 and s | u
     fundamental = sorted(next((u // s, n) for u, n in _orbit(*rep, x, y, st) if n)
                          for rep in window)
     return PellOrbitData(s, t, r, D, unit, (x, y), fundamental, window)

@@ -1,5 +1,5 @@
 """Number-theoretic primitives: divisor sums, Hurwitz class numbers with a
-reduced-forms oracle and a persistent cache, real Dirichlet characters, and
+reduced-forms oracle and a CSV export, real Dirichlet characters, and
 elliptic-curve point counting over prime fields.
 """
 
@@ -135,7 +135,7 @@ def hurwitz_oracle(n: int) -> Fraction:
 
 
 class HurwitzCache:
-    """Table of Hurwitz class numbers, persisted as CSV "n,num,den".
+    """Table of Hurwitz class numbers, written out as CSV "n,num,den".
 
     ``_table`` is a flat ``list[int]`` in units of 1/12: ``_table[n]`` is
     ``12*H(n)`` for ``0 <= n <= max_computed``, so ``_table[0] == -1`` and
@@ -145,17 +145,17 @@ class HurwitzCache:
 
     The table is filled by a bulk sweep over reduced forms (much faster than
     per-n enumeration) and is safe for concurrent reads; writes happen under
-    an internal lock.
+    an internal lock.  The CSV is output only: nothing reads it back, since
+    refilling the table is cheaper than parsing it.
     """
 
-    def __init__(self, cache_dir: str | None = None):
+    def __init__(self):
         self._table: list[int] = [-1]
         self._max = 0
         self._lock = threading.Lock()
-        self._dir = cache_dir
 
     def _path(self) -> str:
-        d = self._dir or os.environ.get("QREL_CACHE_DIR", "./.qrel-cache")
+        d = os.environ.get("QREL_CACHE_DIR", "./.qrel-cache")
         return os.path.join(d, "hurwitz.csv")
 
     @property
@@ -209,45 +209,6 @@ class HurwitzCache:
         self._grow(n)
         return Fraction(self._table[n], 12)
 
-    def load(self, path: str | None = None) -> bool:
-        """Load the CSV cache if present; returns True on success.
-
-        Raises ValueError when a line is not "n,num,den" with 12*num/den
-        an integer, when it is not a class number (n off the residues 0, 3
-        mod 4, H(0) other than -1/12, H(n) <= 0 for n > 0), or when a
-        discriminant below the largest n is missing.
-        """
-        path = path or self._path()
-        if not os.path.exists(path):
-            return False
-        entries: dict[int, int] = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}: {line!r}"
-                try:
-                    n, num, den = map(int, line.split(","))
-                except ValueError:
-                    raise ValueError(f"{where}: not three integers") from None
-                if den < 1 or 12 * num % den:
-                    raise ValueError(f"{where}: 12*H(n) is not an integer")
-                v = 12 * num // den
-                if n < 0 or n % 4 in (1, 2) or (v != -1 if n == 0 else v < 1):
-                    raise ValueError(f"{where}: not a Hurwitz class number")
-                entries[n] = v
-        max_n = max(entries, default=0)
-        if len(entries) != 1 + max_n // 4 + (max_n + 1) // 4:
-            raise ValueError(f"{path}: a discriminant up to {max_n} is missing")
-        table = [0] * (max_n + 1)
-        for n, v in entries.items():
-            table[n] = v
-        with self._lock:
-            self._table = table
-            self._max = max_n
-        return True
-
     def save(self, path: str | None = None, max_n: int | None = None) -> str:
         """Write the table as "n,num,den" lines for n = 0 and every
         discriminant n = 0, 3 (mod 4) up to max_n (default: max_computed),
@@ -269,13 +230,6 @@ class HurwitzCache:
                 os.unlink(tmp)
             raise
         return path
-
-    def build(self, max_n: int, path: str | None = None) -> str:
-        """Write the persistent cache up to at least max_n, starting from
-        the file's table when it is there (idempotent)."""
-        self.load(path)
-        self.ensure(max_n)
-        return self.save(path)
 
 
 _cache = HurwitzCache()
@@ -337,14 +291,13 @@ def jacobi_symbol(a: int, n: int) -> int:
 class DirichletCharacter:
     """Real Dirichlet character, stored as a value table over the residues."""
 
-    def __init__(self, modulus: int, values, conductor: int | None = None):
+    def __init__(self, modulus: int, values):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         self.modulus = modulus
         self.values = tuple(int(v) for v in values)
         if len(self.values) != modulus:
             raise ValueError("value table length must equal the modulus")
-        self.conductor = conductor if conductor is not None else modulus
         self.parity = "even" if self(-1) == 1 else "odd"
 
     def __call__(self, n: int) -> int:
@@ -358,19 +311,6 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         return self.parity == "odd"
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        from math import lcm
-        m = lcm(self.modulus, other.modulus)
-        return DirichletCharacter(m, [self(n) * other(n) for n in range(m)])
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self.modulus == other.modulus and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.modulus, self.values))
-
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, {self.parity})"
 
@@ -383,12 +323,11 @@ def kronecker_character(d: int) -> DirichletCharacter:
     odd prime d: the Legendre symbol mod d.
     """
     if d == 1:
-        return DirichletCharacter(1, [1], conductor=1)
+        return DirichletCharacter(1, [1])
     if d == -4:
-        return DirichletCharacter(4, [0, 1, 0, -1], conductor=4)
+        return DirichletCharacter(4, [0, 1, 0, -1])
     if d > 2 and _is_odd_prime_or_one(d):
-        return DirichletCharacter(d, [jacobi_symbol(n, d) for n in range(d)],
-                                  conductor=d)
+        return DirichletCharacter(d, [jacobi_symbol(n, d) for n in range(d)])
     raise ValueError(f"unsupported character specifier {d}")
 
 
@@ -422,21 +361,14 @@ def ec_ap(a4: int, a6: int, p: int) -> int:
     return -total
 
 
-def hecke_extend(ap: dict[int, int], weight2: bool, bad_prime: int | None,
-                 T: int, require_complete: bool = True) -> QSeries:
-    """Extend prime eigenvalue data to all n <= T by Hecke multiplicativity.
+def hecke_extend(ap: dict[int, int], T: int) -> QSeries:
+    """Extend weight-2 prime eigenvalues a(p) to all n <= T by Hecke
+    multiplicativity: a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and
+    a(p^{j+1}) = a(p) a(p^j) - p a(p^{j-1}).
 
-    a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and for good primes
-    a(p^{j+1}) = a(p) a(p^j) - p^{k-1} a(p^{j-1}) (weight 2 here: p^{k-1} = p).
-    At the bad prime a(p^j) = a(p)^j.
-
-    With require_complete=False, missing primes are tolerated and the result
-    is only defined on the multiplicative span of the supplied primes.
+    The result is defined only on the multiplicative span of the primes
+    in ap; it is 0 elsewhere.
     """
-    if require_complete:
-        for p in _primes_upto(T):
-            if p not in ap:
-                raise ValueError(f"missing Hecke eigenvalue for prime {p}")
     coeffs = {1: 1}
     for p in sorted(ap):
         if p > T:
@@ -444,11 +376,7 @@ def hecke_extend(ap: dict[int, int], weight2: bool, bad_prime: int | None,
         powers = {0: 1, 1: ap[p]}
         j = 1
         while p ** (j + 1) <= T:
-            if bad_prime is not None and p == bad_prime:
-                powers[j + 1] = powers[1] ** (j + 1)
-            else:
-                mult = p if weight2 else 1
-                powers[j + 1] = ap[p] * powers[j] - mult * powers[j - 1]
+            powers[j + 1] = ap[p] * powers[j] - p * powers[j - 1]
             j += 1
         new = dict(coeffs)
         for n, c in coeffs.items():

@@ -1,5 +1,5 @@
-"""Command-line front end: series printing, Hurwitz cache management,
-Rankin-Cohen brackets, and batch relation verification.
+"""Command-line front end: series printing, Hurwitz class-number table
+export (CSV), Rankin-Cohen brackets, and batch relation verification.
 
 Exit codes: 0 on success, 2 when a verified relation fails mathematically,
 1 on usage errors (unknown names, bad flags).  Output is byte-deterministic
@@ -80,6 +80,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    if args.max < 1:
+        print(f"qrel hurwitz: --max must be at least 1, got {args.max}",
+              file=sys.stderr)
+        return USAGE_ERROR
     cache = hurwitz_cache()
     cache.ensure(args.max)
     try:

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
 
 from . import arith
 from .arith import DirichletCharacter, ec_ap, hecke_extend, _primes_upto
 from .qseries import QSeries, eta_product
 
-# Cremona 49a1: y^2 = x^3 - 2835 x - 71442, conductor 49
+# Cremona 49a1: y^2 = x^3 - 2835 x - 71442, the curve of g7 (level 49)
 G7_A4 = -2835
 G7_A6 = -71442
 G7_BAD_PRIMES = (2, 3, 7)
@@ -122,9 +121,6 @@ class PartialSeries:
             raise KeyError(f"coefficient a({n}) is not defined")
         return self.coeffs.get(n, 0)
 
-    def is_defined(self, n: int) -> bool:
-        return n in self.defined
-
 
 def g7_support(max_n: int) -> list[int]:
     """Indices <= max_n supported on primes >= 5 and != 7."""
@@ -143,8 +139,7 @@ def g7(T: int) -> PartialSeries:
         raise ValueError("T must be at least 1")
     ap = {p: ec_ap(G7_A4, G7_A6, p)
           for p in _primes_upto(T) if p >= 5 and p != 7}
-    series = hecke_extend(ap, weight2=True, bad_prime=None, T=T,
-                          require_complete=False)
+    series = hecke_extend(ap, T)
     defined = set(g7_support(T))
     return PartialSeries(dict(series.coeffs), defined, T)
 

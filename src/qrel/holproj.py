@@ -59,7 +59,8 @@ def rankin_cohen(f: QSeries, g: QSeries, spec: BracketSpec) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials over Q, as sparse {(i, j): coeff} maps (X^i Y^j)
+# Bivariate polynomials over Q, as sparse {(i, j): coeff} maps (X^i Y^j).
+# No map holds a zero coefficient, so equal polynomials are equal maps.
 
 
 def poly_add(p: dict, q: dict) -> dict:
@@ -67,10 +68,6 @@ def poly_add(p: dict, q: dict) -> dict:
     for m, c in q.items():
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
-
-
-def poly_scale(c, p: dict) -> dict:
-    return {m: c * v for m, v in p.items() if c * v}
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -113,24 +110,6 @@ def p_poly(a: int, b) -> dict:
 # kappa and the correction coefficients
 
 
-def gamma_half_signed(h) -> PiScalar:
-    """Gamma at any half-integer that is not a pole (so: not in -N_0)."""
-    h = as_half_integer(h)
-    if h.denominator == 1:
-        if h <= 0:
-            raise ValueError(f"Gamma pole at {h}")
-        return gamma_half(h)
-    r = Fraction(1)
-    x = h
-    while x < Fraction(1, 2):
-        r /= x
-        x += 1
-    while x > Fraction(1, 2):
-        x -= 1
-        r *= x
-    return PiScalar(r, 1)
-
-
 def kappa(spec: BracketSpec) -> PiScalar:
     """The constant in the holomorphic projection of [y^{1-k}, g]_nu.
 
@@ -149,7 +128,7 @@ def kappa(spec: BracketSpec) -> PiScalar:
                  * gen_binom(k + nu - 1, nu - mu)
                  * gen_binom(l + nu - 1, mu))
         if coeff:
-            total = total + gamma_half_signed(l + 2 * nu - mu) * coeff
+            total = total + gamma_half(l + 2 * nu - mu) * coeff
     return total * Fraction(1, factorial(int(w) - 2)) / (k - 1)
 
 
@@ -208,7 +187,7 @@ def correction_b(r: int, shadow_coeffs: dict, g_coeffs: dict,
                 * poly_eval(polys[mu], Fraction(r), Fraction(n))
             n_term = half_power(n, k + mu - 1) * Fraction(m) ** (nu - mu)
             total = total + coeff * am * cn * (p_term - n_term)
-    return -gamma_half_signed(1 - k), total
+    return -gamma_half(1 - k), total
 
 
 # ---------------------------------------------------------------------------

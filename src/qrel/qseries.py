@@ -33,9 +33,10 @@ class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: dict, trunc: int):
-        if trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
-        self.trunc = min(trunc, MAX_TRUNC)
+        if not 0 <= trunc <= MAX_TRUNC:
+            raise ValueError(f"truncation order must be in [0, {MAX_TRUNC}], "
+                             f"got {trunc}")
+        self.trunc = trunc
         self.coeffs = {n: c for n, c in coeffs.items() if n <= self.trunc and c}
         if any(n < 0 for n in self.coeffs):
             raise ValueError("negative exponents are not supported")

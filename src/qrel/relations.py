@@ -60,11 +60,16 @@ class RelationReport:
     notes: str = ""
     checked: int = 0
 
+    def __post_init__(self):
+        if self.hi < self.lo:
+            raise ValueError(f"{self.relation} starts at {self.lo}; the range "
+                             f"end must be at least {self.lo}, got {self.hi}")
+
     @property
     def status(self) -> str:
         if self.failures:
             return "fail"
-        return "pass" if self.checked > 0 or self.hi < self.lo else "partial"
+        return "pass" if self.checked > 0 else "partial"
 
     @property
     def ok(self) -> bool:
@@ -442,10 +447,7 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
                     lhs = holproj.lambda_pa(p, a, nu, 4 * max_n).u_op(4)
                     rhs = prop72_rhs(p, a, nu, max_n)
                     for n in range(1, max_n + 1):
-                        le, ri = lhs.coeff(n), rhs.coeff(n)
-                        rep.checked += 1
-                        if le != ri:
-                            rep.failures.append((n, Fraction(le), Fraction(ri)))
+                        rep.record(n, lhs.coeff(n), rhs.coeff(n))
     return rep
 
 
@@ -510,18 +512,9 @@ def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
                 alt2 = holproj.poly_add(
                     alt2, holproj.poly_mul({(0, j): c * (-1) ** j},
                                            holproj.poly_pow(xy, a - 2 - j)))
-            if _poly_nonzero(holproj.poly_add(P, _poly_neg(alt1))) \
-                    or _poly_nonzero(holproj.poly_add(P, _poly_neg(alt2))):
+            if P != alt1 or P != alt2:
                 bad.append((10 * a + bi, Fraction(0), Fraction(1)))
     return bad
-
-
-def _poly_neg(P: dict) -> dict:
-    return {k: -v for k, v in P.items()}
-
-
-def _poly_nonzero(P: dict) -> bool:
-    return any(v != 0 for v in P.values())
 
 
 _XSUB = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}   # r = x^2 - y^2
@@ -569,7 +562,7 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
         rhs = holproj.poly_mul(
             {(2 * nu - 1, 0): Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu)},
             holproj.poly_pow(xmy, 2 * nu + 1))
-        if _poly_nonzero(holproj.poly_add(lhs, _poly_neg(rhs))):
+        if lhs != rhs:
             bad.append((nu, Fraction(0), Fraction(1)))
     return bad
 
@@ -594,7 +587,7 @@ def _closed_sum_odd(nu_max: int) -> list[tuple[int, object, object]]:
         rhs = holproj.poly_mul(
             {(2 * nu, 0): -Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu)},
             holproj.poly_pow(xmy, 2 * nu + 1))
-        if _poly_nonzero(holproj.poly_add(lhs, _poly_neg(rhs))):
+        if lhs != rhs:
             bad.append((nu, Fraction(0), Fraction(1)))
     return bad
 

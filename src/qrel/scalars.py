@@ -318,17 +318,6 @@ def gen_binom(x, m: int) -> Fraction:
     return num / factorial(m)
 
 
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1)."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    a = Fraction(a)
-    result = Fraction(1)
-    for j in range(n):
-        result *= a + j
-    return result
-
-
 @cache
 def factorial(n: int) -> int:
     import math
@@ -336,18 +325,22 @@ def factorial(n: int) -> int:
 
 
 def gamma_half(h) -> PiScalar:
-    """Gamma(h) for a positive half-integer h, exactly.
+    """Gamma(h) for a half-integer h that is not a pole (not in -N_0),
+    exactly.
 
     Integer h gives (h-1)! with no pi; half-odd h reduces to Gamma(1/2) =
-    sqrt(pi) via Gamma(x+1) = x*Gamma(x).
+    sqrt(pi) via Gamma(x+1) = x*Gamma(x), upwards or downwards.
     """
     h = as_half_integer(h)
-    if h <= 0:
-        raise ValueError(f"gamma_half needs a positive argument, got {h}")
     if h.denominator == 1:
+        if h <= 0:
+            raise ValueError(f"Gamma pole at {h}")
         return PiScalar(factorial(int(h) - 1), 0)
     r = Fraction(1)
     x = h
+    while x < Fraction(1, 2):
+        r /= x
+        x += 1
     while x > Fraction(1, 2):
         x -= 1
         r *= x

@@ -88,6 +88,12 @@ class TestSeries:
         assert proc.returncode == 0
         assert proc.stdout == "0, 0/1+3805/29718*sqrt(61), 0, 0/1+722/14859*sqrt(61)\n"
 
+    def test_terms_above_max_truncation_rejected(self, capsys):
+        code, out, err = run(capsys, "series", "--name", "theta",
+                             "--terms", "1048577")
+        assert code == 1 and out == ""
+        assert "cannot build 'theta'" in err and "truncation order" in err
+
     def test_byte_determinism(self, capsys):
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]
@@ -139,6 +145,15 @@ class TestHurwitzCmd:
         code, _, _ = run(capsys, "hurwitz", "--max", "50", "--out", str(target))
         assert code == 0 and target.read_text() == HURWITZ_50_CSV
 
+    @pytest.mark.parametrize("max_n", ["0", "-5"])
+    def test_range_end_below_one_rejected(self, capsys, tmp_path, max_n):
+        target = tmp_path / "h.csv"
+        code, out, err = run(capsys, "hurwitz", "--max", max_n,
+                             "--out", str(target))
+        assert code == 1 and out == ""
+        assert f"--max must be at least 1, got {max_n}" in err
+        assert not target.exists()
+
     def test_file_text_pinned(self, tmp_path):
         target = tmp_path / "h.csv"
         proc = run_fresh("hurwitz", "--max", "50", "--out", str(target))
@@ -182,6 +197,15 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("argv", [["verify", "hap_table", "--max", "1"],
+                                      ["verify-all", "--max", "1"]])
+    def test_range_end_below_first_index_rejected(self, capsys, argv):
+        # hap_table starts at the prime 2, so --max 1 leaves it nothing to
+        # check
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "hap_table starts at 2" in err and "got 1" in err
 
     def test_fixed_range_check_rejects_max(self, capsys):
         code, out, err = run(capsys, "verify", "identities", "--max", "5")

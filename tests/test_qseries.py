@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrel.qseries import QSeries, ScalarKindError, _euler_function, eta_product
+from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _euler_function,
+                          eta_product)
 from qrel.scalars import QuadExt
 
 small_series = st.builds(
@@ -38,6 +39,12 @@ class TestRingOps:
     def test_coeff_beyond_truncation_raises(self):
         with pytest.raises(IndexError):
             q_poly((0, 1), trunc=10).coeff(11)
+
+    def test_truncation_above_max_raises(self):
+        # the truncation is not lowered to MAX_TRUNC behind the caller's back
+        assert QSeries.zero(MAX_TRUNC).trunc == MAX_TRUNC
+        with pytest.raises(ValueError, match="truncation order"):
+            QSeries({0: 1}, MAX_TRUNC + 1)
 
     def test_equality_on_common_range(self):
         assert q_poly((3, 5), trunc=10) == q_poly((3, 5), trunc=20)

@@ -21,6 +21,14 @@ class TestReports:
         rep.record(2, Fraction(1), Fraction(2))
         assert rep.status == "fail" and not rep.ok
 
+    def test_empty_range_rejected(self):
+        # a range that ends below its first index checks nothing, so it is
+        # an error rather than a vacuous pass
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            R.RelationReport("demo", 2, 1, "all n")
+        with pytest.raises(ValueError, match="hap_table"):
+            R.check_hap_table(1)
+
     def test_json_schema(self):
         rep = R.check_eichler(99)
         doc = json.loads(rep.to_json())
@@ -160,7 +168,9 @@ class TestQuasiModular:
         assert R.check_cor_ii(200).ok
 
     def test_prop72(self):
-        assert R.check_prop72(150).ok
+        rep = R.check_prop72(150)
+        # one index per n, residue a mod p and nu in (0, 1), p in (5, 7)
+        assert rep.ok and rep.checked == 2 * (5 + 7) * 150
 
     def test_w_term_values(self):
         # n=30, p=5, a=1: divisors alpha<sqrt(30) with alpha=0 (5) and

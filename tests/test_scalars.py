@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qrel.scalars import (PiScalar, QuadExt, as_half_integer,
                           falling_gamma_ratio, factorial, gamma_half,
-                          gen_binom, is_square, pochhammer, squarefree_split)
+                          gen_binom, is_square, squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=12))
@@ -142,9 +142,10 @@ class TestGammaHelpers:
         assert gen_binom(3, 0) == 1
 
     def test_pochhammer(self):
-        assert pochhammer(3, 3) == 3 * 4 * 5
-        assert pochhammer(frac(1, 2), 2) == frac(3, 4)
-        assert pochhammer(7, 0) == 1
+        # the rising factorial (a)_n = Gamma(a+n)/Gamma(a)
+        assert falling_gamma_ratio(3 + 3, 3) == 3 * 4 * 5
+        assert falling_gamma_ratio(frac(1, 2) + 2, 2) == frac(3, 4)
+        assert falling_gamma_ratio(7, 0) == 1
 
     def test_factorial(self):
         assert [factorial(n) for n in range(6)] == [1, 1, 2, 6, 24, 120]
@@ -155,6 +156,12 @@ class TestGammaHelpers:
         assert gamma_half(frac(1, 2)) == PiScalar(1, 1)
         assert gamma_half(frac(3, 2)) == PiScalar(frac(1, 2), 1)
         assert gamma_half(frac(7, 2)) == PiScalar(frac(15, 8), 1)
+        # below 1/2 by Gamma(x) = Gamma(x+1)/x
+        assert gamma_half(frac(-1, 2)) == PiScalar(-2, 1)
+        assert gamma_half(frac(-3, 2)) == PiScalar(frac(4, 3), 1)
+        for pole in (0, -1, -4):
+            with pytest.raises(ValueError, match="pole"):
+                gamma_half(pole)
 
     def test_falling_gamma_ratio(self):
         # Gamma(x)/Gamma(x - mu) = (x-1)(x-2)...(x-mu)

@@ -57,16 +57,26 @@ def build_series(series_id: str, T: int):
 
 
 def _emit_series(name: str, series, terms: int, fmt: str) -> None:
-    coeffs = [series.coeff(n) for n in range(terms + 1)]
-    if fmt == "text":
-        print(", ".join(_fmt_coeff(c) for c in coeffs))
-    elif fmt == "csv":
+    """Print the coefficients of exponents 0..terms.  A PartialSeries (g7)
+    has coefficients only at its defined indices: those n <= terms are
+    printed, zeros included and each with its index."""
+    if fmt == "csv":
         for line in series.truncate(terms).to_csv_lines():
             print(line)
+        return
+    partial = isinstance(series, forms.PartialSeries)
+    indices = (sorted(n for n in series.defined if n <= terms) if partial
+               else range(terms + 1))
+    coeffs = [_fmt_coeff(series.coeff(n)) for n in indices]
+    if fmt == "text":
+        print(", ".join(f"{n}: {c}" for n, c in zip(indices, coeffs))
+              if partial else ", ".join(coeffs))
     else:
-        print(json.dumps({"name": name, "terms": terms,
-                          "coefficients": [_fmt_coeff(c) for c in coeffs]},
-                         indent=2))
+        doc = {"name": name, "terms": terms}
+        if partial:
+            doc["indices"] = indices
+        doc["coefficients"] = coeffs
+        print(json.dumps(doc, indent=2))
 
 
 def cmd_series(args) -> int:

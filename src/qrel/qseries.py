@@ -9,6 +9,7 @@ truncation is ever reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import QuadExt
 
@@ -19,12 +20,79 @@ class ScalarKindError(TypeError):
     """Raised when two series over incompatible coefficient rings meet."""
 
 
-def _check_compatible(f: "QSeries", g: "QSeries") -> None:
+def _common_kind(f: "QSeries", g: "QSeries") -> str:
+    """The scalar kind of a sum or product of f and g.  Rationals embed in
+    every other ring; two different non-rational kinds do not mix."""
     kf, kg = f.scalar_kind(), g.scalar_kind()
-    if kf == "rational" or kg == "rational":
-        return
-    if kf != kg:
-        raise ScalarKindError(f"cannot mix {kf} and {kg} coefficients")
+    if kf == "rational" or kf == kg:
+        return kg
+    if kg == "rational":
+        return kf
+    raise ScalarKindError(f"cannot mix {kf} and {kg} coefficients")
+
+
+def _dict_mul(a: dict, b: dict, t: int) -> dict:
+    """Coefficients n <= t of the product of two coefficient maps, by the
+    schoolbook double loop over their entries.  Works for every scalar
+    kind, and costs one scalar product per pair of entries."""
+    out: dict = {}
+    for n1, c1 in a.items():
+        if n1 > t:
+            continue
+        for n2, c2 in b.items():
+            n = n1 + n2
+            if n > t:
+                continue
+            out[n] = out.get(n, 0) + c1 * c2
+    return out
+
+
+def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
+    """Coefficients n <= t of the product of two maps to int or Fraction,
+    by Kronecker substitution: each side is scaled to integers and packed
+    into one integer with a fixed-width slot per exponent, so that a
+    single big-integer product (Karatsuba in CPython) does the
+    convolution.  Exact: the slot width comes from a bound on every
+    product coefficient.
+    """
+    a = {n: c for n, c in a.items() if n <= t and c}
+    b = {n: c for n, c in b.items() if n <= t and c}
+    if not a or not b:
+        return {}
+    den_a = lcm(*(c.denominator for c in a.values()))
+    den_b = lcm(*(c.denominator for c in b.values()))
+    a = {n: c.numerator * (den_a // c.denominator) for n, c in a.items()}
+    b = {n: c.numerator * (den_b // c.denominator) for n, c in b.items()}
+    # At most min(len(a), len(b)) pairs meet at one exponent, so every
+    # product coefficient, and every input, lies in [-bound, bound].
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
+    width = bound.bit_length() // 8 + 1     # bytes, so that bound < half
+    half = 1 << (8 * width - 1)
+    half_slot = half.to_bytes(width, "little")
+
+    def biases(slots: int) -> int:
+        return int.from_bytes(half_slot * slots, "little")
+
+    def pack(coeffs: dict) -> int:
+        # slot n holds coeffs[n] + half, which lies in [0, 2*half)
+        slots = bytearray(half_slot * (max(coeffs) + 1))
+        for n, c in coeffs.items():
+            slots[n * width:(n + 1) * width] = (c + half).to_bytes(width, "little")
+        return int.from_bytes(slots, "little") - biases(max(coeffs) + 1)
+
+    # With half added back, slots 0..t of the product are nonnegative, so
+    # the mask drops the slots above t without a borrow.
+    size = width * (t + 1)
+    product = (pack(a) * pack(b) + biases(t + 1)) & ((1 << 8 * size) - 1)
+    slots = product.to_bytes(size, "little")
+    den = den_a * den_b
+    out = {}
+    for n in range(t + 1):
+        c = int.from_bytes(slots[n * width:(n + 1) * width], "little") - half
+        if c:
+            out[n] = c if den == 1 else Fraction(c, den)
+    return out
 
 
 class QSeries:
@@ -79,7 +147,7 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        _check_compatible(self, other)
+        _common_kind(self, other)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             out[n] = out.get(n, 0) + c
@@ -96,18 +164,14 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return self.scale(other)
-        _check_compatible(self, other)
         t = min(self.trunc, other.trunc)
-        out: dict = {}
-        for n1, c1 in self.coeffs.items():
-            if n1 > t:
-                continue
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > t:
-                    continue
-                out[n] = out.get(n, 0) + c1 * c2
-        return QSeries(out, t)
+        # The dict loop makes one scalar product per pair of entries, the
+        # Kronecker kernel writes and reads t + 1 slots: sparse pairs stay
+        # on the dict loop.
+        if (_common_kind(self, other) == "rational"
+                and len(self.coeffs) * len(other.coeffs) > t + 1):
+            return QSeries(_kronecker_mul(self.coeffs, other.coeffs, t), t)
+        return QSeries(_dict_mul(self.coeffs, other.coeffs, t), t)
 
     def __rmul__(self, other):
         if isinstance(other, QSeries):
@@ -243,15 +307,15 @@ def _euler_function(d: int, T: int) -> QSeries:
 
 
 def _invert_unit_series(f: QSeries, T: int) -> QSeries:
+    """1/f to order T, for f with constant term 1 (coefficients of f above
+    T are ignored).  Newton iteration g <- g*(2 - f*g): when g = 1/f
+    modulo q^(p+1), the new g is 1/f modulo q^(2p+2), so the precision
+    doubles and the cost is a few products of length T."""
     if f.coeff(0) != 1:
         raise ValueError("can only invert series with constant term 1")
-    inv = [0] * (T + 1)
-    inv[0] = 1
-    fc = f.coeffs
-    for n in range(1, T + 1):
-        s = 0
-        for m, c in fc.items():
-            if 0 < m <= n:
-                s += c * inv[n - m]
-        inv[n] = -s
-    return QSeries({n: c for n, c in enumerate(inv) if c}, T)
+    g = QSeries.one(0)
+    while g.trunc < T:
+        p = min(2 * g.trunc + 1, T)
+        g = QSeries(g.coeffs, p)
+        g = g * (QSeries({0: 2}, p) - QSeries(f.coeffs, p) * g)
+    return QSeries(g.coeffs, T)

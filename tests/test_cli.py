@@ -88,6 +88,27 @@ class TestSeries:
         assert proc.returncode == 0
         assert proc.stdout == "0, 0/1+3805/29718*sqrt(61), 0, 0/1+722/14859*sqrt(61)\n"
 
+    @pytest.mark.parametrize("fmt, want", [
+        ("text", "1: 1, 5: 0, 11: 4, 13: 0, 17: 0, 19: 0, 23: 8, 25: -5, 29: 2\n"),
+        ("csv", "1,1,1\n5,0,1\n11,4,1\n13,0,1\n17,0,1\n19,0,1\n23,8,1\n"
+                "25,-5,1\n29,2,1\n"),
+        ("json", None),
+    ])
+    def test_partial_series_prints_defined_indices(self, fmt, want):
+        # g7 is defined only on indices supported on primes >= 5, != 7;
+        # a defined 0 (a(5)) is printed, undefined indices are not
+        proc = run_fresh("series", "--name", "g7", "--terms", "30",
+                         "--format", fmt)
+        assert proc.returncode == 0 and proc.stderr == ""
+        if fmt == "json":
+            doc = json.loads(proc.stdout)
+            assert doc == {"name": "g7", "terms": 30,
+                           "indices": [1, 5, 11, 13, 17, 19, 23, 25, 29],
+                           "coefficients": ["1", "0", "4", "0", "0", "0",
+                                            "8", "-5", "2"]}
+        else:
+            assert proc.stdout == want
+
     def test_terms_above_max_truncation_rejected(self, capsys):
         code, out, err = run(capsys, "series", "--name", "theta",
                              "--terms", "1048577")

@@ -3,6 +3,7 @@ products, the class number generating series, and the weight-2 newform
 built from point counts."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -69,6 +70,38 @@ class TestSeries:
         assert f.coeff(1) == 1 and f.coeff(3) == -12
         assert f.coeff(5) == 54 and f.coeff(7) == -88 and f.coeff(9) == -99
         assert all(f.coeff(n) == 0 for n in range(0, 12, 2))
+
+
+def _primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+class TestHeckeMultiplicativity:
+    """Delta and eta(2 tau)^12 are Hecke eigenforms, so their coefficients
+    are multiplicative with a(p^2) = a(p)^2 - p^(k-1).  Checked on the full
+    series the benchmark builds; nothing here uses the dict product."""
+
+    def test_delta12(self):
+        T = 3000
+        tau = forms.delta12(T)
+        for m in range(2, T // 2 + 1):
+            for n in range(2, T // m + 1):
+                if gcd(m, n) == 1:
+                    assert tau.coeff(m * n) == tau.coeff(m) * tau.coeff(n), (m, n)
+        for p in _primes(54):
+            assert tau.coeff(p * p) == tau.coeff(p) ** 2 - p ** 11, p
+
+    def test_eta2_pow12(self):
+        T = 8000
+        f = forms.eta2_pow12(T)
+        assert f.coeff(1) == 1
+        assert all(f.coeff(n) == 0 for n in range(0, T + 1, 2))
+        for m in range(3, T // 3 + 1, 2):
+            for n in range(3, T // m + 1, 2):
+                if gcd(m, n) == 1:
+                    assert f.coeff(m * n) == f.coeff(m) * f.coeff(n), (m, n)
+        for p in _primes(89)[1:]:
+            assert f.coeff(p * p) == f.coeff(p) ** 2 - p ** 5, p
 
 
 class TestG7:

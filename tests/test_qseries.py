@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _euler_function,
-                          eta_product)
+from qrel import forms
+from qrel.arith import kronecker_character
+from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
+                          _euler_function, _invert_unit_series,
+                          _kronecker_mul, eta_product)
 from qrel.scalars import QuadExt
 
 small_series = st.builds(
@@ -66,6 +69,95 @@ class TestRingOps:
         h = QSeries({1: QuadExt(0, 1, 3)}, 40)
         with pytest.raises(ScalarKindError):
             g + h
+
+
+# Rational coefficients for the product kernels: ints up to the slot-width
+# edge at 2**200 and fractions whose denominators differ from term to term.
+rational = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(1 << 200), 1 << 200),
+    st.sampled_from([(1 << 200) - 1, -(1 << 200), (1 << 63), -(1 << 63) + 1]),
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 60)),
+)
+rational_map = st.dictionaries(st.integers(0, 60), rational, max_size=25)
+
+
+def nonzero(coeffs: dict) -> dict:
+    return {n: c for n, c in coeffs.items() if c}
+
+
+class TestProductKernels:
+    """The Kronecker kernel against the dict loop, which stays the kernel
+    for every non-rational kind and is the oracle here."""
+
+    @given(rational_map, rational_map, st.integers(0, 70))
+    @settings(max_examples=300, deadline=None)
+    def test_kronecker_matches_dict_loop(self, a, b, t):
+        assert _kronecker_mul(a, b, t) == nonzero(_dict_mul(a, b, t))
+
+    @given(rational_map, rational_map, st.integers(0, 60), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_dict_loop(self, a, b, ta, tb):
+        # unequal truncations; QSeries drops the terms above each one
+        f, g = QSeries(a, ta), QSeries(b, tb)
+        t = min(ta, tb)
+        assert f * g == QSeries(_dict_mul(f.coeffs, g.coeffs, t), t)
+        assert (f * g).trunc == t
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 200])
+    def test_slot_width_edge(self, k):
+        # dense operands whose product coefficients sit at the bound
+        # min(nnz)*max|a|*max|b|, for each sign pattern
+        t = 40
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = {n: sa * (1 << k) for n in range(t + 1)}
+            b = {n: sb * ((1 << k) - 1) * (-1) ** n for n in range(t + 1)}
+            b2 = {n: sb * (1 << k) for n in range(t + 1)}
+            for x in (b, b2):
+                assert _kronecker_mul(a, x, t) == nonzero(_dict_mul(a, x, t))
+
+    def test_empty_zero_and_one_term(self):
+        dense = {n: Fraction(n + 1, 7) - 3 for n in range(31)}
+        for t in (0, 1, 30):
+            assert _kronecker_mul({}, dense, t) == {}
+            assert _kronecker_mul(dense, {}, t) == {}
+            assert _kronecker_mul({5: 3}, dense, t) == \
+                nonzero(_dict_mul({5: 3}, dense, t))
+            assert _kronecker_mul({0: Fraction(-2, 3)}, dense, t) == \
+                nonzero(_dict_mul({0: Fraction(-2, 3)}, dense, t))
+        assert QSeries.zero(30) * QSeries(dense, 30) == QSeries.zero(30)
+        assert _kronecker_mul({0: 4}, {0: -5}, 0) == {0: -20}
+        assert _kronecker_mul({3: 4}, {0: 5}, 2) == {}
+
+    def test_sparse_theta_operands(self):
+        T = 400
+        H = forms.hurwitz_series(T)
+        for chi in (1, 5, -4):
+            th = (forms.theta_half(1, kronecker_character(chi), T) if chi > 0
+                  else forms.theta_three_half(1, kronecker_character(chi), T))
+            for f, g in ((th, th), (th, H), (H, th.v_op(3))):
+                t = min(f.trunc, g.trunc)
+                assert _kronecker_mul(f.coeffs, g.coeffs, t) == \
+                    nonzero(_dict_mul(f.coeffs, g.coeffs, t))
+                assert f * g == QSeries(_dict_mul(f.coeffs, g.coeffs, t), t)
+
+    def test_quadext_products_unchanged(self):
+        r2 = QuadExt(0, 1, 2)
+        f = QSeries({0: 1, 1: r2}, 10)
+        assert f * f == QSeries({0: 1, 1: 2 * r2, 2: 2}, 10)
+        assert (f * f).scalar_kind() == "quadext(2)"
+        # a rational factor meets the QuadExt one on the dict loop
+        g = QSeries({0: Fraction(1, 2), 3: -1}, 10)
+        assert f * g == QSeries({0: Fraction(1, 2), 1: r2 / 2, 3: -1, 4: -r2}, 10)
+        assert g * f == f * g
+
+    def test_mixed_extensions_raise(self):
+        f = QSeries({1: QuadExt(0, 1, 2)}, 10)
+        g = QSeries({1: QuadExt(0, 1, 3)}, 10)
+        with pytest.raises(ScalarKindError):
+            f * g
+        with pytest.raises(ScalarKindError):
+            f + g
 
 
 class TestOperators:
@@ -141,3 +233,27 @@ class TestEtaProduct:
         assert [n for n in range(60) if f.coeff(n)] == \
             [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57]
         assert all(f.coeff(n) in (-1, 1) for n in f.support())
+
+    def test_inverse_euler_is_partition_numbers(self):
+        # 1/prod(1-q^n) = sum p(n) q^n; p(n) from Euler's pentagonal
+        # recurrence p(n) = sum_k (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))
+        T = 500
+        p = [1] + [0] * T
+        for n in range(1, T + 1):
+            k = 1
+            while k * (3 * k - 1) // 2 <= n:
+                sign = 1 if k % 2 else -1
+                p[n] += sign * p[n - k * (3 * k - 1) // 2]
+                if k * (3 * k + 1) // 2 <= n:
+                    p[n] += sign * p[n - k * (3 * k + 1) // 2]
+                k += 1
+        inv = _invert_unit_series(_euler_function(1, T), T)
+        assert inv.trunc == T
+        assert [inv.coeff(n) for n in range(T + 1)] == p
+        assert p[100] == 190569292
+
+    def test_negative_exponent(self):
+        # eta^48 / eta^24 = eta^24: the lead (48 - 24)/24 = 1 is valid
+        assert eta_product([(1, 48), (1, -24)], 300) == eta_product([(1, 24)], 300)
+        with pytest.raises(ValueError, match="leading q-power -1/24"):
+            eta_product([(1, -1)], 300)

@@ -55,14 +55,16 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
     convolution.  Exact: the slot width comes from a bound on every
     product coefficient.
     """
-    a = {n: c for n, c in a.items() if n <= t and c}
-    b = {n: c for n, c in b.items() if n <= t and c}
+    def scaled(coeffs: dict) -> tuple[dict, int]:
+        # the nonzero terms n <= t times the lcm of their denominators
+        coeffs = {n: c for n, c in coeffs.items() if n <= t and c}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return {n: c.numerator * (den // c.denominator)
+                for n, c in coeffs.items()}, den
+
+    (a, den_a), (b, den_b) = scaled(a), scaled(b)
     if not a or not b:
         return {}
-    den_a = lcm(*(c.denominator for c in a.values()))
-    den_b = lcm(*(c.denominator for c in b.values()))
-    a = {n: c.numerator * (den_a // c.denominator) for n, c in a.items()}
-    b = {n: c.numerator * (den_b // c.denominator) for n, c in b.items()}
     # At most min(len(a), len(b)) pairs meet at one exponent, so every
     # product coefficient, and every input, lies in [-bound, bound].
     bound = (min(len(a), len(b)) * max(map(abs, a.values()))
@@ -76,10 +78,11 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
 
     def pack(coeffs: dict) -> int:
         # slot n holds coeffs[n] + half, which lies in [0, 2*half)
-        slots = bytearray(half_slot * (max(coeffs) + 1))
+        count = max(coeffs) + 1
+        slots = bytearray(half_slot * count)
         for n, c in coeffs.items():
             slots[n * width:(n + 1) * width] = (c + half).to_bytes(width, "little")
-        return int.from_bytes(slots, "little") - biases(max(coeffs) + 1)
+        return int.from_bytes(slots, "little") - biases(count)
 
     # With half added back, slots 0..t of the product are nonnegative, so
     # the mask drops the slots above t without a borrow.

@@ -335,16 +335,9 @@ def kronecker_character(d: int) -> DirichletCharacter:
 # Elliptic curves over F_p
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def ec_ap(a4: int, a6: int, p: int) -> int:
-    """Trace of Frobenius a_p of y^2 = x^3 + a4 x + a6 via Legendre sums.
+    """Trace of Frobenius a_p of y^2 = x^3 + a4 x + a6 via Legendre sums
+    (jacobi_symbol, which is the Legendre symbol at a prime p).
 
     Only valid for p >= 5 with good reduction (short Weierstrass form breaks
     in characteristic 2 and 3).
@@ -356,7 +349,7 @@ def ec_ap(a4: int, a6: int, p: int) -> int:
         raise ValueError(f"bad reduction at {p}")
     total = 0
     for x in range(p):
-        total += legendre_symbol(x * x * x + a4 * x + a6, p)
+        total += jacobi_symbol(x * x * x + a4 * x + a6, p)
     # #E(F_p) = p + 1 + sum of Legendre terms; a_p = p + 1 - #E(F_p)
     return -total
 

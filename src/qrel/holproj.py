@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import comb, isqrt
 
 from .arith import DirichletCharacter
 from .qseries import QSeries
@@ -59,50 +59,30 @@ def rankin_cohen(f: QSeries, g: QSeries, spec: BracketSpec) -> QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials over Q, as sparse {(i, j): coeff} maps (X^i Y^j).
-# No map holds a zero coefficient, so equal polynomials are equal maps.
+# Homogeneous polynomials over Q of degree d, as lists p of length d + 1:
+# p[i] is the coefficient of X^i Y^(d-i).
 
 
-def poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            m = (i1 + i2, j1 + j2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_pow(p: dict, e: int) -> dict:
-    out = {(0, 0): Fraction(1)}
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
-def poly_eval(p: dict, x, y):
+def poly_eval(p: list, x, y):
+    d = len(p) - 1
     total = 0
-    for (i, j), c in p.items():
-        total = total + c * x ** i * y ** j
+    for i, c in enumerate(p):
+        total = total + c * x ** i * y ** (d - i)
     return total
 
 
-def p_poly(a: int, b) -> dict:
-    """P_{a,b}(X, Y) = sum_{j=0}^{a-2} C(j+b-2, j) X^j (X+Y)^{a-j-2}, expanded."""
+def p_poly(a: int, b) -> list:
+    """P_{a,b}(X, Y) = sum_{j=0}^{a-2} C(j+b-2, j) X^j (X+Y)^{a-j-2}, expanded:
+    the term of j is the binomial row of (X+Y)^{a-j-2} shifted up by j."""
     if a < 2:
         raise ValueError("degree parameter a must be at least 2")
     b = Fraction(b)
-    xy = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    out: dict = {}
+    out = [Fraction(0)] * (a - 1)
     for j in range(a - 1):
-        term = poly_mul({(j, 0): gen_binom(j + b - 2, j)}, poly_pow(xy, a - j - 2))
-        out = poly_add(out, term)
+        c = gen_binom(j + b - 2, j)
+        e = a - 2 - j
+        for i in range(e + 1):
+            out[j + i] += c * comb(e, i)
     return out
 
 
@@ -170,7 +150,11 @@ def correction_b(r: int, shadow_coeffs: dict, g_coeffs: dict,
     if (k + l).denominator != 1:
         raise ValueError("correction machinery needs k + l integral")
     w = int(spec.total_weight)
-    polys = {mu: p_poly(w, 2 - k - mu) for mu in range(nu + 1)}
+    terms = []
+    for mu in range(nu + 1):
+        coeff = gen_binom(k + nu - 1, nu - mu) * gen_binom(l + nu - 1, mu)
+        if coeff:
+            terms.append((mu, coeff, p_poly(w, 2 - k - mu)))
     total: Fraction | QuadExt = Fraction(0)
     for n, cn in shadow_coeffs.items():
         if n < 1 or not cn:
@@ -179,12 +163,9 @@ def correction_b(r: int, shadow_coeffs: dict, g_coeffs: dict,
         am = g_coeffs.get(m, 0)
         if not am:
             continue
-        for mu in range(nu + 1):
-            coeff = gen_binom(k + nu - 1, nu - mu) * gen_binom(l + nu - 1, mu)
-            if not coeff:
-                continue
-            p_term = half_power(m, nu - mu + mu - 2 * nu - l + 1) \
-                * poly_eval(polys[mu], Fraction(r), Fraction(n))
+        m_power = half_power(m, 1 - nu - l)
+        for mu, coeff, poly in terms:
+            p_term = m_power * poly_eval(poly, Fraction(r), Fraction(n))
             n_term = half_power(n, k + mu - 1) * Fraction(m) ** (nu - mu)
             total = total + coeff * am * cn * (p_term - n_term)
     return -gamma_half(1 - k), total

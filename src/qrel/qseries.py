@@ -273,21 +273,20 @@ class QSeries:
 def eta_product(factors, T: int) -> QSeries:
     """q-expansion of prod_d eta(d*tau)^{e_d} for factors [(d, e), ...].
 
-    The leading power sum(d*e)/24 must be a nonnegative integer.  Euler
-    products are expanded via the pentagonal number theorem, so each factor
-    is extremely sparse before the final powering.
+    The leading power sum(d*e)/24 must be a nonnegative integer, and every
+    exponent e must be nonnegative.  Euler products are expanded via the pentagonal
+    number theorem, so each factor is extremely sparse before the final
+    powering.
     """
     lead = Fraction(sum(d * e for d, e in factors), 24)
     if lead.denominator != 1 or lead < 0:
         raise ValueError(f"leading q-power {lead} is not a nonnegative integer")
+    if any(e < 0 for _, e in factors):
+        raise ValueError(f"negative exponents are not supported: {factors}")
     lead = int(lead)
     result = QSeries({lead: 1}, T)
     for d, e in factors:
-        euler = _euler_function(d, T)
-        if e >= 0:
-            result = result * euler ** e
-        else:
-            result = result * _invert_unit_series(euler, T) ** (-e)
+        result = result * _euler_function(d, T) ** e
     return result
 
 
@@ -307,18 +306,3 @@ def _euler_function(d: int, T: int) -> QSeries:
             coeffs[g2] = coeffs.get(g2, 0) + sign
         k += 1
     return QSeries(coeffs, T)
-
-
-def _invert_unit_series(f: QSeries, T: int) -> QSeries:
-    """1/f to order T, for f with constant term 1 (coefficients of f above
-    T are ignored).  Newton iteration g <- g*(2 - f*g): when g = 1/f
-    modulo q^(p+1), the new g is 1/f modulo q^(2p+2), so the precision
-    doubles and the cost is a few products of length T."""
-    if f.coeff(0) != 1:
-        raise ValueError("can only invert series with constant term 1")
-    g = QSeries.one(0)
-    while g.trunc < T:
-        p = min(2 * g.trunc + 1, T)
-        g = QSeries(g.coeffs, p)
-        g = g * (QSeries({0: 2}, p) - QSeries(f.coeffs, p) * g)
-    return QSeries(g.coeffs, T)

@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from . import forms, holproj
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
@@ -496,39 +496,42 @@ def _binomial_identity_odd(nu_max: int) -> list[tuple[int, object, object]]:
 def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
     """The two closed rewrites of P_{a,b}: as sum_j C(a+b-3,j) X^j Y^{a-2-j}
     and as sum_j C(a+b-3,a-2-j) C(j+b-2,j) (X+Y)^{a-2-j} (-Y)^j, for
-    half-integer b not in {1, 2}."""
+    half-integer b not in {1, 2}.  Polynomials are coefficient lists
+    indexed by the power of X, as holproj.p_poly returns them."""
     bad = []
     bs = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2),
           Fraction(5, 2), Fraction(7, 2))
-    xy = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
     for a in range(2, a_max + 1):
         for bi, b in enumerate(bs):
             P = holproj.p_poly(a, b)
-            alt1: dict = {}
-            alt2: dict = {}
+            alt1 = [gen_binom(a + b - 3, j) for j in range(a - 1)]
+            alt2 = [Fraction(0)] * (a - 1)
             for j in range(a - 1):
-                alt1 = holproj.poly_add(alt1, {(j, a - 2 - j): gen_binom(a + b - 3, j)})
-                c = gen_binom(a + b - 3, a - 2 - j) * gen_binom(j + b - 2, j)
-                alt2 = holproj.poly_add(
-                    alt2, holproj.poly_mul({(0, j): c * (-1) ** j},
-                                           holproj.poly_pow(xy, a - 2 - j)))
+                c = (gen_binom(a + b - 3, a - 2 - j) * gen_binom(j + b - 2, j)
+                     * (-1) ** j)
+                e = a - 2 - j
+                for i in range(e + 1):
+                    alt2[i] += c * comb(e, i)
             if P != alt1 or P != alt2:
                 bad.append((10 * a + bi, Fraction(0), Fraction(1)))
     return bad
 
 
-_XSUB = {(2, 0): Fraction(1), (0, 2): Fraction(-1)}   # r = x^2 - y^2
-_YSUB = {(0, 2): Fraction(1)}                          # n = y^2
-
-
-def _subst_squares(P: dict) -> dict:
-    out: dict = {}
-    for (i, j), c in P.items():
-        out = holproj.poly_add(
-            out, holproj.poly_mul({(0, 0): Fraction(c)},
-                                  holproj.poly_mul(holproj.poly_pow(_XSUB, i),
-                                                   holproj.poly_pow(_YSUB, j))))
+def _subst_squares(P: list) -> list:
+    """P(x^2 - y^2, y^2) for P homogeneous of degree d, as the list of its
+    2d + 1 coefficients indexed by the power of x: the term P[i] X^i Y^(d-i)
+    is P[i] times the row of (x^2 - y^2)^i, on the even powers of x."""
+    d = len(P) - 1
+    out = [Fraction(0)] * (2 * d + 1)
+    for i, c in enumerate(P):
+        for k in range(i + 1):
+            out[2 * k] += c * comb(i, k) * (-1) ** (i - k)
     return out
+
+
+def _x_minus_y_row(e: int, c) -> list:
+    """c (x - y)^e, as coefficients indexed by the power of x."""
+    return [c * comb(e, i) * (-1) ** (e - i) for i in range(e + 1)]
 
 
 def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
@@ -536,9 +539,9 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
     (m^{1/2-nu} P_{2nu+2,1/2-mu}(m-n, n) - n^{1/2+mu} m^{nu-mu})
     = 2^{-2nu} C(2nu,nu) (sqrt(m) - sqrt(n))^{2nu+1}, as a polynomial
     identity after m = x^2, n = y^2 (cleared of half powers by x^{2nu-1};
-    the nu = 0 case is checked pointwise since that factor is 1/x)."""
+    the nu = 0 case is checked pointwise since that factor is 1/x).
+    Both sides are homogeneous of degree 4nu in x, y."""
     bad = []
-    xmy = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
     for nu in range(nu_max + 1):
         if nu == 0:
             for x in (2, 3, 5, 7):
@@ -551,17 +554,16 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
                     if got != Fraction(x - y):
                         bad.append((x * 10 + y, got, Fraction(x - y)))
             continue
-        lhs: dict = {}
+        lhs = [Fraction(0)] * (4 * nu + 1)
         for mu in range(nu + 1):
             c = (gen_binom(Fraction(2 * nu + 1, 2), nu - mu)
                  * gen_binom(Fraction(2 * nu - 1, 2), mu))
-            lhs = holproj.poly_add(
-                lhs, holproj.poly_mul({(0, 0): c}, _subst_squares(
-                    holproj.p_poly(2 * nu + 2, Fraction(1 - 2 * mu, 2)))))
-            lhs = holproj.poly_add(lhs, {(4 * nu - 2 * mu - 1, 2 * mu + 1): -c})
-        rhs = holproj.poly_mul(
-            {(2 * nu - 1, 0): Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu)},
-            holproj.poly_pow(xmy, 2 * nu + 1))
+            S = _subst_squares(holproj.p_poly(2 * nu + 2, Fraction(1 - 2 * mu, 2)))
+            lhs = [u + c * v for u, v in zip(lhs, S)]
+            lhs[4 * nu - 2 * mu - 1] -= c
+        # times x^{2nu-1}: shifted up by 2nu - 1
+        rhs = [0] * (2 * nu - 1) + _x_minus_y_row(
+            2 * nu + 1, Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu))
         if lhs != rhs:
             bad.append((nu, Fraction(0), Fraction(1)))
     return bad
@@ -572,21 +574,20 @@ def _closed_sum_odd(nu_max: int) -> list[tuple[int, object, object]]:
     (m^{-nu-1/2} P_{2nu+2,3/2-mu}(m-n, n) - n^{mu-1/2} m^{nu-mu})
     = -2^{-2nu} C(2nu,nu) (mn)^{-1/2} (sqrt(m) - sqrt(n))^{2nu+1},
     as a polynomial identity after m = x^2, n = y^2 (cleared by
-    x^{2nu+1} y)."""
+    x^{2nu+1} y).  Both sides are homogeneous of degree 4nu + 1 in x, y."""
     bad = []
-    xmy = {(1, 0): Fraction(1), (0, 1): Fraction(-1)}
     for nu in range(nu_max + 1):
-        lhs: dict = {}
+        lhs = [Fraction(0)] * (4 * nu + 2)
         for mu in range(nu + 1):
             c = (gen_binom(Fraction(2 * nu - 1, 2), nu - mu)
                  * gen_binom(Fraction(2 * nu + 1, 2), mu))
-            lhs = holproj.poly_add(
-                lhs, holproj.poly_mul({(0, 1): c}, _subst_squares(
-                    holproj.p_poly(2 * nu + 2, Fraction(3 - 2 * mu, 2)))))
-            lhs = holproj.poly_add(lhs, {(4 * nu - 2 * mu + 1, 2 * mu): -c})
-        rhs = holproj.poly_mul(
-            {(2 * nu, 0): -Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu)},
-            holproj.poly_pow(xmy, 2 * nu + 1))
+            # times y: one more entry, as the list is indexed by the power of x
+            S = _subst_squares(holproj.p_poly(2 * nu + 2, Fraction(3 - 2 * mu, 2)))
+            lhs = [u + c * v for u, v in zip(lhs, S + [0])]
+            lhs[4 * nu - 2 * mu + 1] -= c
+        # times x^{2nu}: shifted up by 2nu
+        rhs = [0] * (2 * nu) + _x_minus_y_row(
+            2 * nu + 1, -Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu))
         if lhs != rhs:
             bad.append((nu, Fraction(0), Fraction(1)))
     return bad

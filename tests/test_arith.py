@@ -12,7 +12,7 @@ from qrel.arith import (class_number_decomposition,
                         divisor_sieve, divisors, ec_ap, hecke_extend, hurwitz,
                         hurwitz_cache, hurwitz_oracle, HurwitzCache,
                         jacobi_symbol, kronecker_character, lambda_k,
-                        lambda_k_pa, legendre_symbol, reduced_forms, sigma_k)
+                        lambda_k_pa, reduced_forms, sigma_k)
 
 
 class TestDivisorSums:
@@ -158,7 +158,13 @@ class TestCharacters:
                         jacobi_symbol(a, n) * jacobi_symbol(b, n)
 
     def test_legendre(self):
-        assert sorted(a for a in range(1, 7) if legendre_symbol(a, 7) == 1) == [1, 2, 4]
+        # at a prime modulus the Jacobi symbol is the Legendre symbol:
+        # 1 on the nonzero squares, -1 on the non-residues
+        assert sorted(a for a in range(1, 7) if jacobi_symbol(a, 7) == 1) == [1, 2, 4]
+        for p in (5, 7, 11, 13, 101):
+            squares = {x * x % p for x in range(1, p)}
+            assert all(jacobi_symbol(a, p) == (1 if a in squares else -1)
+                       for a in range(1, p))
 
     def test_kronecker_character_5(self):
         chi = kronecker_character(5)
@@ -200,7 +206,7 @@ class TestEllipticCurve:
     def test_cm_vanishing(self):
         # supersingular/inert primes (non-residues mod 7) give a_p = 0
         for p in (5, 13, 17, 19, 41, 47):
-            assert legendre_symbol(p, 7) == -1
+            assert jacobi_symbol(p, 7) == -1
             assert ec_ap(self.A4, self.A6, p) == 0
 
     def test_hasse_bound(self):

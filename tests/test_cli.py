@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import pytest
 import qrel
 from qrel import cli
 from qrel.arith import hurwitz_cache
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(capsys, *argv):
@@ -256,3 +259,18 @@ class TestVerifyAll:
         docs = json.loads(out)
         assert code == 0
         assert [d["relation"] for d in docs][:2] == ["eichler", "cohen"]
+
+    # Recorded from commit 1356505 with `python -m qrel.cli verify-all
+    # [--max 40] [--json]`, each "elapsed_ms" line dropped from the JSON.
+    # The CLI output must stay byte-identical to these, timing aside.
+    @pytest.mark.parametrize("argv, golden", [
+        ([], "verify_all.txt"),
+        (["--json"], "verify_all.json"),
+        (["--max", "40"], "verify_all_max40.txt"),
+        (["--max", "40", "--json"], "verify_all_max40.json")])
+    def test_output_matches_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, "verify-all", *argv)
+        assert code == 0
+        out = re.sub(r'(?m)^ *"elapsed_ms": \d+,\n', "", out)
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:
+            assert out == f.read()

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrel import forms, holproj as hp
 from qrel.arith import kronecker_character
@@ -55,14 +57,34 @@ class TestRankinCohen:
         assert br.coeff(4) == 1
 
 
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
 class TestPPoly:
     def test_base_cases(self):
-        assert hp.p_poly(2, Fraction(7, 2)) == {(0, 0): 1}
-        assert hp.p_poly(3, Fraction(5)) == {(0, 1): 1, (1, 0): 5}
+        # entry i is the coefficient of X^i Y^(a-2-i)
+        assert hp.p_poly(2, Fraction(7, 2)) == [1]
+        assert hp.p_poly(3, Fraction(5)) == [1, 5]
 
     def test_degree(self):
-        P = hp.p_poly(8, Fraction(1, 2))
-        assert all(i + j == 6 for i, j in P)
+        assert len(hp.p_poly(8, Fraction(1, 2))) == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 14),
+           st.integers(-13, 13).filter(lambda h: h not in (2, 4)),
+           rationals, rationals)
+    def test_matches_definition(self, a, h, x, y):
+        # b = h/2 runs over integers and half-integers outside {1, 2};
+        # the definition sum_j C(j+b-2, j) x^j (x+y)^(a-2-j), evaluated
+        # directly, with C(j+b-2, j) as its falling product over j!
+        b = Fraction(h, 2)
+        want = Fraction(0)
+        for j in range(a - 1):
+            c = Fraction(1)
+            for i in range(j):
+                c *= (j + b - 2 - i) / Fraction(i + 1)
+            want += c * x ** j * (x + y) ** (a - 2 - j)
+        assert hp.poly_eval(hp.p_poly(a, b), x, y) == want
 
     def test_rejects_small_a(self):
         with pytest.raises(ValueError):

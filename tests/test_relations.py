@@ -186,6 +186,23 @@ class TestIdentities:
         assert rep.ok
         assert "kappa_closed_form" in rep.notes
 
+    def test_perturbed_p_poly_fails(self, monkeypatch):
+        # Y^4 of P_{6,b} off by one: both rewrites fail for each of the
+        # five b (ids 60..64), and so do both closed sums at nu = 2, whose
+        # P has a = 2nu + 2 = 6 (ids 300002, 400002)
+        p_poly = R.holproj.p_poly
+
+        def perturbed(a, b):
+            P = p_poly(a, b)
+            if a == 6:
+                P[0] += 1
+            return P
+
+        monkeypatch.setattr(R.holproj, "p_poly", perturbed)
+        rep = R.check_identities()
+        assert rep.failures == [(i, Fraction(0), Fraction(1)) for i in
+                                (60, 61, 62, 63, 64, 300002, 400002)]
+
     def test_binomial_even_spot(self):
         assert R._binomial_identity_even(2) == []
 

@@ -57,26 +57,24 @@ def divisor_sieve(max_n: int, k: int) -> tuple[list[int], list[int]]:
     return sigma, lam
 
 
-def lambda_k_pa(n: int, k: int, p: int, a: int) -> Fraction:
-    """Divisor sum over d <= sqrt(n), d = -a (mod p) plus d < sqrt(n), d = a.
-
-    Note the asymmetry: the first sum allows d = sqrt(n), the second does not.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
+def residue_class_sieve(max_n: int, k: int, p: int, a: int) -> list[int]:
+    """D^{(p,a)}_k(n) for 0 <= n <= max_n (entry 0 is 0): the sum of d^k over
+    the divisors d <= sqrt(n) with d = -a (mod p) plus d < sqrt(n) with
+    d = a (mod p), from one sieve over the divisor pairs n = d*m, d <= m."""
     if p < 1 or (p > 1 and not _is_odd_prime_or_one(p)):
         raise ValueError(f"p must be 1 or an odd prime, got {p}")
     if not 0 <= a < p:
         raise ValueError("need 0 <= a < p")
-    total = 0
-    for d in divisors(n):
-        if d * d > n:
-            break
-        if d % p == (-a) % p:
-            total += d ** k
-        if d * d < n and d % p == a % p:
-            total += d ** k
-    return Fraction(total)
+    lam = [0] * (max_n + 1)
+    for d in range(1, isqrt(max_n) + 1):
+        minus, plus = d % p == (-a) % p, d % p == a
+        if minus:
+            lam[d * d] += d ** k
+        if minus or plus:
+            step = (minus + plus) * d ** k
+            pairs = slice(d * (d + 1), max_n + 1, d)
+            lam[pairs] = [v + step for v in lam[pairs]]
+    return lam
 
 
 def _is_odd_prime_or_one(p: int) -> bool:

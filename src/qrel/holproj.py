@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, isqrt
 
-from .arith import DirichletCharacter
+from .arith import DirichletCharacter, residue_class_sieve
 from .qseries import QSeries
 from .scalars import (PiScalar, QuadExt, as_half_integer, factorial,
                       falling_gamma_ratio, gamma_half, gen_binom, is_square,
@@ -461,5 +461,4 @@ def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
 
 def d_pa_series(p: int, a: int, k: int, T: int) -> QSeries:
     """D^{(p,a)}_k = sum_n lambda_k^{(p,a)}(n) q^n."""
-    from .arith import lambda_k_pa
-    return QSeries({n: lambda_k_pa(n, k, p, a) for n in range(1, T + 1)}, T)
+    return QSeries(dict(enumerate(residue_class_sieve(T, k, p, a))), T)

@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from . import forms, holproj
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
@@ -457,15 +457,17 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
 
 def _binomial_identity_even(nu_max: int) -> list[tuple[int, object, object]]:
     """sum_mu (-1)^mu/(mu - j + 1/2) * (4nu-2mu-1)! / ((2(nu-mu))! (2nu-mu-1)! mu!)
-    = 2^{4nu} (-1)^j (2nu-j)! j! / ((2j)! (2(nu-j)+1)!), for nu > 0."""
+    = 2^{4nu} (-1)^j (2nu-j)! j! / ((2j)! (2(nu-j)+1)!), for nu > 0.  This
+    and the odd identity sum in integers over the lcm of the denominators."""
     bad = []
     for nu in range(1, nu_max + 1):
         for j in range(nu + 1):
-            lhs = sum(Fraction((-1) ** mu) / (Fraction(2 * (mu - j) + 1, 2))
-                      * Fraction(factorial(4 * nu - 2 * mu - 1),
-                                 factorial(2 * (nu - mu))
-                                 * factorial(2 * nu - mu - 1) * factorial(mu))
-                      for mu in range(nu + 1))
+            dens = [2 * (mu - j) + 1 for mu in range(nu + 1)]
+            L = lcm(*dens)
+            lhs = Fraction(sum((-1) ** mu * 2 * (L // den)
+                               * comb(4 * nu - 2 * mu - 1, 2 * nu - 2 * mu)
+                               * comb(2 * nu - 1, mu)
+                               for mu, den in enumerate(dens)), L)
             rhs = Fraction(2 ** (4 * nu) * (-1) ** j
                            * factorial(2 * nu - j) * factorial(j),
                            factorial(2 * j) * factorial(2 * (nu - j) + 1))
@@ -480,11 +482,12 @@ def _binomial_identity_odd(nu_max: int) -> list[tuple[int, object, object]]:
     bad = []
     for nu in range(nu_max + 1):
         for j in range(nu + 1):
-            lhs = sum(Fraction((-1) ** mu, 2 * (j - mu) + 1)
-                      * Fraction(factorial(4 * nu - 2 * mu + 1),
-                                 factorial(2 * (nu - mu) + 1)
-                                 * factorial(2 * nu - mu) * factorial(mu))
-                      for mu in range(nu + 1))
+            dens = [2 * (j - mu) + 1 for mu in range(nu + 1)]
+            L = lcm(*dens)
+            lhs = Fraction(sum((-1) ** mu * (L // den)
+                               * comb(4 * nu - 2 * mu + 1, 2 * nu - 2 * mu + 1)
+                               * comb(2 * nu, mu)
+                               for mu, den in enumerate(dens)), L)
             rhs = Fraction((-1) ** j * 2 ** (4 * nu)
                            * factorial(2 * nu - j) * factorial(j),
                            factorial(2 * (nu - j)) * factorial(2 * j + 1))

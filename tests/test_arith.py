@@ -12,7 +12,23 @@ from qrel.arith import (class_number_decomposition,
                         divisor_sieve, divisors, ec_ap, hecke_extend, hurwitz,
                         hurwitz_cache, hurwitz_oracle, HurwitzCache,
                         jacobi_symbol, kronecker_character, lambda_k,
-                        lambda_k_pa, reduced_forms, sigma_k)
+                        reduced_forms, residue_class_sieve, sigma_k)
+
+
+def lambda_k_pa(n: int, k: int, p: int, a: int) -> int:
+    """Oracle for residue_class_sieve, by trial division: the sum of d^k
+    over the divisors d <= sqrt(n) with d = -a (mod p), plus those
+    d < sqrt(n) with d = a (mod p).  Note the asymmetry: the first sum
+    allows d = sqrt(n), the second does not."""
+    total = 0
+    for d in divisors(n):
+        if d * d > n:
+            break
+        if d % p == (-a) % p:
+            total += d ** k
+        if d * d < n and d % p == a % p:
+            total += d ** k
+    return total
 
 
 class TestDivisorSums:
@@ -42,6 +58,33 @@ class TestDivisorSums:
     def test_lambda_p1_a0_doubles(self):
         for n in (1, 4, 6, 12, 36):
             assert lambda_k_pa(n, 1, 1, 0) == 2 * lambda_k(n, 1)
+
+    def test_residue_class_sieve_matches_oracle(self):
+        for p in (1, 3, 5, 7, 11):
+            for a in range(p):
+                for k in (1, 3, 5):
+                    lam = residue_class_sieve(3000, k, p, a)
+                    assert len(lam) == 3001 and lam[0] == 0
+                    for n in range(1, 3001):
+                        assert lam[n] == lambda_k_pa(n, k, p, a), (p, a, k, n)
+
+    def test_residue_class_sieve_edges(self):
+        assert residue_class_sieve(0, 1, 5, 1) == [0]
+        assert residue_class_sieve(1, 1, 1, 0) == [0, 1]   # d = 1 = sqrt(1), once
+        assert residue_class_sieve(1, 1, 5, 4) == [0, 1]   # 1 = -4 (5) allows d = sqrt(1)
+        assert residue_class_sieve(1, 1, 5, 1) == [0, 0]   # 1 = +1 (5) needs d < sqrt(1)
+        # at n = d^2, d counts only in the class -a; for a = 0 both classes
+        # are one, so d < sqrt(n) counts twice
+        lam, mirror = residue_class_sieve(60, 3, 7, 3), residue_class_sieve(60, 3, 7, 4)
+        assert (lam[16], lam[9], lam[12], lam[20]) == (4 ** 3, 0, 3 ** 3, 4 ** 3)
+        assert (mirror[16], mirror[9]) == (0, 3 ** 3)
+        zero = residue_class_sieve(60, 3, 7, 0)
+        assert (zero[49], zero[56]) == (7 ** 3, 2 * 7 ** 3)
+
+    @pytest.mark.parametrize("p, a", [(0, 0), (2, 1), (9, 1), (5, 5), (5, -1)])
+    def test_residue_class_sieve_rejects_bad_class(self, p, a):
+        with pytest.raises(ValueError):
+            residue_class_sieve(10, 1, p, a)
 
     @pytest.mark.parametrize("k", [1, 3, 11])
     def test_sieve_matches_trial_division(self, k):

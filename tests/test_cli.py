@@ -260,16 +260,22 @@ class TestVerifyAll:
         assert code == 0
         assert [d["relation"] for d in docs][:2] == ["eichler", "cohen"]
 
-    # Recorded from commit 1356505 with `python -m qrel.cli verify-all
-    # [--max 40] [--json]`, each "elapsed_ms" line dropped from the JSON.
-    # The CLI output must stay byte-identical to these, timing aside.
+    # Recorded with `python -m qrel.cli ARGV`, each "elapsed_ms" line
+    # dropped from the JSON: the verify-all outputs from commit 1356505,
+    # the scaled prop72 and cor_ii reports (the two checks built on
+    # D^{(p,a)}_k) from d443076.  The CLI output must stay byte-identical
+    # to these, timing aside.
     @pytest.mark.parametrize("argv, golden", [
-        ([], "verify_all.txt"),
-        (["--json"], "verify_all.json"),
-        (["--max", "40"], "verify_all_max40.txt"),
-        (["--max", "40", "--json"], "verify_all_max40.json")])
+        (["verify-all"], "verify_all.txt"),
+        (["verify-all", "--json"], "verify_all.json"),
+        (["verify-all", "--max", "40"], "verify_all_max40.txt"),
+        (["verify-all", "--max", "40", "--json"], "verify_all_max40.json"),
+        (["verify", "prop72", "--max", "1500", "--json"],
+         "verify_prop72_max1500.json"),
+        (["verify", "cor_ii", "--max", "2000", "--json"],
+         "verify_cor_ii_max2000.json")])
     def test_output_matches_golden(self, capsys, argv, golden):
-        code, out, _ = run(capsys, "verify-all", *argv)
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         out = re.sub(r'(?m)^ *"elapsed_ms": \d+,\n', "", out)
         with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:

@@ -285,6 +285,11 @@ class TestLambdaPa:
     def test_d_series_example(self):
         assert hp.d_pa_series(5, 1, 1, 10).coeff(6) == 1
 
+    @pytest.mark.parametrize("p, a", [(0, 0), (4, 1), (5, 5)])
+    def test_d_series_rejects_bad_class(self, p, a):
+        with pytest.raises(ValueError):
+            hp.d_pa_series(p, a, 1, 10)
+
     def test_residue_partition(self):
         # the unordered classes {0}, {+-1}, ..., {+-(p-1)/2} partition Z/p,
         # so the residue-restricted series sum to the unrestricted one

@@ -2,14 +2,44 @@
 tying them together, and the report plumbing."""
 
 import json
+import os
 from fractions import Fraction
-from math import isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 
 from qrel import relations as R
 from qrel.arith import hurwitz, lambda_k, sigma_k
+from qrel.qseries import QSeries
 from qrel.scalars import QuadExt
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_failures(name: str) -> list[tuple[int, Fraction, Fraction]]:
+    """A failure list stored as [id, "p/q", "p/q"] rows in tests/golden."""
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as f:
+        return [(n, Fraction(lhs), Fraction(rhs)) for n, lhs, rhs in json.load(f)]
+
+
+def binomial_even_lhs(nu: int, j: int) -> Fraction:
+    """Oracle: the left side of the even binomial identity, as a sum of
+    Fractions built from factorials."""
+    return sum(Fraction((-1) ** mu) / Fraction(2 * (mu - j) + 1, 2)
+               * Fraction(factorial(4 * nu - 2 * mu - 1),
+                          factorial(2 * (nu - mu))
+                          * factorial(2 * nu - mu - 1) * factorial(mu))
+               for mu in range(nu + 1))
+
+
+def binomial_odd_lhs(nu: int, j: int) -> Fraction:
+    """Oracle: the left side of the odd binomial identity, as a sum of
+    Fractions built from factorials."""
+    return sum(Fraction((-1) ** mu, 2 * (j - mu) + 1)
+               * Fraction(factorial(4 * nu - 2 * mu + 1),
+                          factorial(2 * (nu - mu) + 1)
+                          * factorial(2 * nu - mu) * factorial(mu))
+               for mu in range(nu + 1))
 
 
 class TestReports:
@@ -172,6 +202,20 @@ class TestQuasiModular:
         # one index per n, residue a mod p and nu in (0, 1), p in (5, 7)
         assert rep.ok and rep.checked == 2 * (5 + 7) * 150
 
+    def test_perturbed_lambda_pa_fails(self, monkeypatch):
+        # Lambda^{(p,a)}_nu raised by q^{4n} at n = 36, 121, 180 for every
+        # p, a, nu: the expected list, rhs values included, was recorded
+        # from the trial-division D^{(p,a)}_k of commit d443076
+        lambda_pa = R.holproj.lambda_pa
+
+        def perturbed(p, a, nu, T):
+            bump = {4 * n: 1 for n in (36, 121, 180) if 4 * n <= T}
+            return lambda_pa(p, a, nu, T) + QSeries(bump, T)
+
+        monkeypatch.setattr(R.holproj, "lambda_pa", perturbed)
+        rep = R.check_prop72(200)
+        assert rep.failures == golden_failures("prop72_perturbed_lambda_pa.json")
+
     def test_w_term_values(self):
         # n=30, p=5, a=1: divisors alpha<sqrt(30) with alpha=0 (5) and
         # 30/alpha = +-1 (5): alpha=5 -> 6 = 1 (5): contributes 2*5
@@ -202,6 +246,34 @@ class TestIdentities:
         rep = R.check_identities()
         assert rep.failures == [(i, Fraction(0), Fraction(1)) for i in
                                 (60, 61, 62, 63, 64, 300002, 400002)]
+
+    def test_multinomial_plus_one_fails(self, monkeypatch):
+        # C(83, 42) is the first factor of the even identity's multinomial
+        # at (nu, mu) = (21, 0), whose second factor is C(41, 0) = 1, and no
+        # other comb call of the suite takes (83, 42).  Raising it by one
+        # fails every j of nu = 21 (ids 102100..102121); the expected list
+        # was recorded from the factorial form of commit d443076 with that
+        # multinomial raised by one.
+        def perturbed(n, k):
+            return comb(n, k) + ((n, k) == (83, 42))
+
+        monkeypatch.setattr(R, "comb", perturbed)
+        rep = R.check_identities()
+        assert rep.failures == golden_failures("identities_multinomial_plus1.json")
+
+    def test_integer_binomial_sums_match_fraction_oracle(self, monkeypatch):
+        # Each factorial n! of the right sides times the n-th prime: every
+        # right side gains a product of two primes over a product of two
+        # others, so each (nu, j) fails and hands out its integer-form lhs
+        primes = [q for q in range(2, 500)
+                  if all(q % d for d in range(2, isqrt(q) + 1))]
+        monkeypatch.setattr(R, "factorial", lambda n: factorial(n) * primes[n])
+        for identity, oracle, nus in (
+                (R._binomial_identity_even, binomial_even_lhs, range(1, 41)),
+                (R._binomial_identity_odd, binomial_odd_lhs, range(41))):
+            got = {idx: lhs for idx, lhs, _ in identity(40)}
+            assert got == {100 * nu + j: oracle(nu, j)
+                           for nu in nus for j in range(nu + 1)}
 
     def test_binomial_even_spot(self):
         assert R._binomial_identity_even(2) == []

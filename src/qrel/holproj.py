@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 
 from .arith import DirichletCharacter, residue_class_sieve
 from .qseries import QSeries
@@ -230,17 +230,51 @@ def _zpow(a: int, b: int, e: int, d: int) -> tuple[int, int]:
     return next(islice(_orbit(1, 0, a, b, d), e, None))
 
 
+def _window_hits(s: int, st: int, x: int, y: int, lo: int, hi: int):
+    """(r, u, n) for every u^2 - st n^2 = s r with lo <= r <= hi, s | u > 0
+    and 2(x+1) n^2 <= y^2 s r (Nagell's window), in one sweep over n: each n
+    has u step by s across s r_min <= u^2 - st n^2 <= s hi."""
+    k, yys, top = 2 * (x + 1), y * y * s, s * hi
+    start = 0
+    for r_min in range(lo, hi + 1):
+        stop, bot = isqrt(yys * r_min // k) + 1, s * r_min
+        for n in range(start, stop):
+            base = st * n * n
+            u = isqrt(base + top)
+            if u * u - base < bot:
+                continue
+            u -= u % s
+            while u * u - base >= bot:
+                yield (u * u - base) // s, u, n
+                u -= s
+        start = stop
+
+
+def _windows(s: int, st: int, x: int, y: int, lo: int, hi: int):
+    """(r, fundamental, window) for each r in [lo, hi] with solutions, in
+    order: each orbit's first point (m, n) with n >= 1 (m >= 1 as u > 0,
+    s | u), and the hits and the unit images of their conjugates, sorted by
+    n (one per orbit)."""
+    reps: dict = {}
+    for r, u, n in _window_hits(s, st, x, y, lo, hi):
+        reps.setdefault(r, []).append((u, n))
+        if n:
+            reps[r].append(_advance(u, -n, x, y, st))
+    for r in sorted(reps):
+        window = sorted(set(reps.pop(r)), key=lambda rep: rep[1])
+        yield r, sorted(next((u // s, n) for u, n in _orbit(*rep, x, y, st) if n)
+                        for rep in window), window
+
+
 def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
     """Decompose {(m, n): s m^2 - t n^2 = r, m, n >= 1} into unit orbits.
 
     Internally works with u = s*m, so u^2 - st n^2 = s*r; the unit
     x + y sqrt(st) acts on (u, n) and preserves u = 0 (mod s).  Each
     returned fundamental solution generates its orbit upward; together they
-    cover every solution exactly once.  Window representatives have n >= 0
-    and a predecessor with n < 0.  By Nagell's bound (Introduction to Number
-    Theory, Thm. 108) each orbit holds (u, +-n) with 2(x+1) n^2 <= y^2 sr,
-    so a scan of O(sqrt(y sr)) values of n finds them all: each hit, and
-    the unit image of its conjugate.
+    cover every solution exactly once.  By Nagell's bound (Introduction to
+    Number Theory, Thm. 108) each orbit holds (u, +-n) with 2(x+1) n^2 <=
+    y^2 sr, so _window_hits with lo = hi = r finds them all.
     """
     if s < 1 or t < 1 or r < 1:
         raise ValueError("s, t, r must be positive")
@@ -250,38 +284,39 @@ def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
     _, D = squarefree_split(st)
     x, y = pell_fundamental(st)
     unit = QuadExt(x, y * isqrt(st // D), D)
-    sr = s * r
-    reps = set()
-    for n in range(isqrt(y * y * sr // (2 * (x + 1))) + 1):
-        uu = sr + st * n * n
-        u = isqrt(uu)
-        if u * u == uu and u % s == 0:
-            reps.add((u, n))
-            if n:
-                reps.add(_advance(u, -n, x, y, st))
-    window = sorted(reps, key=lambda rep: rep[1])
-    # first orbit point with n >= 1; m >= 1 already holds, as u > 0 and s | u
-    fundamental = sorted(next((u // s, n) for u, n in _orbit(*rep, x, y, st) if n)
-                         for rep in window)
+    _, fundamental, window = next(_windows(s, st, x, y, r, r), (r, [], []))
     return PellOrbitData(s, t, r, D, unit, (x, y), fundamental, window)
 
 
-def _orbit_walks(orbits: PellOrbitData, nu: int, mod: int = 0):
-    """w = eps^{-(2nu+1)} and, per orbit, alpha = (u - c n sqrt(D))^{2nu+1}
-    at its fundamental (u, n) = (s m, n), c^2 D = st, with the walk from
-    there: pairs of (u_k, n_k) (mod `mod` when given) and the k-th term
-    alpha * w^k, all in integers."""
-    s, st, D = orbits.s, orbits.s * orbits.t, orbits.D
-    x, y = orbits.unit_xy
-    c = isqrt(st // D)
-    e = 2 * nu + 1
-    w = _zpow(x, -y * c, e, D)
-    walks = []
-    for m, n in orbits.fundamental_solutions:
-        alpha = _zpow(s * m, -c * n, e, D)
-        walk = zip(_orbit(s * m, n, x, y, st, mod), _orbit(*alpha, *w, D))
-        walks.append((alpha, walk))
-    return w, walks
+def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
+    """D, N and r -> (a, b) with (a + b sqrt D) / N the orbit sum of r, for
+    every r in [lo, hi] (s*t not a square).  The terms alpha * w^k of an
+    orbit (w = eps^{-(2nu+1)}) are geometric, and chi(m) psi(n) depends on
+    (u, n) mod L = lcm(s mod(chi), mod(psi)) only, so every orbit is summed
+    in integers over the order P of eps mod L, over g = 1 - w^P; then
+    1/g = conj(g) / N, N = norm(g), the one denominator of the series."""
+    st = s * t
+    _, D = squarefree_split(st)
+    x, y = pell_fundamental(st)
+    c, e = isqrt(st // D), 2 * nu + 1
+    L = lcm(s * chi.modulus, psi.modulus)
+    P = 1 + next(k for k, un in enumerate(_orbit(x, y, x, y, st, L))
+                 if un == (1 % L, 0))
+    *ws, w_P = islice(_orbit(1, 0, *_zpow(x, -y * c, e, D), D), P + 1)
+    ga, gb = 1 - w_P[0], -w_P[1]
+    sums = {}
+    for r, fundamental, _ in _windows(s, st, x, y, lo, hi):
+        a = b = 0
+        for m, n in fundamental:
+            pa = pb = 0
+            for (u, v), (wa, wb) in zip(_orbit(s * m, n, x, y, st, L), ws):
+                cv = chi(u // s) * psi(v)
+                pa, pb = pa + cv * wa, pb + cv * wb
+            pa, pb = _advance(pa, pb, *_zpow(s * m, -c * n, e, D), D)
+            a, b = a + pa, b + pb
+        if a or b:
+            sums[r] = _advance(a, b, ga, -gb, D)
+    return D, ga * ga - D * gb * gb, sums
 
 
 # ---------------------------------------------------------------------------
@@ -313,49 +348,20 @@ def _indef_coeff_square(s: int, t: int, chi, psi, nu: int, r: int):
     return total
 
 
-def _indef_coeff_orbit(s: int, t: int, chi, psi, nu: int, r: int):
-    """Double-sum coefficient (scaled by s^{nu+1/2}) via exact orbit sums.
-
-    An orbit's terms alpha * w^k form a geometric progression and
-    chi(m) psi(n) depends on (u, n) mod L = s * mod(chi) * mod(psi) only,
-    so one period P of the orbit mod L is summed in integers, then divided
-    by 1 - w^P.
-    """
-    orbits = pell_orbit(s, t, r)
-    D = orbits.D
-    _, walks = _orbit_walks(orbits, nu, s * chi.modulus * psi.modulus)
-    total = QuadExt(0, 0, D)
-    for alpha, walk in walks:
-        start, pa, pb = None, 0, 0
-        for (u, n), (a, b) in walk:     # one period: until (u, n) mod L recurs
-            if (u, n) == start:
-                break
-            start = start or (u, n)
-            cv = chi(u // s) * psi(n)
-            pa, pb = pa + cv * a, pb + cv * b
-        # (a, b) = alpha w^P, so part / (1 - w^P) = part alpha / (alpha - (a, b))
-        num = QuadExt(*_advance(pa, pb, *alpha, D), D)
-        total = total + num / QuadExt(alpha[0] - a, alpha[1] - b, D)
-    return total
-
-
 def indefinite_double_sum(s: int, t: int, chi, psi, nu: int, r: int):
     """sum over s m^2 - t n^2 = r, m, n >= 1 of chi(m) psi(n)
     (s m - sqrt(st) n)^{2 nu + 1}, i.e. the Lambda double sum scaled by
     s^{nu + 1/2}."""
     if is_square(s * t):
         return _indef_coeff_square(s, t, chi, psi, nu, r)
-    return _indef_coeff_orbit(s, t, chi, psi, nu, r)
+    D, N, sums = _orbit_sums(s, t, chi, psi, nu, r, r)
+    a, b = sums.get(r, (0, 0))
+    return QuadExt(Fraction(a, N), Fraction(b, N), D)
 
 
 def _check_positive(s: int, t: int) -> None:
     if s < 1 or t < 1:
         raise ValueError(f"s and t must be positive, got s={s}, t={t}")
-
-
-def _unscale(value, s: int, nu: int):
-    root = isqrt(s)
-    return value / Fraction(root) ** (2 * nu + 1)
 
 
 def lambda_indef(s: int, t: int, chi: DirichletCharacter,
@@ -388,19 +394,23 @@ def delta_indef(s: int, t: int, chi: DirichletCharacter,
 
 
 def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
-    coeffs: dict = {}
-    for r in range(1, T + 1):
-        v = 2 * indefinite_double_sum(s, t, chi, psi, nu, r)
-        if v:
-            coeffs[r] = v
+    e = 2 * nu + 1
+    boundary = {}
     if psi.modulus == 1:    # boundary terms at r = s rho^2, weighted by psi(0)
         for rho in range(1, isqrt(T // s) + 1):
             # (sqrt(s) rho)^{2nu+1} scaled by s^{nu+1/2} is s^{2nu+1} rho^{2nu+1}
-            term = chi(rho) * Fraction(s * rho) ** (2 * nu + 1)
-            if term:
-                coeffs[s * rho * rho] = coeffs.get(s * rho * rho, 0) + term
-    if is_square(s):
-        coeffs = {n: _unscale(v, s, nu) for n, v in coeffs.items()}
+            boundary[s * rho * rho] = chi(rho) * (s * rho) ** e
+    # for square s the scaling by s^{nu+1/2} is undone in the denominator
+    root = isqrt(s) ** e if is_square(s) else 1
+    if is_square(s * t):
+        coeffs = {r: (v + boundary.pop(r, 0)) / root for r in range(1, T + 1)
+                  if (v := 2 * _indef_coeff_square(s, t, chi, psi, nu, r))}
+    else:
+        D, N, sums = _orbit_sums(s, t, chi, psi, nu, 1, T)
+        coeffs = {r: QuadExt(Fraction(2 * a + boundary.pop(r, 0) * N, N * root),
+                             Fraction(2 * b, N * root), D)
+                  for r, (a, b) in sums.items()}
+    coeffs.update((r, Fraction(v, root)) for r, v in boundary.items())
     return QSeries(coeffs, T)
 
 
@@ -412,11 +422,14 @@ def orbit_tail_split(s: int, t: int, nu: int, r: int, m_bound: int):
     over m > m_bound.  head + tail equals indefinite_double_sum.
     """
     orbits = pell_orbit(s, t, r)
-    D = orbits.D
-    w, walks = _orbit_walks(orbits, nu)
+    st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
+    c, e = isqrt(st // D), 2 * nu + 1
+    w = _zpow(x, -y * c, e, D)
     ha = hb = ta = tb = 0
-    for _, walk in walks:
-        for (u, n), (a, b) in walk:
+    for m, n in orbits.fundamental_solutions:
+        # the terms (u - c n sqrt(D))^{2nu+1} of the orbit: alpha w^k
+        alpha = _zpow(s * m, -c * n, e, D)
+        for (u, _), (a, b) in zip(_orbit(s * m, n, x, y, st), _orbit(*alpha, *w, D)):
             if u // s > m_bound:
                 break
             ha, hb = ha + a, hb + b

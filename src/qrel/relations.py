@@ -405,31 +405,39 @@ def w_term(p: int, a: int, e: int, T: int) -> QSeries:
     return QSeries(coeffs, T)
 
 
-def prop72_rhs(p: int, a: int, nu: int, T: int) -> QSeries:
+def _prop72_d_series(p: int, e: int, T: int) -> dict:
+    """Every D-series prop72_rhs reads for one (p, e): D^{(p,c)}_e up to T
+    for each class c = 1..p-1, and under key 0 the series D^{(1,0)}_e up to
+    T/p^2 that V(p^2) lifts to the class 0."""
+    d = {c: holproj.d_pa_series(p, c, e, T) for c in range(1, p)}
+    d[0] = holproj.d_pa_series(1, 0, e, max(-(-T // (p * p)), 1))
+    return d
+
+
+def prop72_rhs(p: int, a: int, nu: int, T: int, d: dict | None = None) -> QSeries:
     """Divisor-sum expansion of Lambda^{(p,a)}_nu | U(4).
 
     For a = 0 this is the commonly printed form; for a != 0 the printed
     form omits one of the two residue families and misstates the
     square-divisor threshold, and the corrected assembly below is the one
     that holds (verified exactly for p in {5,7}, nu in {0,1}, n <= 500).
+    d is _prop72_d_series(p, 2nu+1, T), built here when not given.
     """
     e = 2 * nu + 1
+    if d is None:
+        d = _prop72_d_series(p, e, T)
     total = QSeries.zero(T)
     if a % p == 0:
         for c in range(1, p):
-            total = total + holproj.d_pa_series(p, c, e, T).sieve(p, (-c * c) % p)
-        total = total + (holproj.d_pa_series(1, 0, e, max(-(-T // (p * p)), 1))
-                         .v_op(p * p).scale(p ** e).truncate(T))
+            total = total + d[c].sieve(p, (-c * c) % p)
+        total = total + d[0].v_op(p * p).scale(p ** e).truncate(T)
     else:
         for c in range(1, p):
             if c != a % p:
-                total = total + (holproj.d_pa_series(p, c, e, T)
-                                 .sieve(p, (c * (a - c)) % p))
+                total = total + d[c].sieve(p, (c * (a - c)) % p)
             if c != (-a) % p:
-                total = total + (holproj.d_pa_series(p, c, e, T)
-                                 .sieve(p, (c * (-a - c)) % p))
-        total = total + (holproj.d_pa_series(p, a % p, e, T)
-                         + holproj.d_pa_series(p, (-a) % p, e, T)).sieve(p, 0)
+                total = total + d[c].sieve(p, (c * (-a - c)) % p)
+        total = total + (d[a % p] + d[(-a) % p]).sieve(p, 0)
         total = total + w_term(p, a, e, T)
     return total.scale(2 ** e)
 
@@ -443,9 +451,10 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
     with _Timer(rep):
         for p in primes:
             for nu in nus:
+                d = _prop72_d_series(p, 2 * nu + 1, max_n)
                 for a in range(p):
                     lhs = holproj.lambda_pa(p, a, nu, 4 * max_n).u_op(4)
-                    rhs = prop72_rhs(p, a, nu, max_n)
+                    rhs = prop72_rhs(p, a, nu, max_n, d)
                     for n in range(1, max_n + 1):
                         rep.record(n, lhs.coeff(n), rhs.coeff(n))
     return rep

@@ -118,6 +118,20 @@ class TestSeries:
         assert code == 1 and out == ""
         assert "cannot build 'theta'" in err and "truncation order" in err
 
+    # Recorded from commit 5dbb1cb with `python -m qrel.cli series --name
+    # NAME --terms T --format csv`: two indefinite theta series built from
+    # Pell-orbit sums (characters mod 5, nu = 2; odd characters mod 4 with
+    # a unit of y = 9100).  Their SHA-256 are also in perfbench/digests.json.
+    @pytest.mark.parametrize("name, terms, golden", [
+        ("lambda:1:13:5:5:2", "1500", "series_lambda_1_13_5_5_2_t1500.csv"),
+        ("delta:1:53:-4:-4:1", "60", "series_delta_1_53_m4_m4_1_t60.csv")])
+    def test_indefinite_series_match_golden(self, capsys, name, terms, golden):
+        code, out, _ = run(capsys, "series", "--name", name, "--terms", terms,
+                           "--format", "csv")
+        assert code == 0
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:
+            assert out == f.read()
+
     def test_byte_determinism(self, capsys):
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]

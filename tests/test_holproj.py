@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrel import forms, holproj as hp
-from qrel.arith import kronecker_character
+from qrel.arith import kronecker_character as kron
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, is_square
 
-TRIV = kronecker_character(1)
-CHI5 = kronecker_character(5)
-CHI4 = kronecker_character(-4)
+TRIV = kron(1)
+CHI5 = kron(5)
+CHI4 = kron(-4)
 
 
 class TestBracketSpec:
@@ -177,17 +177,40 @@ class TestPellOrbit:
     def test_nagell_scan_matches_linear_scan(self):
         # the scan to Nagell's bound against the full linear scan it replaced
         cases = 0
-        for s in (1, 2, 3):
-            for st in range(max(s, 2), 201, s):
-                if is_square(st) or hp.pell_fundamental(st)[1] > 500:
-                    continue
-                for r in range(1, 41):
-                    orb = hp.pell_orbit(s, st // s, r)
-                    fundamental, window = _linear_scan(s, st // s, r)
-                    assert orb.fundamental_solutions == fundamental, (s, st, r)
-                    assert orb.window_reps == window, (s, st, r)
-                    cases += 1
+        for s, st in _small_unit_cases():
+            for r in range(1, 41):
+                orb = hp.pell_orbit(s, st // s, r)
+                fundamental, window = _linear_scan(s, st // s, r)
+                assert orb.fundamental_solutions == fundamental, (s, st, r)
+                assert orb.window_reps == window, (s, st, r)
+                cases += 1
         assert cases > 10000
+
+    def test_batch_sweep_matches_per_r_sweeps(self):
+        # the one sweep over r <= 40 against the sweep of each r, the
+        # former per-r Nagell scan and the linear scan, on the cases above
+        cases = 0
+        for s, st in _small_unit_cases():
+            x, y = hp.pell_fundamental(st)
+            batch = sorted(hp._window_hits(s, st, x, y, 1, 40))
+            per_r = [hit for r in range(1, 41)
+                     for hit in hp._window_hits(s, st, x, y, r, r)]
+            assert batch == sorted(per_r) == _nagell_hits(s, st, 40), (s, st)
+            windows = {r: (f, w) for r, f, w in hp._windows(s, st, x, y, 1, 40)}
+            for r in range(1, 41):
+                fundamental, window = _linear_scan(s, st // s, r)
+                assert windows.get(r, ([], [])) == (fundamental, window), (s, st, r)
+                cases += 1
+        assert cases > 10000
+
+    @pytest.mark.parametrize("t", [61, 109])
+    def test_batch_sweep_large_units(self, t):
+        x, y = hp.pell_fundamental(t)
+        batch = sorted(hp._window_hits(1, t, x, y, 1, 3))
+        per_r = [hit for r in (1, 2, 3) for hit in hp._window_hits(1, t, x, y, r, r)]
+        assert batch and batch == sorted(per_r)
+        if t == 61:     # the former per-r scan: 4e3 steps here, 1.5e6 at 109
+            assert batch == _nagell_hits(1, t, 3)
 
     @pytest.mark.parametrize("t", [61, 109])
     def test_large_units_exact(self, t):
@@ -321,6 +344,106 @@ class TestCharacterOrbits:
                     exact = hp.indefinite_double_sum(s, t, chi, psi, 0, r)
                     brute = _exact_partial_sum(s, t, chi, psi, 1, r, 4000)
                     assert abs(_dfloat(exact - brute)) < (r / 4000) * 10
+
+
+class TestOneDivisionPerSeries:
+    """The one-pass series (common period, one division) against the
+    per-orbit oracle, coefficient by coefficient and type by type."""
+
+    S_VALUES = (1, 2, 3, 4, 9)
+    LAMBDA_CHARS = ((1, 1), (5, 5), (5, 1), (1, 13))
+    DELTA_CHARS = ((-4, -4), (3, 7), (-4, 3))
+
+    @pytest.mark.parametrize("kind, chars", [("lambda", c) for c in LAMBDA_CHARS]
+                             + [("delta", c) for c in DELTA_CHARS])
+    def test_series_matches_per_orbit_oracle(self, kind, chars):
+        chi, psi = kron(chars[0]), kron(chars[1])
+        fn = hp.lambda_indef if kind == "lambda" else hp.delta_indef
+        for s in self.S_VALUES:
+            for st in range(s, 61, s):
+                if is_square(st):
+                    continue
+                for nu in (0, 1, 2):
+                    got = fn(s, st // s, chi, psi, nu, 60)
+                    want = _oracle_series(s, st // s, chi, psi, nu, 60)
+                    assert got.coeffs.keys() == want.keys(), (s, st, nu)
+                    for r, c in want.items():
+                        assert type(got.coeffs[r]) is type(c), (s, st, nu, r)
+                        assert got.coeffs[r] == c, (s, st, nu, r)
+
+    def test_double_sum_matches_per_orbit_oracle(self):
+        for s, t in [(1, 2), (2, 3), (4, 3), (9, 2), (1, 53)]:
+            for chi, psi in [(CHI5, CHI5), (CHI4, kron(3))]:
+                for r in range(1, 31):
+                    assert hp.indefinite_double_sum(s, t, chi, psi, 1, r) == \
+                        _indef_coeff_orbit(s, t, chi, psi, 1, r), (s, t, r)
+
+
+def _indef_coeff_orbit(s, t, chi, psi, nu, r):
+    """Test oracle: the former per-orbit evaluation of the double sum.  An
+    orbit's terms alpha * w^k are walked until (u, n) mod L recurs, L =
+    s mod(chi) mod(psi), and the sum over that period is divided by
+    1 - w^(period) in QuadExt: one division per orbit."""
+    orbits = hp.pell_orbit(s, t, r)
+    st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
+    c, e = isqrt(st // D), 2 * nu + 1
+    w = hp._zpow(x, -y * c, e, D)
+    total = QuadExt(0, 0, D)
+    for m, n in orbits.fundamental_solutions:
+        alpha = hp._zpow(s * m, -c * n, e, D)
+        walk = zip(hp._orbit(s * m, n, x, y, st, s * chi.modulus * psi.modulus),
+                   hp._orbit(*alpha, *w, D))
+        start, pa, pb = None, 0, 0
+        for (u, v), (a, b) in walk:     # one period: until (u, v) mod L recurs
+            if (u, v) == start:
+                break
+            start = start or (u, v)
+            cv = chi(u // s) * psi(v)
+            pa, pb = pa + cv * a, pb + cv * b
+        # (a, b) = alpha w^P, so part / (1 - w^P) = part alpha / (alpha - (a, b))
+        num = QuadExt(*hp._advance(pa, pb, *alpha, D), D)
+        total = total + num / QuadExt(alpha[0] - a, alpha[1] - b, D)
+    return total
+
+
+def _oracle_series(s, t, chi, psi, nu, T):
+    """Test oracle: the former series assembly, one oracle double sum per r,
+    then the boundary terms and, for square s, the unscaling."""
+    coeffs = {}
+    for r in range(1, T + 1):
+        v = 2 * _indef_coeff_orbit(s, t, chi, psi, nu, r)
+        if v:
+            coeffs[r] = v
+    if psi.modulus == 1:
+        for rho in range(1, isqrt(T // s) + 1):
+            term = chi(rho) * Fraction(s * rho) ** (2 * nu + 1)
+            if term:
+                coeffs[s * rho * rho] = coeffs.get(s * rho * rho, 0) + term
+    if is_square(s):
+        coeffs = {n: v / Fraction(isqrt(s)) ** (2 * nu + 1)
+                  for n, v in coeffs.items()}
+    return {n: v for n, v in coeffs.items() if v}
+
+
+def _small_unit_cases():
+    """(s, st) with s in {1, 2, 3}, s | st <= 200, st not a square and the
+    unit's y <= 500."""
+    return [(s, st) for s in (1, 2, 3) for st in range(max(s, 2), 201, s)
+            if not is_square(st) and hp.pell_fundamental(st)[1] <= 500]
+
+
+def _nagell_hits(s: int, st: int, T: int):
+    """Test oracle: the former per-r scan to Nagell's bound, as sorted
+    (r, u, n) hits for r <= T."""
+    x, y = hp.pell_fundamental(st)
+    hits = []
+    for r in range(1, T + 1):
+        for n in range(isqrt(y * y * s * r // (2 * (x + 1))) + 1):
+            uu = s * r + st * n * n
+            u = isqrt(uu)
+            if u * u == uu and u % s == 0:
+                hits.append((r, u, n))
+    return sorted(hits)
 
 
 def _linear_scan(s: int, t: int, r: int):

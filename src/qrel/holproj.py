@@ -232,8 +232,9 @@ def _zpow(a: int, b: int, e: int, d: int) -> tuple[int, int]:
 
 def _window_hits(s: int, st: int, x: int, y: int, lo: int, hi: int):
     """(r, u, n) for every u^2 - st n^2 = s r with lo <= r <= hi, s | u > 0
-    and 2(x+1) n^2 <= y^2 s r (Nagell's window), in one sweep over n: each n
-    has u step by s across s r_min <= u^2 - st n^2 <= s hi."""
+    and 2(x+1) n^2 <= y^2 s r (Nagell's window), in one sweep over n: for
+    each n, u steps by s across s r_min <= u^2 - st n^2 <= s hi, r_min the
+    least r >= lo whose window holds n."""
     k, yys, top = 2 * (x + 1), y * y * s, s * hi
     start = 0
     for r_min in range(lo, hi + 1):

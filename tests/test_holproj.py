@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrel import forms, holproj as hp
-from qrel.arith import kronecker_character as kron
+from qrel.arith import kronecker_character
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, is_square
 
-TRIV = kron(1)
-CHI5 = kron(5)
-CHI4 = kron(-4)
+TRIV = kronecker_character(1)
+CHI5 = kronecker_character(5)
+CHI4 = kronecker_character(-4)
 
 
 class TestBracketSpec:
@@ -348,7 +348,8 @@ class TestCharacterOrbits:
 
 class TestOneDivisionPerSeries:
     """The one-pass series (common period, one division) against the
-    per-orbit oracle, coefficient by coefficient and type by type."""
+    per-orbit oracle, coefficient by coefficient and type by type; square
+    st checks the shared assembly of boundary terms and unscaling."""
 
     S_VALUES = (1, 2, 3, 4, 9)
     LAMBDA_CHARS = ((1, 1), (5, 5), (5, 1), (1, 13))
@@ -357,12 +358,10 @@ class TestOneDivisionPerSeries:
     @pytest.mark.parametrize("kind, chars", [("lambda", c) for c in LAMBDA_CHARS]
                              + [("delta", c) for c in DELTA_CHARS])
     def test_series_matches_per_orbit_oracle(self, kind, chars):
-        chi, psi = kron(chars[0]), kron(chars[1])
+        chi, psi = kronecker_character(chars[0]), kronecker_character(chars[1])
         fn = hp.lambda_indef if kind == "lambda" else hp.delta_indef
         for s in self.S_VALUES:
             for st in range(s, 61, s):
-                if is_square(st):
-                    continue
                 for nu in (0, 1, 2):
                     got = fn(s, st // s, chi, psi, nu, 60)
                     want = _oracle_series(s, st // s, chi, psi, nu, 60)
@@ -373,7 +372,7 @@ class TestOneDivisionPerSeries:
 
     def test_double_sum_matches_per_orbit_oracle(self):
         for s, t in [(1, 2), (2, 3), (4, 3), (9, 2), (1, 53)]:
-            for chi, psi in [(CHI5, CHI5), (CHI4, kron(3))]:
+            for chi, psi in [(CHI5, CHI5), (CHI4, kronecker_character(3))]:
                 for r in range(1, 31):
                     assert hp.indefinite_double_sum(s, t, chi, psi, 1, r) == \
                         _indef_coeff_orbit(s, t, chi, psi, 1, r), (s, t, r)
@@ -407,11 +406,13 @@ def _indef_coeff_orbit(s, t, chi, psi, nu, r):
 
 
 def _oracle_series(s, t, chi, psi, nu, T):
-    """Test oracle: the former series assembly, one oracle double sum per r,
-    then the boundary terms and, for square s, the unscaling."""
+    """Test oracle: the former series assembly, one double sum per r (the
+    per-orbit oracle, or the divisor sum for square st), then the boundary
+    terms and, for square s, the unscaling."""
+    double_sum = hp._indef_coeff_square if is_square(s * t) else _indef_coeff_orbit
     coeffs = {}
     for r in range(1, T + 1):
-        v = 2 * _indef_coeff_orbit(s, t, chi, psi, nu, r)
+        v = 2 * double_sum(s, t, chi, psi, nu, r)
         if v:
             coeffs[r] = v
     if psi.modulus == 1:

@@ -225,9 +225,13 @@ def _orbit(u: int, n: int, x: int, y: int, d: int, mod: int = 0):
         u, n = _advance(u, n, x, y, d)
 
 
-def _zpow(a: int, b: int, e: int, d: int) -> tuple[int, int]:
-    """(a + b sqrt(d))^e for e >= 0, as an (int, int) pair."""
-    return next(islice(_orbit(1, 0, a, b, d), e, None))
+def _terms(s: int, st: int, D: int, x: int, y: int, nu: int):
+    """w = eps^{-e} and alpha in Z[sqrt D] (c^2 D = st, e = 2nu+1): the terms
+    (s m - c n sqrt D)^e of the orbit of (m, n) are alpha(m, n) w^k."""
+    c, e = isqrt(st // D), 2 * nu + 1
+    def power(a: int, b: int) -> tuple[int, int]:   # (a + b sqrt D)^e
+        return next(islice(_orbit(1, 0, a, b, D), e, None))
+    return power(x, -y * c), lambda m, n: power(s * m, -c * n)
 
 
 def _window_hits(s: int, st: int, x: int, y: int, lo: int, hi: int):
@@ -235,8 +239,7 @@ def _window_hits(s: int, st: int, x: int, y: int, lo: int, hi: int):
     and 2(x+1) n^2 <= y^2 s r (Nagell's window), in one sweep over n: for
     each n, u steps by s across s r_min <= u^2 - st n^2 <= s hi, r_min the
     least r >= lo whose window holds n."""
-    k, yys, top = 2 * (x + 1), y * y * s, s * hi
-    start = 0
+    k, yys, top, start = 2 * (x + 1), y * y * s, s * hi, 0
     for r_min in range(lo, hi + 1):
         stop, bot = isqrt(yys * r_min // k) + 1, s * r_min
         for n in range(start, stop):
@@ -292,18 +295,18 @@ def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
 def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
     """D, N and r -> (a, b) with (a + b sqrt D) / N the orbit sum of r, for
     every r in [lo, hi] (s*t not a square).  The terms alpha * w^k of an
-    orbit (w = eps^{-(2nu+1)}) are geometric, and chi(m) psi(n) depends on
+    orbit (_terms) are geometric, and chi(m) psi(n) depends on
     (u, n) mod L = lcm(s mod(chi), mod(psi)) only, so every orbit is summed
     in integers over the order P of eps mod L, over g = 1 - w^P; then
     1/g = conj(g) / N, N = norm(g), the one denominator of the series."""
     st = s * t
     _, D = squarefree_split(st)
     x, y = pell_fundamental(st)
-    c, e = isqrt(st // D), 2 * nu + 1
+    w, alpha = _terms(s, st, D, x, y, nu)
     L = lcm(s * chi.modulus, psi.modulus)
     P = 1 + next(k for k, un in enumerate(_orbit(x, y, x, y, st, L))
                  if un == (1 % L, 0))
-    *ws, w_P = islice(_orbit(1, 0, *_zpow(x, -y * c, e, D), D), P + 1)
+    *ws, w_P = islice(_orbit(1, 0, *w, D), P + 1)
     ga, gb = 1 - w_P[0], -w_P[1]
     sums = {}
     for r, fundamental, _ in _windows(s, st, x, y, lo, hi):
@@ -313,7 +316,7 @@ def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
             for (u, v), (wa, wb) in zip(_orbit(s * m, n, x, y, st, L), ws):
                 cv = chi(u // s) * psi(v)
                 pa, pb = pa + cv * wa, pb + cv * wb
-            pa, pb = _advance(pa, pb, *_zpow(s * m, -c * n, e, D), D)
+            pa, pb = _advance(pa, pb, *alpha(m, n), D)
             a, b = a + pa, b + pb
         if a or b:
             sums[r] = _advance(a, b, ga, -gb, D)
@@ -424,13 +427,11 @@ def orbit_tail_split(s: int, t: int, nu: int, r: int, m_bound: int):
     """
     orbits = pell_orbit(s, t, r)
     st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
-    c, e = isqrt(st // D), 2 * nu + 1
-    w = _zpow(x, -y * c, e, D)
+    w, alpha = _terms(s, st, D, x, y, nu)
     ha = hb = ta = tb = 0
     for m, n in orbits.fundamental_solutions:
-        # the terms (u - c n sqrt(D))^{2nu+1} of the orbit: alpha w^k
-        alpha = _zpow(s * m, -c * n, e, D)
-        for (u, _), (a, b) in zip(_orbit(s * m, n, x, y, st), _orbit(*alpha, *w, D)):
+        terms = _orbit(*alpha(m, n), *w, D)
+        for (u, _), (a, b) in zip(_orbit(s * m, n, x, y, st), terms):
             if u // s > m_bound:
                 break
             ha, hb = ha + a, hb + b

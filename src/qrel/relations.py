@@ -414,18 +414,16 @@ def _prop72_d_series(p: int, e: int, T: int) -> dict:
     return d
 
 
-def prop72_rhs(p: int, a: int, nu: int, T: int, d: dict | None = None) -> QSeries:
+def prop72_rhs(p: int, a: int, nu: int, T: int, d: dict) -> QSeries:
     """Divisor-sum expansion of Lambda^{(p,a)}_nu | U(4).
 
     For a = 0 this is the commonly printed form; for a != 0 the printed
     form omits one of the two residue families and misstates the
     square-divisor threshold, and the corrected assembly below is the one
     that holds (verified exactly for p in {5,7}, nu in {0,1}, n <= 500).
-    d is _prop72_d_series(p, 2nu+1, T), built here when not given.
+    d is _prop72_d_series(p, 2nu+1, T).
     """
     e = 2 * nu + 1
-    if d is None:
-        d = _prop72_d_series(p, e, T)
     total = QSeries.zero(T)
     if a % p == 0:
         for c in range(1, p):

@@ -385,11 +385,10 @@ def _indef_coeff_orbit(s, t, chi, psi, nu, r):
     1 - w^(period) in QuadExt: one division per orbit."""
     orbits = hp.pell_orbit(s, t, r)
     st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
-    c, e = isqrt(st // D), 2 * nu + 1
-    w = hp._zpow(x, -y * c, e, D)
+    w, terms = hp._terms(s, st, D, x, y, nu)
     total = QuadExt(0, 0, D)
     for m, n in orbits.fundamental_solutions:
-        alpha = hp._zpow(s * m, -c * n, e, D)
+        alpha = terms(m, n)
         walk = zip(hp._orbit(s * m, n, x, y, st, s * chi.modulus * psi.modulus),
                    hp._orbit(*alpha, *w, D))
         start, pa, pb = None, 0, 0

@@ -25,15 +25,22 @@ def hurwitz_series(T: int) -> QSeries:
     return QSeries({n: Fraction(v, 12) for n, v in enumerate(table[:T + 1]) if v}, T)
 
 
+def _unary_theta(s: int, weight, T: int) -> QSeries:
+    """The one unary-theta loop: sum over n in Z of weight(n) q^{s n^2}."""
+    coeffs = {}
+    n = 0
+    while s * n * n <= T:
+        c = weight(n) + weight(-n) if n else weight(0)
+        if c:
+            coeffs[s * n * n] = c
+        n += 1
+    return QSeries(coeffs, T)
+
+
 @cache
 def theta_classical(T: int) -> QSeries:
     """1 + 2*sum q^{n^2}."""
-    coeffs = {0: 1}
-    n = 1
-    while n * n <= T:
-        coeffs[n * n] = 2
-        n += 1
-    return QSeries(coeffs, T)
+    return theta_half(1, arith.kronecker_character(1), T)
 
 
 def theta_half(s: int, chi: DirichletCharacter, T: int) -> QSeries:
@@ -42,14 +49,7 @@ def theta_half(s: int, chi: DirichletCharacter, T: int) -> QSeries:
         raise ValueError("s must be positive")
     if not chi.is_even:
         raise ValueError("theta_half needs an even character")
-    coeffs: dict[int, int] = {0: 1} if chi.modulus == 1 else {}
-    n = 1
-    while s * n * n <= T:
-        c = 2 * chi(n)
-        if c:
-            coeffs[s * n * n] = c
-        n += 1
-    return QSeries(coeffs, T)
+    return _unary_theta(s, chi, T)
 
 
 def theta_three_half(s: int, chi: DirichletCharacter, T: int) -> QSeries:
@@ -58,28 +58,14 @@ def theta_three_half(s: int, chi: DirichletCharacter, T: int) -> QSeries:
         raise ValueError("s must be positive")
     if not chi.is_odd:
         raise ValueError("theta_three_half needs an odd character")
-    coeffs = {}
-    n = 1
-    while s * n * n <= T:
-        c = 2 * n * chi(n)
-        if c:
-            coeffs[s * n * n] = c
-        n += 1
-    return QSeries(coeffs, T)
+    return _unary_theta(s, lambda n: n * chi(n), T)
 
 
 def theta_congruence(p: int, a: int, T: int) -> QSeries:
     """sum over n in Z, n = a (mod p), of q^{n^2}."""
     if not 0 <= a < p:
         raise ValueError("need 0 <= a < p")
-    coeffs: dict[int, int] = {}
-    n = 0
-    while n * n <= T:
-        count = (1 if n % p == a else 0) + (1 if n > 0 and (-n) % p == a else 0)
-        if count:
-            coeffs[n * n] = coeffs.get(n * n, 0) + count
-        n += 1
-    return QSeries(coeffs, T)
+    return _unary_theta(1, lambda n: int(n % p == a), T)
 
 
 @cache

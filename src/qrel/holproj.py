@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
-from .arith import DirichletCharacter, residue_class_sieve
+from .arith import DirichletCharacter, kronecker_character, residue_class_sieve
 from .qseries import QSeries
 from .scalars import (PiScalar, QuadExt, as_half_integer, factorial,
                       falling_gamma_ratio, gamma_half, gen_binom, is_square,
@@ -327,40 +327,50 @@ def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
 # Indefinite theta series Lambda and Delta
 
 
-def _indef_coeff_square(s: int, t: int, chi, psi, nu: int, r: int):
-    """Double-sum coefficient (scaled by s^{nu+1/2}) when s*t is a square.
+def _square_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
+    """r -> the double sum of r, an int, for every r in [lo, hi] with a
+    nonzero sum (s*t = c^2).  s m^2 - t n^2 = r factors as d f = s r with
+    d = s m - c n < f = s m + c n, so one sweep over d, and over the f of
+    each d with f = -d (mod 2s), f = d (mod 2c) and d f in s[lo, hi],
+    finds every solution; its term is d^{2nu+1}."""
+    c, e, sums = isqrt(s * t), 2 * nu + 1, {}
+    g, step = gcd(s, c), lcm(2 * s, 2 * c)
+    # d < f, so d^2 < s hi; the two congruences hold together only if g | d
+    for d in range(g, isqrt(max(s * hi - 1, 0)) + 1, g):
+        f = max(d + 1, -(-s * lo // d))
+        f += (-d - f) % (2 * s)
+        f = next(f for f in range(f, f + step, 2 * s) if (f - d) % (2 * c) == 0)
+        for f in range(f, s * hi // d + 1, step):
+            v = chi((d + f) // (2 * s)) * psi((f - d) // (2 * c))
+            if v:
+                r = d * f // s
+                sums[r] = sums.get(r, 0) + v * d ** e
+    return sums
 
-    s m^2 - t n^2 = r factors as (s m - c n)(s m + c n) = s r with c^2 = s t,
-    so the sum is finite over divisor pairs.
-    """
-    c = isqrt(s * t)
-    e = 2 * nu + 1
-    total = Fraction(0)
-    sr = s * r
-    for d in range(1, isqrt(sr) + 1):
-        if sr % d:
-            continue
-        ee = sr // d
-        if ee <= d:
-            continue
-        if (d + ee) % (2 * s) or (ee - d) % (2 * c):
-            continue
-        m = (d + ee) // (2 * s)
-        n = (ee - d) // (2 * c)
-        if m >= 1 and n >= 1:
-            total += chi(m) * psi(n) * Fraction(d) ** e
-    return total
+
+def _double_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
+    """D, N and r -> (a, b) with (a + b sqrt D) / N the double sum of r
+    scaled by s^{nu+1/2}, for every r in [lo, hi]: the divisor sweep when
+    s*t is a square (D = N = 1), the Pell orbit sums otherwise."""
+    if s < 1 or t < 1 or lo < 1:
+        raise ValueError("s, t, r must be positive")
+    if is_square(s * t):
+        return 1, 1, {r: (v, 0) for r, v in
+                      _square_sums(s, t, chi, psi, nu, lo, hi).items()}
+    return _orbit_sums(s, t, chi, psi, nu, lo, hi)
+
+
+def _scalar(a: int, b: int, N: int, D: int):
+    """(a + b sqrt D) / N: a Fraction for D = 1, a QuadExt otherwise."""
+    return QuadExt(Fraction(a, N), Fraction(b, N), D) if D > 1 else Fraction(a, N)
 
 
 def indefinite_double_sum(s: int, t: int, chi, psi, nu: int, r: int):
     """sum over s m^2 - t n^2 = r, m, n >= 1 of chi(m) psi(n)
     (s m - sqrt(st) n)^{2 nu + 1}, i.e. the Lambda double sum scaled by
     s^{nu + 1/2}."""
-    if is_square(s * t):
-        return _indef_coeff_square(s, t, chi, psi, nu, r)
-    D, N, sums = _orbit_sums(s, t, chi, psi, nu, r, r)
-    a, b = sums.get(r, (0, 0))
-    return QuadExt(Fraction(a, N), Fraction(b, N), D)
+    D, N, sums = _double_sums(s, t, chi, psi, nu, r, r)
+    return _scalar(*sums.get(r, (0, 0)), N, D)
 
 
 def _check_positive(s: int, t: int) -> None:
@@ -406,14 +416,9 @@ def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
             boundary[s * rho * rho] = chi(rho) * (s * rho) ** e
     # for square s the scaling by s^{nu+1/2} is undone in the denominator
     root = isqrt(s) ** e if is_square(s) else 1
-    if is_square(s * t):
-        coeffs = {r: (v + boundary.pop(r, 0)) / root for r in range(1, T + 1)
-                  if (v := 2 * _indef_coeff_square(s, t, chi, psi, nu, r))}
-    else:
-        D, N, sums = _orbit_sums(s, t, chi, psi, nu, 1, T)
-        coeffs = {r: QuadExt(Fraction(2 * a + boundary.pop(r, 0) * N, N * root),
-                             Fraction(2 * b, N * root), D)
-                  for r, (a, b) in sums.items()}
+    D, N, sums = _double_sums(s, t, chi, psi, nu, 1, T)
+    coeffs = {r: _scalar(2 * a + boundary.pop(r, 0) * N, 2 * b, N * root, D)
+              for r, (a, b) in sums.items()}
     coeffs.update((r, Fraction(v, root)) for r, v in boundary.items())
     return QSeries(coeffs, T)
 
@@ -444,9 +449,9 @@ def orbit_tail_split(s: int, t: int, nu: int, r: int, m_bound: int):
 
 
 def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
-    """Lambda^{(p,a)}_nu: the sum over the residue classes {a, -a} mod p of
-    2 sum_{m^2-n^2>0, m,n>=1, m=+-a (p)} (m-n)^{2nu+1} q^{m^2-n^2}
-    + sum_{m>=1, m=+-a (p)} m^{2nu+1} q^{m^2}.
+    """Lambda^{(p,a)}_nu: Lambda_{1,1} with the class weight [m = +-a (p)]
+    in place of chi, i.e. 2 sum_{m^2-n^2>0, m,n>=1, m=+-a (p)} (m-n)^{2nu+1}
+    q^{m^2-n^2} + sum_{m>=1, m=+-a (p)} m^{2nu+1} q^{m^2}.
 
     For a = 0 the two sign choices name the same residue class, so the class
     is counted once (no doubling); this is the normalization under which the
@@ -454,24 +459,9 @@ def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
     """
     if not 0 <= a < p:
         raise ValueError("need 0 <= a < p")
-    signs = sorted({a % p, (-a) % p})
-    e = 2 * nu + 1
-    coeffs: dict[int, int] = {}
-    for target in signs:
-        for u in range(1, T + 1):           # u = m - n
-            for v in range(u + 2, T // u + 1):   # v = m + n > u, same parity
-                if (v - u) % 2:
-                    continue
-                m = (u + v) // 2
-                if m % p == target:
-                    key = u * v
-                    coeffs[key] = coeffs.get(key, 0) + 2 * u ** e
-        m = 1
-        while m * m <= T:
-            if m % p == target:
-                coeffs[m * m] = coeffs.get(m * m, 0) + m ** e
-            m += 1
-    return QSeries(coeffs, T)
+    signs = {a, -a % p}
+    return _indef_series(1, 1, lambda m: int(m % p in signs),
+                         kronecker_character(1), nu, T)
 
 
 def d_pa_series(p: int, a: int, k: int, T: int) -> QSeries:

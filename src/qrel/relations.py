@@ -450,9 +450,12 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
         for p in primes:
             for nu in nus:
                 d = _prop72_d_series(p, 2 * nu + 1, max_n)
+                # a and p - a name the same class set {a, -a}: build it once
+                sides = {a: (holproj.lambda_pa(p, a, nu, 4 * max_n).u_op(4),
+                             prop72_rhs(p, a, nu, max_n, d))
+                         for a in range(p // 2 + 1)}
                 for a in range(p):
-                    lhs = holproj.lambda_pa(p, a, nu, 4 * max_n).u_op(4)
-                    rhs = prop72_rhs(p, a, nu, max_n, d)
+                    lhs, rhs = sides[min(a, p - a)]
                     for n in range(1, max_n + 1):
                         rep.record(n, lhs.coeff(n), rhs.coeff(n))
     return rep

@@ -118,13 +118,20 @@ class TestSeries:
         assert code == 1 and out == ""
         assert "cannot build 'theta'" in err and "truncation order" in err
 
-    # Recorded from commit 5dbb1cb with `python -m qrel.cli series --name
-    # NAME --terms T --format csv`: two indefinite theta series built from
-    # Pell-orbit sums (characters mod 5, nu = 2; odd characters mod 4 with
-    # a unit of y = 9100).  Their SHA-256 are also in perfbench/digests.json.
+    # Recorded with `python -m qrel.cli series --name NAME --terms T
+    # --format csv`: two indefinite theta series built from Pell-orbit sums
+    # (characters mod 5, nu = 2; odd characters mod 4 with a unit of
+    # y = 9100), recorded from commit 5dbb1cb, whose SHA-256 are also in
+    # perfbench/digests.json; and three with square st, recorded from
+    # commit 39d64a6 (the divisor loop per r): square s, so the series is
+    # unscaled by 2^3; a boundary term weighted by chi mod 5; odd
+    # characters mod 4.
     @pytest.mark.parametrize("name, terms, golden", [
         ("lambda:1:13:5:5:2", "1500", "series_lambda_1_13_5_5_2_t1500.csv"),
-        ("delta:1:53:-4:-4:1", "60", "series_delta_1_53_m4_m4_1_t60.csv")])
+        ("delta:1:53:-4:-4:1", "60", "series_delta_1_53_m4_m4_1_t60.csv"),
+        ("lambda:4:9:1:1:1", "300", "series_lambda_4_9_1_1_1_t300.csv"),
+        ("lambda:1:1:5:1:0", "200", "series_lambda_1_1_5_1_0_t200.csv"),
+        ("delta:1:1:-4:-4:1", "300", "series_delta_1_1_m4_m4_1_t300.csv")])
     def test_indefinite_series_match_golden(self, capsys, name, terms, golden):
         code, out, _ = run(capsys, "series", "--name", name, "--terms", terms,
                            "--format", "csv")

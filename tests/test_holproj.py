@@ -1,6 +1,8 @@
 """Rankin-Cohen brackets, the holomorphic-projection correction terms,
 and the indefinite theta series with their Pell-orbit evaluation."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
@@ -284,6 +286,41 @@ class TestLambdaIndef:
                     assert head + tail == full
 
 
+class TestDoubleSumInput:
+    """Each rejected input raises at once; r = 0 used to hang in the window
+    sweep, s = 0 returned 0, a negative r died inside isqrt."""
+
+    @pytest.mark.parametrize("s, t, r", [(1, 2, 0), (0, 2, 3), (1, 1, -3),
+                                         (1, 2, -3), (2, 0, 5)])
+    def test_rejects_nonpositive(self, s, t, r):
+        with _deadline(5), pytest.raises(ValueError, match="must be positive"):
+            hp.indefinite_double_sum(s, t, TRIV, TRIV, 0, r)
+
+
+class TestSquareSweep:
+    """The one sweep over factor pairs against the former divisor loop per
+    r, over a whole range and at single r."""
+
+    ST = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 12), (9, 1), (1, 9), (2, 8),
+          (4, 9))
+    CHARS = ((1, 1), (5, 1), (-4, -4), (5, 5))
+
+    @pytest.mark.parametrize("s, t", ST)
+    def test_matches_divisor_oracle(self, s, t):
+        for chi, psi in self.CHARS:
+            chi, psi = kronecker_character(chi), kronecker_character(psi)
+            for nu in (0, 1, 2):
+                sums = hp._square_sums(s, t, chi, psi, nu, 1, 200)
+                want = {r: v for r in range(1, 201)
+                        if (v := _indef_coeff_square(s, t, chi, psi, nu, r))}
+                assert {r: v for r, v in sums.items() if v} == want, (s, t, nu)
+                assert all(1 <= r <= 200 for r in sums)
+                for r in (1, 3, 7, 24, 45, 120, 199, 200):
+                    one = hp._square_sums(s, t, chi, psi, nu, r, r)
+                    assert one.get(r, 0) == want.get(r, 0), (s, t, nu, r)
+                    assert set(one) <= {r}
+
+
 class TestDeltaIndef:
     def test_example(self):
         d = hp.delta_indef(1, 1, CHI4, CHI4, 0, 20)
@@ -331,6 +368,14 @@ class TestLambdaPa:
     def test_rejects_bad_residue(self):
         with pytest.raises(ValueError):
             hp.lambda_pa(5, 5, 0, 10)
+
+    @pytest.mark.parametrize("p", [1, 3, 5, 7, 11])
+    def test_matches_former_loop(self, p):
+        for a in range(p):
+            for nu in (0, 1, 2):
+                got = hp.lambda_pa(p, a, nu, 400)
+                want = _lambda_pa_loop(p, a, nu, 400)
+                assert got.trunc == want.trunc and got.coeffs == want.coeffs, (a, nu)
 
 
 class TestCharacterOrbits:
@@ -404,11 +449,49 @@ def _indef_coeff_orbit(s, t, chi, psi, nu, r):
     return total
 
 
+def _indef_coeff_square(s, t, chi, psi, nu, r):
+    """Test oracle: the former divisor loop of one r when s*t = c^2.
+    s m^2 - t n^2 = r factors as (s m - c n)(s m + c n) = s r, so the sum
+    (scaled by s^{nu+1/2}) is finite over the divisor pairs of s r."""
+    c = isqrt(s * t)
+    total = Fraction(0)
+    sr = s * r
+    for d in range(1, isqrt(sr) + 1):
+        if sr % d:
+            continue
+        ee = sr // d
+        if ee <= d:
+            continue
+        if (d + ee) % (2 * s) or (ee - d) % (2 * c):
+            continue
+        m = (d + ee) // (2 * s)
+        n = (ee - d) // (2 * c)
+        if m >= 1 and n >= 1:
+            total += chi(m) * psi(n) * Fraction(d) ** (2 * nu + 1)
+    return total
+
+
+def _lambda_pa_loop(p, a, nu, T):
+    """Test oracle: the former double loop of lambda_pa over (u, v) =
+    (m - n, m + n) for each class of {a, -a}, plus the squares m^2."""
+    e = 2 * nu + 1
+    coeffs = {}
+    for target in sorted({a % p, (-a) % p}):
+        for u in range(1, T + 1):
+            for v in range(u + 2, T // u + 1, 2):
+                if (u + v) // 2 % p == target:
+                    coeffs[u * v] = coeffs.get(u * v, 0) + 2 * u ** e
+        for m in range(1, isqrt(T) + 1):
+            if m % p == target:
+                coeffs[m * m] = coeffs.get(m * m, 0) + m ** e
+    return QSeries(coeffs, T)
+
+
 def _oracle_series(s, t, chi, psi, nu, T):
     """Test oracle: the former series assembly, one double sum per r (the
     per-orbit oracle, or the divisor sum for square st), then the boundary
     terms and, for square s, the unscaling."""
-    double_sum = hp._indef_coeff_square if is_square(s * t) else _indef_coeff_orbit
+    double_sum = _indef_coeff_square if is_square(s * t) else _indef_coeff_orbit
     coeffs = {}
     for r in range(1, T + 1):
         v = 2 * double_sum(s, t, chi, psi, nu, r)
@@ -423,6 +506,20 @@ def _oracle_series(s, t, chi, psi, nu, T):
         coeffs = {n: v / Fraction(isqrt(s)) ** (2 * nu + 1)
                   for n, v in coeffs.items()}
     return {n: v for n, v in coeffs.items() if v}
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging past the given seconds."""
+    def expire(*_):
+        raise TimeoutError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _small_unit_cases():

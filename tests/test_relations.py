@@ -216,6 +216,20 @@ class TestQuasiModular:
         rep = R.check_prop72(200)
         assert rep.failures == golden_failures("prop72_perturbed_lambda_pa.json")
 
+    def test_class_set_checked_for_both_residues(self, monkeypatch):
+        # Lambda^{(5,a)} raised by q^28 for the class set {2, 3} alone must
+        # fail at n = 7 for a = 2 and for a = 3, at each nu, and nowhere else
+        lambda_pa = R.holproj.lambda_pa
+
+        def perturbed(p, a, nu, T):
+            bump = QSeries({28: 1} if (p, min(a, p - a)) == (5, 2) else {}, T)
+            return lambda_pa(p, a, nu, T) + bump
+
+        monkeypatch.setattr(R.holproj, "lambda_pa", perturbed)
+        rep = R.check_prop72(20)
+        assert rep.checked == 2 * (5 + 7) * 20
+        assert [n for n, _, _ in rep.failures] == [7] * 4
+
     def test_w_term_values(self):
         # n=30, p=5, a=1: divisors alpha<sqrt(30) with alpha=0 (5) and
         # 30/alpha = +-1 (5): alpha=5 -> 6 = 1 (5): contributes 2*5

@@ -1,6 +1,6 @@
 """Number-theoretic primitives: divisor sums, Hurwitz class numbers with a
-reduced-forms oracle and a CSV export, real Dirichlet characters, and
-elliptic-curve point counting over prime fields.
+CSV export, real Dirichlet characters, and elliptic-curve point counting
+over prime fields.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-
-from .qseries import QSeries
 
 H0 = Fraction(-1, 12)
 
@@ -87,49 +85,6 @@ def _is_odd_prime_or_one(p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Hurwitz class numbers
-
-
-def reduced_forms(n: int) -> list[tuple[int, int, int]]:
-    """All reduced binary quadratic forms (a, b, c) of discriminant -n.
-
-    Reduction: |b| <= a <= c with b >= 0 whenever |b| == a or a == c.
-    Imprimitive forms are included; this is the brute-force oracle behind
-    the Hurwitz class numbers.
-    """
-    if n <= 0 or n % 4 not in (0, 3):
-        raise ValueError(f"discriminant -{n} is not 0 or 1 mod 4")
-    forms = []
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(-a, a + 1):
-            num = b * b + n
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (c == a or -b == a):
-                continue
-            forms.append((a, b, c))
-        a += 1
-    return forms
-
-
-def _form_weight(a: int, b: int, c: int) -> Fraction:
-    if b == 0 and a == c:
-        return Fraction(1, 2)
-    if a == b == c:
-        return Fraction(1, 3)
-    return Fraction(1)
-
-
-def hurwitz_oracle(n: int) -> Fraction:
-    """Hurwitz class number by direct enumeration of reduced forms."""
-    if n < 0 or n % 4 in (1, 2):
-        return Fraction(0)
-    if n == 0:
-        return H0
-    return sum((_form_weight(*f) for f in reduced_forms(n)), Fraction(0))
 
 
 class HurwitzCache:
@@ -242,28 +197,6 @@ def hurwitz_cache() -> HurwitzCache:
     return _cache
 
 
-def class_number_decomposition(n: int) -> Fraction:
-    """H(n) as a sum of weighted primitive class numbers over f^2 | n.
-
-    Independent of the all-forms enumeration: counts primitive reduced forms
-    of each discriminant -n/f^2 separately.
-    """
-    if n < 0 or n % 4 in (1, 2):
-        return Fraction(0)
-    if n == 0:
-        return H0
-    total = Fraction(0)
-    f = 1
-    while f * f <= n:
-        if n % (f * f) == 0:
-            m = n // (f * f)
-            if m % 4 in (0, 3):
-                total += sum((_form_weight(*fo) for fo in reduced_forms(m)
-                              if gcd(gcd(fo[0], fo[1]), fo[2]) == 1), Fraction(0))
-        f += 1
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Real Dirichlet characters
 
@@ -350,33 +283,6 @@ def ec_ap(a4: int, a6: int, p: int) -> int:
         total += jacobi_symbol(x * x * x + a4 * x + a6, p)
     # #E(F_p) = p + 1 + sum of Legendre terms; a_p = p + 1 - #E(F_p)
     return -total
-
-
-def hecke_extend(ap: dict[int, int], T: int) -> QSeries:
-    """Extend weight-2 prime eigenvalues a(p) to all n <= T by Hecke
-    multiplicativity: a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and
-    a(p^{j+1}) = a(p) a(p^j) - p a(p^{j-1}).
-
-    The result is defined only on the multiplicative span of the primes
-    in ap; it is 0 elsewhere.
-    """
-    coeffs = {1: 1}
-    for p in sorted(ap):
-        if p > T:
-            continue
-        powers = {0: 1, 1: ap[p]}
-        j = 1
-        while p ** (j + 1) <= T:
-            powers[j + 1] = ap[p] * powers[j] - p * powers[j - 1]
-            j += 1
-        new = dict(coeffs)
-        for n, c in coeffs.items():
-            for e in range(1, j + 1):
-                m = n * p ** e
-                if m <= T:
-                    new[m] = c * powers[e]
-        coeffs = new
-    return QSeries(coeffs, T)
 
 
 def _primes_upto(n: int) -> list[int]:

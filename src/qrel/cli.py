@@ -10,13 +10,10 @@ reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from . import forms, holproj, relations
-from .arith import hurwitz_cache, kronecker_character
-from .scalars import QuadExt
+# Each command imports the qrel modules it runs inside its own functions,
+# so that no command (--help included) pays to import the others.
 
 USAGE_ERROR = 1
 MATH_FAILURE = 2
@@ -32,10 +29,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_coeff(x) -> str:
+    from .scalars import QuadExt, format_scalar
     if isinstance(x, QuadExt):
-        return relations.format_scalar(x)
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return format_scalar(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def build_series(series_id: str, T: int):
@@ -43,16 +40,22 @@ def build_series(series_id: str, T: int):
     "lambda:s:t:chi:psi:nu", "delta:s:t:chi:psi:nu" and
     "bracket:f:g:k:l:nu" (characters given as kronecker_character
     integers, weights as fractions like 3/2)."""
+    from . import forms
     name = series_id.split(":")[0]
     if name in ("lambda", "delta"):
+        from .arith import kronecker_character
+        from .holproj import delta_indef, lambda_indef
         form = f"{name}:s:t:chi:psi:nu"
         s, t, chi, psi, nu = map(int, forms.id_fields(series_id, form))
-        fn = holproj.lambda_indef if name == "lambda" else holproj.delta_indef
+        fn = lambda_indef if name == "lambda" else delta_indef
         return fn(s, t, kronecker_character(chi), kronecker_character(psi), nu, T)
     if name == "bracket":
+        from fractions import Fraction
+
+        from .holproj import BracketSpec, rankin_cohen
         f, g, k, l, nu = forms.id_fields(series_id, "bracket:f:g:k:l:nu")
-        spec = holproj.BracketSpec(Fraction(k), Fraction(l), int(nu))
-        return holproj.rankin_cohen(forms.build(f, T), forms.build(g, T), spec)
+        spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
+        return rankin_cohen(forms.build(f, T), forms.build(g, T), spec)
     return forms.build(series_id, T)
 
 
@@ -64,7 +67,8 @@ def _emit_series(name: str, series, terms: int, fmt: str) -> None:
         for line in series.truncate(terms).to_csv_lines():
             print(line)
         return
-    partial = isinstance(series, forms.PartialSeries)
+    from .forms import PartialSeries
+    partial = isinstance(series, PartialSeries)
     indices = (sorted(n for n in series.defined if n <= terms) if partial
                else range(terms + 1))
     coeffs = [_fmt_coeff(series.coeff(n)) for n in indices]
@@ -72,6 +76,7 @@ def _emit_series(name: str, series, terms: int, fmt: str) -> None:
         print(", ".join(f"{n}: {c}" for n, c in zip(indices, coeffs))
               if partial else ", ".join(coeffs))
     else:
+        import json
         doc = {"name": name, "terms": terms}
         if partial:
             doc["indices"] = indices
@@ -94,6 +99,7 @@ def cmd_hurwitz(args) -> int:
         print(f"qrel hurwitz: --max must be at least 1, got {args.max}",
               file=sys.stderr)
         return USAGE_ERROR
+    from .arith import hurwitz_cache
     cache = hurwitz_cache()
     cache.ensure(args.max)
     try:
@@ -117,6 +123,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import relations
+    from .scalars import format_scalar
     try:
         report = relations.run_check(args.relation, args.max)
     except (KeyError, ValueError) as exc:
@@ -127,23 +135,33 @@ def cmd_verify(args) -> int:
     else:
         print(report.summary_line())
         for n, lhs, rhs in report.failures:
-            print(f"  n={n}: lhs={relations.format_scalar(lhs)} "
-                  f"rhs={relations.format_scalar(rhs)}")
+            print(f"  n={n}: lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}")
     return 0 if report.ok else MATH_FAILURE
 
 
 def cmd_verify_all(args) -> int:
+    from . import relations
     try:
         reports = relations.verify_all(args.max)
     except ValueError as exc:
         print(f"qrel verify-all: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:
+        import json
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
         for report in reports:
             print(report.summary_line())
     return 0 if all(r.ok for r in reports) else MATH_FAILURE
+
+
+class _RelationIds:
+    """The relation ids, joined for the verify help text.  argparse formats
+    help only when it prints it, so relations is imported only then."""
+
+    def __str__(self) -> str:
+        from .relations import relation_ids
+        return ", ".join(relation_ids())
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -187,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("verify", help="check one named relation exactly")
-    p.add_argument("relation", help="one of: " + ", ".join(relations.relation_ids()))
+    p.add_argument("relation", help="one of: %(ids)s").ids = _RelationIds()
     p.add_argument("--max", type=int, default=None,
                    help="upper end of the index range (default: per relation)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")

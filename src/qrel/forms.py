@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import arith
-from .arith import DirichletCharacter, ec_ap, hecke_extend, _primes_upto
+from .arith import DirichletCharacter, ec_ap, _primes_upto
 from .qseries import QSeries, eta_product
 
 # Cremona 49a1: y^2 = x^3 - 2835 x - 71442, the curve of g7 (level 49)
@@ -121,6 +121,33 @@ def g7_support(max_n: int) -> list[int]:
     """Indices <= max_n supported on primes >= 5 and != 7."""
     return [n for n in range(1, max_n + 1)
             if all(n % p for p in G7_BAD_PRIMES)]
+
+
+def hecke_extend(ap: dict[int, int], T: int) -> QSeries:
+    """Extend weight-2 prime eigenvalues a(p) to all n <= T by Hecke
+    multiplicativity: a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and
+    a(p^{j+1}) = a(p) a(p^j) - p a(p^{j-1}).
+
+    The result is defined only on the multiplicative span of the primes
+    in ap; it is 0 elsewhere.
+    """
+    coeffs = {1: 1}
+    for p in sorted(ap):
+        if p > T:
+            continue
+        powers = {0: 1, 1: ap[p]}
+        j = 1
+        while p ** (j + 1) <= T:
+            powers[j + 1] = ap[p] * powers[j] - p * powers[j - 1]
+            j += 1
+        new = dict(coeffs)
+        for n, c in coeffs.items():
+            for e in range(1, j + 1):
+                m = n * p ** e
+                if m <= T:
+                    new[m] = c * powers[e]
+        coeffs = new
+    return QSeries(coeffs, T)
 
 
 @cache

@@ -9,31 +9,49 @@ roots genuinely appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
 from .arith import DirichletCharacter, kronecker_character, residue_class_sieve
-from .qseries import QSeries
+from .qseries import QSeries, _check_trunc
 from .scalars import (PiScalar, QuadExt, as_half_integer, factorial,
                       falling_gamma_ratio, gamma_half, gen_binom, is_square,
                       squarefree_split)
 
 
-@dataclass(frozen=True)
 class BracketSpec:
-    """Weights (k, l) and degree nu of a Rankin-Cohen bracket."""
+    """Weights (k, l) and degree nu of a Rankin-Cohen bracket: immutable,
+    compared and hashed by value."""
 
-    k: Fraction
-    l: Fraction
-    nu: int
+    __slots__ = ("k", "l", "nu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_half_integer(self.k))
-        object.__setattr__(self, "l", as_half_integer(self.l))
-        if self.nu < 0:
+    def __init__(self, k, l, nu: int):
+        k, l = as_half_integer(k), as_half_integer(l)
+        if nu < 0:
             raise ValueError("degree must be nonnegative")
+        for name, value in zip(self.__slots__, (k, l, nu)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a BracketSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a BracketSpec")
+
+    def _key(self) -> tuple:
+        return self.k, self.l, self.nu
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BracketSpec(k={self.k!r}, l={self.l!r}, nu={self.nu!r})"
 
     @property
     def total_weight(self) -> Fraction:
@@ -195,18 +213,26 @@ def pell_fundamental(N: int) -> tuple[int, int]:
     return h, k
 
 
-@dataclass
 class PellOrbitData:
-    """Orbit decomposition of the solutions of s m^2 - t n^2 = r."""
+    """Orbit decomposition of the solutions of s m^2 - t n^2 = r.
 
-    s: int
-    t: int
-    r: int
-    D: int                    # squarefree part of s*t
-    unit: QuadExt             # fundamental unit of x^2 - st y^2 = 1, in Q(sqrt(D))
-    unit_xy: tuple[int, int]  # the same unit as (x, y) with x + y*sqrt(st)
-    fundamental_solutions: list[tuple[int, int]]   # minimal (m, n) with m, n >= 1
-    window_reps: list[tuple[int, int]]             # internal (u, n) = (s*m, n) reps
+    D is the squarefree part of s*t; unit the fundamental unit of
+    x^2 - st y^2 = 1 in Q(sqrt(D)), and unit_xy the same unit as (x, y) with
+    x + y sqrt(st); fundamental_solutions the minimal (m, n) with m, n >= 1,
+    one per orbit; window_reps the internal (u, n) = (s*m, n) representatives.
+    """
+
+    __slots__ = ("s", "t", "r", "D", "unit", "unit_xy",
+                 "fundamental_solutions", "window_reps")
+
+    def __init__(self, s: int, t: int, r: int, D: int, unit: QuadExt,
+                 unit_xy: tuple[int, int],
+                 fundamental_solutions: list[tuple[int, int]],
+                 window_reps: list[tuple[int, int]]):
+        self.s, self.t, self.r, self.D = s, t, r, D
+        self.unit, self.unit_xy = unit, unit_xy
+        self.fundamental_solutions = fundamental_solutions
+        self.window_reps = window_reps
 
 
 def _advance(u: int, n: int, x: int, y: int, d: int) -> tuple[int, int]:
@@ -408,6 +434,7 @@ def delta_indef(s: int, t: int, chi: DirichletCharacter,
 
 
 def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
+    _check_trunc(T)     # before the boundary loop and the sweep
     e = 2 * nu + 1
     boundary = {}
     if psi.modulus == 1:    # boundary terms at r = s rho^2, weighted by psi(0)

@@ -16,6 +16,12 @@ from .scalars import QuadExt
 MAX_TRUNC = 1 << 20
 
 
+def _check_trunc(trunc: int) -> None:
+    if not 0 <= trunc <= MAX_TRUNC:
+        raise ValueError(f"truncation order must be in [0, {MAX_TRUNC}], "
+                         f"got {trunc}")
+
+
 class ScalarKindError(TypeError):
     """Raised when two series over incompatible coefficient rings meet."""
 
@@ -104,9 +110,7 @@ class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: dict, trunc: int):
-        if not 0 <= trunc <= MAX_TRUNC:
-            raise ValueError(f"truncation order must be in [0, {MAX_TRUNC}], "
-                             f"got {trunc}")
+        _check_trunc(trunc)
         self.trunc = trunc
         self.coeffs = {n: c for n, c in coeffs.items() if n <= self.trunc and c}
         if any(n < 0 for n in self.coeffs):
@@ -251,23 +255,6 @@ class QSeries:
                 c = Fraction(c)
                 lines.append(f"{n},{c.numerator},{c.denominator}")
         return lines
-
-    @classmethod
-    def from_csv_lines(cls, lines, trunc: int) -> "QSeries":
-        coeffs: dict = {}
-        for line in lines:
-            parts = line.strip().split(",")
-            if not line.strip():
-                continue
-            if len(parts) == 3:
-                n, num, den = map(int, parts)
-                coeffs[n] = Fraction(num, den)
-            elif len(parts) == 6:
-                n, an, ad, bn, bd, D = map(int, parts)
-                coeffs[n] = QuadExt(Fraction(an, ad), Fraction(bn, bd), D)
-            else:
-                raise ValueError(f"malformed series line: {line!r}")
-        return cls(coeffs, trunc)
 
 
 def eta_product(factors, T: int) -> QSeries:

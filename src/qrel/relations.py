@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
@@ -25,22 +24,11 @@ from . import forms, holproj
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     kronecker_character)
 from .qseries import QSeries
-from .scalars import PiScalar, QuadExt, gen_binom, factorial
+from .scalars import PiScalar, factorial, format_scalar, gen_binom
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def format_scalar(x) -> str:
-    """Serialize an exact scalar: "p/q" for rationals, "a+b*sqrt(D)" for
-    real-quadratic values."""
-    if isinstance(x, QuadExt):
-        a, b = format_scalar(x.a), format_scalar(abs(x.b))
-        sign = "+" if x.b >= 0 else "-"
-        return f"{a}{sign}{b}*sqrt({x.D})"
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def scaled_failure(n: int, lhs: int, rhs: int, scale: int) -> tuple:
@@ -49,21 +37,20 @@ def scaled_failure(n: int, lhs: int, rhs: int, scale: int) -> tuple:
     return (n, Fraction(lhs, scale), Fraction(rhs, scale))
 
 
-@dataclass
 class RelationReport:
-    relation: str
-    lo: int
-    hi: int
-    policy: str
-    failures: list[tuple[int, object, object]] = field(default_factory=list)
-    elapsed_ms: int = 0
-    notes: str = ""
-    checked: int = 0
+    """The outcome of one check over the indices lo..hi of its policy set:
+    failures as (n, lhs, rhs), how many indices were checked, notes and the
+    elapsed time."""
 
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError(f"{self.relation} starts at {self.lo}; the range "
-                             f"end must be at least {self.lo}, got {self.hi}")
+    def __init__(self, relation: str, lo: int, hi: int, policy: str,
+                 failures: list[tuple[int, object, object]] | None = None,
+                 elapsed_ms: int = 0, notes: str = "", checked: int = 0):
+        if hi < lo:
+            raise ValueError(f"{relation} starts at {lo}; the range "
+                             f"end must be at least {lo}, got {hi}")
+        self.relation, self.lo, self.hi, self.policy = relation, lo, hi, policy
+        self.failures = [] if failures is None else failures
+        self.elapsed_ms, self.notes, self.checked = elapsed_ms, notes, checked
 
     @property
     def status(self) -> str:

@@ -209,6 +209,17 @@ class QuadExt:
         return f"{self.a}+{self.b}*sqrt({self.D})"
 
 
+def format_scalar(x) -> str:
+    """Serialize an exact scalar: "p/q" for rationals, "a+b*sqrt(D)" for
+    real-quadratic values."""
+    if isinstance(x, QuadExt):
+        a, b = format_scalar(x.a), format_scalar(abs(x.b))
+        sign = "+" if x.b >= 0 else "-"
+        return f"{a}{sign}{b}*sqrt({x.D})"
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
 class PiScalar:
     """A rational r times pi**(e/2).
 

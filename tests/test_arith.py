@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrel.arith import (class_number_decomposition,
-                        divisor_sieve, divisors, ec_ap, hecke_extend, hurwitz,
-                        hurwitz_cache, hurwitz_oracle, HurwitzCache,
-                        jacobi_symbol, kronecker_character, lambda_k,
-                        reduced_forms, residue_class_sieve, sigma_k)
+from oracles import class_number_decomposition, hurwitz_oracle, reduced_forms
+from qrel.arith import (divisor_sieve, divisors, ec_ap, hurwitz, hurwitz_cache,
+                        HurwitzCache, jacobi_symbol, kronecker_character,
+                        lambda_k, residue_class_sieve, sigma_k)
+from qrel.forms import hecke_extend
 
 
 def lambda_k_pa(n: int, k: int, p: int, a: int) -> int:

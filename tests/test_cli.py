@@ -118,6 +118,15 @@ class TestSeries:
         assert code == 1 and out == ""
         assert "cannot build 'theta'" in err and "truncation order" in err
 
+    @pytest.mark.parametrize("terms", ["-1", "1048577"])
+    @pytest.mark.parametrize("name", ["lambda:1:2:1:1:0", "delta:1:53:-4:-4:1"])
+    def test_indefinite_truncation_out_of_range_rejected(self, capsys, name, terms):
+        # checked before the sweep: at once, with the catalog series' message
+        code, out, err = run(capsys, "series", "--name", name, "--terms", terms)
+        assert code == 1 and out == ""
+        assert err == (f"qrel series: cannot build {name!r}: truncation order "
+                       f"must be in [0, 1048576], got {terms}\n")
+
     # Recorded with `python -m qrel.cli series --name NAME --terms T
     # --format csv`: two indefinite theta series built from Pell-orbit sums
     # (characters mod 5, nu = 2; odd characters mod 4 with a unit of
@@ -301,3 +310,94 @@ class TestVerifyAll:
         out = re.sub(r'(?m)^ *"elapsed_ms": \d+,\n', "", out)
         with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:
             assert out == f.read()
+
+    # Recorded with `COLUMNS=80 python -m qrel.cli [SUBCOMMAND] --help` from
+    # commit 0d3a4a2, whose verify help was built from relation_ids() when
+    # the parser was made.
+    @pytest.mark.parametrize("argv, golden", [([], "help.txt"),
+                                              (["verify"], "help_verify.txt"),
+                                              (["series"], "help_series.txt")])
+    def test_help_matches_golden(self, capsys, monkeypatch, argv, golden):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:
+            assert capsys.readouterr().out == f.read()
+
+    def test_verify_help_lists_the_registry(self, capsys, monkeypatch):
+        from qrel import relations
+        monkeypatch.setitem(relations._REGISTRY, "zz_extra", None)
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"one of: {', '.join(relations.relation_ids())} " in help_text
+        assert relations.relation_ids()[-1] == "zz_extra"
+
+
+# Runs qrel.cli.main(ARGV) in a fresh interpreter and prints the qrel
+# modules it loaded and whether dataclasses was imported.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from qrel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(json.loads(sys.argv[1]))
+    except SystemExit:
+        pass
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qrel"),
+                  "dataclasses" in sys.modules]))
+"""
+
+
+class TestImportFootprint:
+    """Each command imports only the qrel modules it runs."""
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["--help"], None),
+        (["series", "--name", "lambda:1:13:5:5:2", "--terms", "50",
+          "--format", "csv"], {"relations"}),
+        (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"],
+         {"relations"}),
+        (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
+        (["hurwitz", "--max", "50", "--out", "{tmp}"],
+         {"forms", "holproj", "qseries", "relations", "scalars"}),
+        (["verify", "eichler", "--max", "50"], set()),
+        (["verify-all", "--max", "40", "--json"], set())],
+        ids=["help", "lambda-csv", "lambda-text", "catalog", "hurwitz", "verify",
+             "verify-all"])
+    def test_modules_loaded(self, tmp_path, argv, absent):
+        argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
+        src = os.path.dirname(os.path.dirname(qrel.__file__))
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        loaded, dataclasses_loaded = json.loads(proc.stdout)
+        if absent is None:      # nothing but the front end
+            assert loaded == ["qrel", "qrel.cli"]
+        else:
+            assert not {f"qrel.{m}" for m in absent} & set(loaded)
+        assert not dataclasses_loaded
+
+
+class TestNamespace:
+    def test_all_names_resolve(self):
+        for name in qrel.__all__:
+            assert getattr(qrel, name) is not None
+            assert name in dir(qrel)
+
+    def test_names_are_the_defining_modules_objects(self):
+        from qrel import holproj, relations
+        assert qrel.pell_orbit is holproj.pell_orbit
+        assert qrel.RelationReport is relations.RelationReport
+        assert qrel.holproj is holproj
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from qrel import *", namespace)
+        assert set(qrel.__all__) <= set(namespace)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qrel.no_such_name

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qrel import forms, holproj as hp
 from qrel.arith import kronecker_character
-from qrel.qseries import QSeries
+from qrel.qseries import MAX_TRUNC, QSeries
 from qrel.scalars import PiScalar, QuadExt, is_square
 
 TRIV = kronecker_character(1)
@@ -32,6 +32,34 @@ class TestBracketSpec:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             hp.BracketSpec(Fraction(1, 2), Fraction(1, 2), -1)
+
+    def test_weights_normalized_to_fractions(self):
+        spec = hp.BracketSpec(2, "1/2", 0)
+        assert (spec.k, spec.l, spec.nu) == (Fraction(2), Fraction(1, 2), 0)
+        assert type(spec.k) is Fraction
+
+    def test_value_equality_and_hash(self):
+        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        same = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        assert spec == same and hash(spec) == hash(same)
+        assert len({spec, same}) == 1
+        assert spec != hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 1)
+        assert spec != hp.BracketSpec(Fraction(1, 2), Fraction(3, 2), 2)
+        assert spec != (Fraction(3, 2), Fraction(1, 2), 2)
+
+    def test_repr(self):
+        assert (repr(hp.BracketSpec(Fraction(3, 2), 1, 2))
+                == "BracketSpec(k=Fraction(3, 2), l=Fraction(1, 1), nu=2)")
+
+    def test_immutable(self):
+        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        with pytest.raises(AttributeError):
+            spec.nu = -1
+        with pytest.raises(AttributeError):
+            del spec.k
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert spec == hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
 
 
 class TestRankinCohen:
@@ -295,6 +323,22 @@ class TestDoubleSumInput:
     def test_rejects_nonpositive(self, s, t, r):
         with _deadline(5), pytest.raises(ValueError, match="must be positive"):
             hp.indefinite_double_sum(s, t, TRIV, TRIV, 0, r)
+
+
+class TestTruncationInput:
+    """A truncation order outside [0, MAX_TRUNC] is rejected before any
+    work: -1 used to die inside isqrt in the boundary loop, MAX_TRUNC + 1
+    swept every r for seconds before the series constructor refused it."""
+
+    @pytest.mark.parametrize("T", [-1, MAX_TRUNC + 1])
+    @pytest.mark.parametrize("build", [
+        lambda T: hp.lambda_indef(1, 2, TRIV, TRIV, 0, T),
+        lambda T: hp.delta_indef(1, 53, CHI4, CHI4, 1, T),
+        lambda T: hp.lambda_pa(1, 0, 0, T)], ids=["lambda", "delta", "lambda_pa"])
+    def test_rejected_at_once(self, build, T):
+        match = rf"truncation order must be in \[0, {MAX_TRUNC}\], got {T}$"
+        with _deadline(1), pytest.raises(ValueError, match=match):
+            build(T)
 
 
 class TestSquareSweep:

@@ -51,6 +51,21 @@ class TestReports:
         rep.record(2, Fraction(1), Fraction(2))
         assert rep.status == "fail" and not rep.ok
 
+    def test_defaults(self):
+        rep = R.RelationReport("demo", 1, 10, "all n")
+        assert (rep.relation, rep.lo, rep.hi, rep.policy) == ("demo", 1, 10, "all n")
+        assert (rep.failures, rep.elapsed_ms, rep.notes, rep.checked) == ([], 0, "", 0)
+        other = R.RelationReport("demo", 1, 10, "all n")
+        other.record(1, 0, 1)
+        assert rep.failures == [] and rep.ok     # no shared failures list
+
+    def test_fields_given(self):
+        rep = R.RelationReport("demo", 0, 0, "p", [(1, 0, 1)], 7, "x", 3)
+        assert (rep.failures, rep.elapsed_ms, rep.notes, rep.checked) == (
+            [(1, 0, 1)], 7, "x", 3)
+        rep = R.RelationReport(relation="demo", lo=2, hi=2, policy="p", checked=1)
+        assert rep.status == "pass"
+
     def test_empty_range_rejected(self):
         # a range that ends below its first index checks nothing, so it is
         # an error rather than a vacuous pass

@@ -40,20 +40,21 @@ def build_series(series_id: str, T: int):
     "lambda:s:t:chi:psi:nu", "delta:s:t:chi:psi:nu" and
     "bracket:f:g:k:l:nu" (characters given as kronecker_character
     integers, weights as fractions like 3/2)."""
-    from . import forms
+    from .qseries import id_fields
     name = series_id.split(":")[0]
     if name in ("lambda", "delta"):
         from .arith import kronecker_character
         from .holproj import delta_indef, lambda_indef
         form = f"{name}:s:t:chi:psi:nu"
-        s, t, chi, psi, nu = map(int, forms.id_fields(series_id, form))
+        s, t, chi, psi, nu = map(int, id_fields(series_id, form))
         fn = lambda_indef if name == "lambda" else delta_indef
         return fn(s, t, kronecker_character(chi), kronecker_character(psi), nu, T)
+    from . import forms
     if name == "bracket":
         from fractions import Fraction
 
         from .holproj import BracketSpec, rankin_cohen
-        f, g, k, l, nu = forms.id_fields(series_id, "bracket:f:g:k:l:nu")
+        f, g, k, l, nu = id_fields(series_id, "bracket:f:g:k:l:nu")
         spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
         return rankin_cohen(forms.build(f, T), forms.build(g, T), spec)
     return forms.build(series_id, T)

@@ -10,7 +10,7 @@ from functools import cache
 
 from . import arith
 from .arith import DirichletCharacter, ec_ap, _primes_upto
-from .qseries import QSeries, eta_product
+from .qseries import QSeries, eta_product, id_fields
 
 # Cremona 49a1: y^2 = x^3 - 2835 x - 71442, the curve of g7 (level 49)
 G7_A4 = -2835
@@ -172,17 +172,6 @@ def g7(T: int) -> PartialSeries:
 
 def _parse_chi(token: str) -> DirichletCharacter:
     return arith.kronecker_character(int(token))
-
-
-def id_fields(series_id: str, form: str) -> list[str]:
-    """The fields after the name in a parameterised series id, which must
-    be as many as in its form (e.g. "theta_half:s:chi")."""
-    fields = series_id.split(":")[1:]
-    want = form.count(":")
-    if len(fields) != want:
-        raise ValueError(f"{form} takes {want} fields after the name, "
-                         f"got {len(fields)}")
-    return fields
 
 
 def build(series_id: str, T: int):

@@ -91,17 +91,21 @@ def poly_eval(p: list, x, y):
 
 def p_poly(a: int, b) -> list:
     """P_{a,b}(X, Y) = sum_{j=0}^{a-2} C(j+b-2, j) X^j (X+Y)^{a-j-2}, expanded:
-    the term of j is the binomial row of (X+Y)^{a-j-2} shifted up by j."""
+    the term of j is the binomial row of (X+Y)^{a-j-2} shifted up by j, summed
+    in integers over D = q^(a-2) (a-2)! for b = p/q."""
     if a < 2:
         raise ValueError("degree parameter a must be at least 2")
     b = Fraction(b)
-    out = [Fraction(0)] * (a - 1)
-    for j in range(a - 1):
-        c = gen_binom(j + b - 2, j)
-        e = a - 2 - j
+    p, q, d = b.numerator, b.denominator, a - 2
+    c = D = q ** d * factorial(d)      # c = C(j+b-2, j) D, an integer
+    out = [0] * (d + 1)
+    for j in range(d + 1):
+        if j:
+            c = c * (p + (j - 2) * q) // (j * q)
+        e = d - j
         for i in range(e + 1):
             out[j + i] += c * comb(e, i)
-    return out
+    return [Fraction(v, D) for v in out]
 
 
 # ---------------------------------------------------------------------------

@@ -455,16 +455,16 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
 def _binomial_identity_even(nu_max: int) -> list[tuple[int, object, object]]:
     """sum_mu (-1)^mu/(mu - j + 1/2) * (4nu-2mu-1)! / ((2(nu-mu))! (2nu-mu-1)! mu!)
     = 2^{4nu} (-1)^j (2nu-j)! j! / ((2j)! (2(nu-j)+1)!), for nu > 0.  This
-    and the odd identity sum in integers over the lcm of the denominators."""
+    and the odd identity sum, over the lcm of the denominators, integer
+    multinomials built once per nu."""
     bad = []
     for nu in range(1, nu_max + 1):
+        mult = [(-1) ** mu * 2 * comb(4 * nu - 2 * mu - 1, 2 * nu - 2 * mu)
+                * comb(2 * nu - 1, mu) for mu in range(nu + 1)]
         for j in range(nu + 1):
             dens = [2 * (mu - j) + 1 for mu in range(nu + 1)]
             L = lcm(*dens)
-            lhs = Fraction(sum((-1) ** mu * 2 * (L // den)
-                               * comb(4 * nu - 2 * mu - 1, 2 * nu - 2 * mu)
-                               * comb(2 * nu - 1, mu)
-                               for mu, den in enumerate(dens)), L)
+            lhs = Fraction(sum(m * (L // den) for m, den in zip(mult, dens)), L)
             rhs = Fraction(2 ** (4 * nu) * (-1) ** j
                            * factorial(2 * nu - j) * factorial(j),
                            factorial(2 * j) * factorial(2 * (nu - j) + 1))
@@ -478,19 +478,24 @@ def _binomial_identity_odd(nu_max: int) -> list[tuple[int, object, object]]:
     = (-1)^j 2^{4nu} (2nu-j)! j! / ((2(nu-j))! (2j+1)!)."""
     bad = []
     for nu in range(nu_max + 1):
+        mult = [(-1) ** mu * comb(4 * nu - 2 * mu + 1, 2 * nu - 2 * mu + 1)
+                * comb(2 * nu, mu) for mu in range(nu + 1)]
         for j in range(nu + 1):
             dens = [2 * (j - mu) + 1 for mu in range(nu + 1)]
             L = lcm(*dens)
-            lhs = Fraction(sum((-1) ** mu * (L // den)
-                               * comb(4 * nu - 2 * mu + 1, 2 * nu - 2 * mu + 1)
-                               * comb(2 * nu, mu)
-                               for mu, den in enumerate(dens)), L)
+            lhs = Fraction(sum(m * (L // den) for m, den in zip(mult, dens)), L)
             rhs = Fraction((-1) ** j * 2 ** (4 * nu)
                            * factorial(2 * nu - j) * factorial(j),
                            factorial(2 * (nu - j)) * factorial(2 * j + 1))
             if lhs != rhs:
                 bad.append((100 * nu + j, lhs, rhs))
     return bad
+
+
+def _cleared(fracs: list) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    D = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (D // c.denominator) for c in fracs], D
 
 
 def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
@@ -505,24 +510,25 @@ def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
         for bi, b in enumerate(bs):
             P = holproj.p_poly(a, b)
             alt1 = [gen_binom(a + b - 3, j) for j in range(a - 1)]
-            alt2 = [Fraction(0)] * (a - 1)
-            for j in range(a - 1):
-                c = (gen_binom(a + b - 3, a - 2 - j) * gen_binom(j + b - 2, j)
-                     * (-1) ** j)
+            cs, L = _cleared([gen_binom(a + b - 3, a - 2 - j)
+                              * gen_binom(j + b - 2, j) * (-1) ** j
+                              for j in range(a - 1)])
+            alt2 = [0] * (a - 1)
+            for j, c in enumerate(cs):
                 e = a - 2 - j
                 for i in range(e + 1):
                     alt2[i] += c * comb(e, i)
-            if P != alt1 or P != alt2:
+            if P != alt1 or P != [Fraction(v, L) for v in alt2]:
                 bad.append((10 * a + bi, Fraction(0), Fraction(1)))
     return bad
 
 
-def _subst_squares(P: list) -> list:
+def _subst_squares(P: list[int]) -> list[int]:
     """P(x^2 - y^2, y^2) for P homogeneous of degree d, as the list of its
     2d + 1 coefficients indexed by the power of x: the term P[i] X^i Y^(d-i)
     is P[i] times the row of (x^2 - y^2)^i, on the even powers of x."""
     d = len(P) - 1
-    out = [Fraction(0)] * (2 * d + 1)
+    out = [0] * (2 * d + 1)
     for i, c in enumerate(P):
         for k in range(i + 1):
             out[2 * k] += c * comb(i, k) * (-1) ** (i - k)
@@ -534,39 +540,47 @@ def _x_minus_y_row(e: int, c) -> list:
     return [c * comb(e, i) * (-1) ** (e - i) for i in range(e + 1)]
 
 
+def _closed_sum_holds(nu: int, odd: int) -> bool:
+    """The closed sum of parity odd (0 or 1) at nu as a polynomial identity
+    in x, y, homogeneous of degree 4nu + odd:
+    sum_mu c_mu (P_{2nu+2,1/2+odd-mu}(x^2-y^2, y^2) y^odd - x^{4nu-2mu-1+2odd})
+    = (-1)^odd 4^{-nu} C(2nu,nu) x^{2nu-1+odd} (x-y)^{2nu+1}, with
+    c_mu = C(nu+1/2-odd, nu-mu) C(nu-1/2+odd, mu).  Each mu-term is an
+    integer list over its own denominator; all are scaled to their lcm L."""
+    terms = []
+    for mu in range(nu + 1):
+        c = (gen_binom(Fraction(2 * nu + 1 - 2 * odd, 2), nu - mu)
+             * gen_binom(Fraction(2 * nu - 1 + 2 * odd, 2), mu))
+        P, D = _cleared(holproj.p_poly(2 * nu + 2, Fraction(1 + 2 * odd - 2 * mu, 2)))
+        # times y^odd: one more entry, as the list is indexed by the power of x
+        S = _subst_squares(P) + [0] * odd
+        S[4 * nu - 2 * mu - 1 + 2 * odd] -= D
+        terms.append((c.numerator, c.denominator * D, S))
+    L = lcm(4 ** nu, *(den for _, den, _ in terms))
+    lhs = [0] * (4 * nu + 1 + odd)
+    for num, den, S in terms:
+        f = num * (L // den)
+        lhs = [u + f * v for u, v in zip(lhs, S)]
+    rhs = [0] * (2 * nu - 1 + odd) + _x_minus_y_row(
+        2 * nu + 1, (-1) ** odd * comb(2 * nu, nu) * (L >> 2 * nu))
+    return lhs == rhs
+
+
 def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
     """sum_mu C(nu+1/2, nu-mu) C(nu-1/2, mu)
     (m^{1/2-nu} P_{2nu+2,1/2-mu}(m-n, n) - n^{1/2+mu} m^{nu-mu})
     = 2^{-2nu} C(2nu,nu) (sqrt(m) - sqrt(n))^{2nu+1}, as a polynomial
     identity after m = x^2, n = y^2 (cleared of half powers by x^{2nu-1};
-    the nu = 0 case is checked pointwise since that factor is 1/x).
-    Both sides are homogeneous of degree 4nu in x, y."""
+    the nu = 0 case is checked pointwise since that factor is 1/x)."""
     bad = []
-    for nu in range(nu_max + 1):
-        if nu == 0:
-            for x in (2, 3, 5, 7):
-                for y in (1, 2, 3, 4):
-                    P = holproj.p_poly(2, Fraction(1, 2))
-                    got = (Fraction(x)
-                           * holproj.poly_eval(P, Fraction(x * x - y * y),
-                                               Fraction(y * y))
-                           - Fraction(y))
-                    if got != Fraction(x - y):
-                        bad.append((x * 10 + y, got, Fraction(x - y)))
-            continue
-        lhs = [Fraction(0)] * (4 * nu + 1)
-        for mu in range(nu + 1):
-            c = (gen_binom(Fraction(2 * nu + 1, 2), nu - mu)
-                 * gen_binom(Fraction(2 * nu - 1, 2), mu))
-            S = _subst_squares(holproj.p_poly(2 * nu + 2, Fraction(1 - 2 * mu, 2)))
-            lhs = [u + c * v for u, v in zip(lhs, S)]
-            lhs[4 * nu - 2 * mu - 1] -= c
-        # times x^{2nu-1}: shifted up by 2nu - 1
-        rhs = [0] * (2 * nu - 1) + _x_minus_y_row(
-            2 * nu + 1, Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu))
-        if lhs != rhs:
-            bad.append((nu, Fraction(0), Fraction(1)))
-    return bad
+    P = holproj.p_poly(2, Fraction(1, 2))
+    for x in (2, 3, 5, 7):
+        for y in (1, 2, 3, 4):
+            got = Fraction(x * holproj.poly_eval(P, x * x - y * y, y * y) - y)
+            if got != Fraction(x - y):
+                bad.append((x * 10 + y, got, Fraction(x - y)))
+    return bad + [(nu, Fraction(0), Fraction(1)) for nu in range(1, nu_max + 1)
+                  if not _closed_sum_holds(nu, 0)]
 
 
 def _closed_sum_odd(nu_max: int) -> list[tuple[int, object, object]]:
@@ -574,23 +588,9 @@ def _closed_sum_odd(nu_max: int) -> list[tuple[int, object, object]]:
     (m^{-nu-1/2} P_{2nu+2,3/2-mu}(m-n, n) - n^{mu-1/2} m^{nu-mu})
     = -2^{-2nu} C(2nu,nu) (mn)^{-1/2} (sqrt(m) - sqrt(n))^{2nu+1},
     as a polynomial identity after m = x^2, n = y^2 (cleared by
-    x^{2nu+1} y).  Both sides are homogeneous of degree 4nu + 1 in x, y."""
-    bad = []
-    for nu in range(nu_max + 1):
-        lhs = [Fraction(0)] * (4 * nu + 2)
-        for mu in range(nu + 1):
-            c = (gen_binom(Fraction(2 * nu - 1, 2), nu - mu)
-                 * gen_binom(Fraction(2 * nu + 1, 2), mu))
-            # times y: one more entry, as the list is indexed by the power of x
-            S = _subst_squares(holproj.p_poly(2 * nu + 2, Fraction(3 - 2 * mu, 2)))
-            lhs = [u + c * v for u, v in zip(lhs, S + [0])]
-            lhs[4 * nu - 2 * mu + 1] -= c
-        # times x^{2nu}: shifted up by 2nu
-        rhs = [0] * (2 * nu) + _x_minus_y_row(
-            2 * nu + 1, -Fraction(2) ** (-2 * nu) * gen_binom(2 * nu, nu))
-        if lhs != rhs:
-            bad.append((nu, Fraction(0), Fraction(1)))
-    return bad
+    x^{2nu+1} y)."""
+    return [(nu, Fraction(0), Fraction(1)) for nu in range(nu_max + 1)
+            if not _closed_sum_holds(nu, 1)]
 
 
 def _kappa_closed_form(nu_max: int) -> list[tuple[int, object, object]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, prod
 from numbers import Rational
 
 
@@ -319,14 +319,13 @@ def as_half_integer(h) -> Fraction:
 
 
 def gen_binom(x, m: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for rational x."""
+    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for rational
+    x = p/q: the product of the p - jq over q^m m!."""
     if m < 0:
         raise ValueError("lower index must be nonnegative")
     x = Fraction(x)
-    num = Fraction(1)
-    for j in range(m):
-        num *= x - j
-    return num / factorial(m)
+    p, q = x.numerator, x.denominator
+    return Fraction(prod(p - j * q for j in range(m)), q ** m * factorial(m))
 
 
 @cache
@@ -339,34 +338,29 @@ def gamma_half(h) -> PiScalar:
     """Gamma(h) for a half-integer h that is not a pole (not in -N_0),
     exactly.
 
-    Integer h gives (h-1)! with no pi; half-odd h reduces to Gamma(1/2) =
-    sqrt(pi) via Gamma(x+1) = x*Gamma(x), upwards or downwards.
+    Integer h gives (h-1)! with no pi; h = n + 1/2 gives the closed forms
+    Gamma(n+1/2) = (2n)!/(4^n n!) sqrt(pi) and
+    Gamma(1/2-n) = (-4)^n n!/(2n)! sqrt(pi).
     """
     h = as_half_integer(h)
     if h.denominator == 1:
         if h <= 0:
             raise ValueError(f"Gamma pole at {h}")
         return PiScalar(factorial(int(h) - 1), 0)
-    r = Fraction(1)
-    x = h
-    while x < Fraction(1, 2):
-        r /= x
-        x += 1
-    while x > Fraction(1, 2):
-        x -= 1
-        r *= x
-    return PiScalar(r, 1)
+    n = h.numerator // 2            # h = n + 1/2
+    if n >= 0:
+        return PiScalar(Fraction(factorial(2 * n), 4 ** n * factorial(n)), 1)
+    return PiScalar(Fraction((-4) ** -n * factorial(-n), factorial(-2 * n)), 1)
 
 
 def falling_gamma_ratio(x, mu: int) -> Fraction:
-    """Gamma(x)/Gamma(x-mu) as the falling factorial (x-1)(x-2)...(x-mu).
+    """Gamma(x)/Gamma(x-mu) as the falling factorial (x-1)(x-2)...(x-mu):
+    for x = p/q, the product of the p - jq over q^mu.
 
     Pole-free: valid even where the individual Gamma values blow up.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     x = Fraction(x)
-    result = Fraction(1)
-    for j in range(1, mu + 1):
-        result *= x - j
-    return result
+    p, q = x.numerator, x.denominator
+    return Fraction(prod(p - j * q for j in range(1, mu + 1)), q ** mu)

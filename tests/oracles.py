@@ -3,11 +3,11 @@ against.  Nothing in qrel calls them, so they live here rather than in
 the package."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 from qrel.arith import H0
 from qrel.qseries import QSeries
-from qrel.scalars import QuadExt
+from qrel.scalars import PiScalar, QuadExt, as_half_integer
 
 
 def reduced_forms(n: int) -> list[tuple[int, int, int]]:
@@ -92,3 +92,126 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
         else:
             raise ValueError(f"malformed series line: {line!r}")
     return QSeries(coeffs, trunc)
+
+
+# ---------------------------------------------------------------------------
+# Exact scalar kernels and the closed summation identities, as Fraction
+# loops that reduce every partial product and partial sum
+
+
+def gen_binom(x, m: int) -> Fraction:
+    """x(x-1)...(x-m+1)/m!, one Fraction factor at a time."""
+    if m < 0:
+        raise ValueError("lower index must be nonnegative")
+    x = Fraction(x)
+    num = Fraction(1)
+    for j in range(m):
+        num *= x - j
+    return num / factorial(m)
+
+
+def falling_gamma_ratio(x, mu: int) -> Fraction:
+    """(x-1)(x-2)...(x-mu), one Fraction factor at a time."""
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    x = Fraction(x)
+    result = Fraction(1)
+    for j in range(1, mu + 1):
+        result *= x - j
+    return result
+
+
+def gamma_half(h) -> PiScalar:
+    """Gamma(h) at a half-integer h by Gamma(x+1) = x Gamma(x), stepped
+    from Gamma(1/2) = sqrt(pi) upwards or downwards."""
+    h = as_half_integer(h)
+    if h.denominator == 1:
+        if h <= 0:
+            raise ValueError(f"Gamma pole at {h}")
+        return PiScalar(factorial(int(h) - 1), 0)
+    r = Fraction(1)
+    x = h
+    while x < Fraction(1, 2):
+        r /= x
+        x += 1
+    while x > Fraction(1, 2):
+        x -= 1
+        r *= x
+    return PiScalar(r, 1)
+
+
+def p_poly(a: int, b) -> list:
+    """P_{a,b} as a coefficient list, summed row by row in Fractions."""
+    if a < 2:
+        raise ValueError("degree parameter a must be at least 2")
+    b = Fraction(b)
+    out = [Fraction(0)] * (a - 1)
+    for j in range(a - 1):
+        c = gen_binom(j + b - 2, j)
+        e = a - 2 - j
+        for i in range(e + 1):
+            out[j + i] += c * comb(e, i)
+    return out
+
+
+def subst_squares(P: list) -> list:
+    """P(x^2 - y^2, y^2) as Fractions indexed by the power of x."""
+    d = len(P) - 1
+    out = [Fraction(0)] * (2 * d + 1)
+    for i, c in enumerate(P):
+        for k in range(i + 1):
+            out[2 * k] += c * comb(i, k) * (-1) ** (i - k)
+    return out
+
+
+def _x_minus_y_row(e: int, c) -> list:
+    return [c * comb(e, i) * (-1) ** (e - i) for i in range(e + 1)]
+
+
+def closed_sum_even(nu_max: int, binom=gen_binom, poly=p_poly) -> list:
+    """The even closed summation identity of qrel.relations, each term a
+    Fraction added into Fraction lists; binom and poly stand in for
+    gen_binom and holproj.p_poly."""
+    bad = []
+    for nu in range(nu_max + 1):
+        if nu == 0:
+            P = poly(2, Fraction(1, 2))
+            for x in (2, 3, 5, 7):
+                for y in (1, 2, 3, 4):
+                    got = (Fraction(x) * sum(c * (x * x - y * y) ** i
+                                             * (y * y) ** (len(P) - 1 - i)
+                                             for i, c in enumerate(P))
+                           - Fraction(y))
+                    if got != Fraction(x - y):
+                        bad.append((x * 10 + y, got, Fraction(x - y)))
+            continue
+        lhs = [Fraction(0)] * (4 * nu + 1)
+        for mu in range(nu + 1):
+            c = (binom(Fraction(2 * nu + 1, 2), nu - mu)
+                 * binom(Fraction(2 * nu - 1, 2), mu))
+            S = subst_squares(poly(2 * nu + 2, Fraction(1 - 2 * mu, 2)))
+            lhs = [u + c * v for u, v in zip(lhs, S)]
+            lhs[4 * nu - 2 * mu - 1] -= c
+        rhs = [0] * (2 * nu - 1) + _x_minus_y_row(
+            2 * nu + 1, Fraction(2) ** (-2 * nu) * binom(2 * nu, nu))
+        if lhs != rhs:
+            bad.append((nu, Fraction(0), Fraction(1)))
+    return bad
+
+
+def closed_sum_odd(nu_max: int, binom=gen_binom, poly=p_poly) -> list:
+    """The odd closed summation identity of qrel.relations, in Fractions."""
+    bad = []
+    for nu in range(nu_max + 1):
+        lhs = [Fraction(0)] * (4 * nu + 2)
+        for mu in range(nu + 1):
+            c = (binom(Fraction(2 * nu - 1, 2), nu - mu)
+                 * binom(Fraction(2 * nu + 1, 2), mu))
+            S = subst_squares(poly(2 * nu + 2, Fraction(3 - 2 * mu, 2)))
+            lhs = [u + c * v for u, v in zip(lhs, S + [0])]
+            lhs[4 * nu - 2 * mu + 1] -= c
+        rhs = [0] * (2 * nu) + _x_minus_y_row(
+            2 * nu + 1, -Fraction(2) ** (-2 * nu) * binom(2 * nu, nu))
+        if lhs != rhs:
+            bad.append((nu, Fraction(0), Fraction(1)))
+    return bad

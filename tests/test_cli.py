@@ -356,7 +356,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, absent", [
         (["--help"], None),
         (["series", "--name", "lambda:1:13:5:5:2", "--terms", "50",
-          "--format", "csv"], {"relations"}),
+          "--format", "csv"], {"forms", "relations"}),
         (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"],
          {"relations"}),
         (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),

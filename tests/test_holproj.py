@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qrel import forms, holproj as hp
 from qrel.arith import kronecker_character
 from qrel.qseries import MAX_TRUNC, QSeries
@@ -119,6 +120,29 @@ class TestPPoly:
     def test_rejects_small_a(self):
         with pytest.raises(ValueError):
             hp.p_poly(1, Fraction(1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 18),
+           st.one_of(st.builds(Fraction, st.integers(-41, 41), st.just(2)),
+                     rationals))
+    def test_matches_fraction_oracle(self, a, b):
+        # b in (1/2)Z within [-41/2, 41/2], or any small rational; a - 2 <= 16
+        P = hp.p_poly(a, b)
+        assert P == oracles.p_poly(a, b)
+        assert all(type(c) is Fraction for c in P)
+
+    def test_a_two_and_fresh_lists(self):
+        for b in (Fraction(-41, 2), Fraction(0), Fraction(1, 2), Fraction(3)):
+            assert hp.p_poly(2, b) == [1] == oracles.p_poly(2, b)
+        P = hp.p_poly(6, Fraction(1, 2))
+        P[0] += 1
+        assert hp.p_poly(6, Fraction(1, 2)) == oracles.p_poly(6, Fraction(1, 2))
+
+    @pytest.mark.parametrize("a", [1, 0, -3])
+    def test_small_a_rejected_like_oracle(self, a):
+        for fn in (hp.p_poly, oracles.p_poly):
+            with pytest.raises(ValueError, match="at least 2"):
+                fn(a, Fraction(1, 2))
 
 
 class TestKappa:

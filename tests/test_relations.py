@@ -8,10 +8,11 @@ from math import comb, factorial, isqrt
 
 import pytest
 
+import oracles
 from qrel import relations as R
 from qrel.arith import hurwitz, lambda_k, sigma_k
 from qrel.qseries import QSeries
-from qrel.scalars import QuadExt
+from qrel.scalars import PiScalar, QuadExt
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -303,6 +304,42 @@ class TestIdentities:
             got = {idx: lhs for idx, lhs, _ in identity(40)}
             assert got == {100 * nu + j: oracle(nu, j)
                            for nu in nus for j in range(nu + 1)}
+
+    def test_closed_sums_match_fraction_oracle(self):
+        assert R._closed_sum_even(8) == oracles.closed_sum_even(8) == []
+        assert R._closed_sum_odd(8) == oracles.closed_sum_odd(8) == []
+
+    def test_closed_sums_fail_like_oracle_under_perturbed_binomial(
+            self, monkeypatch):
+        # C(17/2, 1) raised by one: among nu <= 8 it is a factor of c_mu only
+        # at nu = 8, mu = 7 (even sum) and mu = 1 (odd sum); the integer
+        # forms must fail exactly where the Fraction oracles fail
+        gen_binom = R.gen_binom
+
+        def perturbed(x, m):
+            return gen_binom(x, m) + ((Fraction(x), m) == (Fraction(17, 2), 1))
+
+        monkeypatch.setattr(R, "gen_binom", perturbed)
+        for identity, oracle in ((R._closed_sum_even, oracles.closed_sum_even),
+                                 (R._closed_sum_odd, oracles.closed_sum_odd)):
+            got = identity(8)
+            assert got == oracle(8, binom=perturbed, poly=R.holproj.p_poly)
+            assert [nu for nu, _, _ in got] == [8]
+
+    def test_perturbed_gamma_half_fails(self, monkeypatch):
+        # Gamma(7/2) raised by sqrt(pi)/7 moves kappa(3/2, 1/2, nu) at
+        # nu = 2 and 3 only; the expected list, values included, was
+        # recorded from the Fraction-loop kernels of commit 3b191ef
+        gamma_half = R.holproj.gamma_half
+
+        def perturbed(h):
+            g = gamma_half(h)
+            return g + PiScalar(Fraction(1, 7), 1) if h == Fraction(7, 2) else g
+
+        monkeypatch.setattr(R.holproj, "gamma_half", perturbed)
+        rep = R.check_identities()
+        assert rep.failures == golden_failures(
+            "identities_gamma_half_perturbed.json")
 
     def test_binomial_even_spot(self):
         assert R._binomial_identity_even(2) == []

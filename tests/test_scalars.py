@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qrel.scalars import (PiScalar, QuadExt, as_half_integer,
                           falling_gamma_ratio, factorial, gamma_half,
                           gen_binom, is_square, squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=12))
+# the half-integers and integers in [-41/2, 41/2]
+half_integers = st.builds(Fraction, st.integers(-41, 41), st.just(2))
 
 
 def frac(n, d=1):
@@ -170,3 +173,51 @@ class TestGammaHelpers:
         assert falling_gamma_ratio(7, 0) == 1
         # valid across integer poles of the numerator/denominator pair
         assert falling_gamma_ratio(0, 2) == (-1) * (-2)
+
+
+class TestIntegerKernels:
+    """The integer-product kernels against the Fraction loops they
+    replaced (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(half_integers, rationals), st.integers(0, 16))
+    def test_gen_binom_matches_oracle(self, x, m):
+        assert gen_binom(x, m) == oracles.gen_binom(x, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(half_integers, rationals), st.integers(0, 16))
+    def test_falling_gamma_ratio_matches_oracle(self, x, mu):
+        assert falling_gamma_ratio(x, mu) == oracles.falling_gamma_ratio(x, mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(half_integers.filter(lambda h: h.denominator == 2 or h > 0))
+    def test_gamma_half_matches_oracle(self, h):
+        got, want = gamma_half(h), oracles.gamma_half(h)
+        assert (got.r, got.e) == (want.r, want.e)
+
+    def test_m_zero(self):
+        for x in (frac(-41, 2), frac(0), frac(7, 3), frac(41, 2)):
+            assert gen_binom(x, 0) == 1 == oracles.gen_binom(x, 0)
+            assert falling_gamma_ratio(x, 0) == 1
+
+    def test_results_are_fractions(self):
+        assert type(gen_binom(5, 2)) is Fraction
+        assert type(falling_gamma_ratio(5, 2)) is Fraction
+        assert type(gamma_half(frac(-7, 2)).r) is Fraction
+
+    @pytest.mark.parametrize("fn", [gen_binom, falling_gamma_ratio,
+                                    oracles.gen_binom,
+                                    oracles.falling_gamma_ratio])
+    def test_negative_index_rejected(self, fn):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(frac(1, 2), -1)
+
+    @pytest.mark.parametrize("pole", [0, -1, -20, frac(-4)])
+    def test_gamma_poles_rejected(self, pole):
+        for fn in (gamma_half, oracles.gamma_half):
+            with pytest.raises(ValueError, match="Gamma pole at"):
+                fn(pole)
+
+    def test_gamma_non_half_integer_rejected(self):
+        with pytest.raises(ValueError, match="not a half-integer"):
+            gamma_half(frac(1, 3))

@@ -9,7 +9,7 @@ truncation is ever reported.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .scalars import QuadExt
 
@@ -37,9 +37,22 @@ class ScalarKindError(TypeError):
     """Raised when two series over incompatible coefficient rings meet."""
 
 
+def _scan_kind(coeffs: dict) -> str:
+    """The scalar kind of a coefficient map, from its first coefficient
+    that is not an int or a Fraction: "rational" when there is none."""
+    for c in coeffs.values():
+        if isinstance(c, QuadExt):
+            return f"quadext({c.D})"
+        if not isinstance(c, (int, Fraction)):
+            return type(c).__name__
+    return "rational"
+
+
 def _common_kind(f: "QSeries", g: "QSeries") -> str:
     """The scalar kind of a sum or product of f and g.  Rationals embed in
-    every other ring; two different non-rational kinds do not mix."""
+    every other ring; two different non-rational kinds do not mix.  A sum
+    or product of two rational series is rational, which its result keeps,
+    so the check does not scan the coefficients again."""
     kf, kg = f.scalar_kind(), g.scalar_kind()
     if kf == "rational" or kf == kg:
         return kg
@@ -64,6 +77,56 @@ def _dict_mul(a: dict, b: dict, t: int) -> dict:
     return out
 
 
+class _Slots:
+    """The slot codec of the Kronecker kernels: integers in [-bound, bound]
+    packed into one integer, one fixed-width slot per index.  The width is
+    whole bytes with bound < half, and each slot is written offset by half,
+    so it lies in [0, 2*half) and never borrows from its neighbour."""
+
+    __slots__ = ("width", "half", "_half_slot")
+
+    def __init__(self, bound: int):
+        self.width = bound.bit_length() // 8 + 1    # bytes, so that bound < half
+        self.half = 1 << (8 * self.width - 1)
+        self._half_slot = self.half.to_bytes(self.width, "little")
+
+    def _biases(self, count: int) -> int:
+        return int.from_bytes(self._half_slot * count, "little")
+
+    def pack(self, coeffs: dict) -> int:
+        """A nonempty map n -> c as one signed integer: the sum of
+        c * 2^(8 width n)."""
+        w, half, count = self.width, self.half, max(coeffs) + 1
+        slots = bytearray(self._half_slot * count)
+        for n, c in coeffs.items():
+            slots[n * w:(n + 1) * w] = (c + half).to_bytes(w, "little")
+        return int.from_bytes(slots, "little") - self._biases(count)
+
+    def pack_dense(self, values: list) -> int:
+        """pack(dict(enumerate(values))), by appending each slot: for a
+        dense list that is faster than writing the slots into a biased
+        buffer, and it holds no list of one bytes object per slot."""
+        w, half = self.width, self.half
+        slots = bytearray()
+        for c in values:
+            slots += (c + half).to_bytes(w, "little")
+        return int.from_bytes(slots, "little") - self._biases(len(values))
+
+    def unpack(self, x: int, index: range) -> list[int]:
+        """The slots of x at the indices of an increasing range, when every
+        slot up to its last index holds a value in [-bound, bound]."""
+        if not index:
+            return []
+        # With half added back, slots 0..index[-1] are nonnegative, so the
+        # mask drops the slots above without a borrow.
+        w, half, count = self.width, self.half, index[-1] + 1
+        size = w * count
+        data = ((x + self._biases(count)) & ((1 << 8 * size) - 1)).to_bytes(
+            size, "little")
+        return [int.from_bytes(data[n * w:(n + 1) * w], "little") - half
+                for n in index]
+
+
 def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
     """Coefficients n <= t of the product of two maps to int or Fraction,
     by Kronecker substitution: each side is scaled to integers and packed
@@ -84,41 +147,55 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
         return {}
     # At most min(len(a), len(b)) pairs meet at one exponent, so every
     # product coefficient, and every input, lies in [-bound, bound].
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    width = bound.bit_length() // 8 + 1     # bytes, so that bound < half
-    half = 1 << (8 * width - 1)
-    half_slot = half.to_bytes(width, "little")
-
-    def biases(slots: int) -> int:
-        return int.from_bytes(half_slot * slots, "little")
-
-    def pack(coeffs: dict) -> int:
-        # slot n holds coeffs[n] + half, which lies in [0, 2*half)
-        count = max(coeffs) + 1
-        slots = bytearray(half_slot * count)
-        for n, c in coeffs.items():
-            slots[n * width:(n + 1) * width] = (c + half).to_bytes(width, "little")
-        return int.from_bytes(slots, "little") - biases(count)
-
-    # With half added back, slots 0..t of the product are nonnegative, so
-    # the mask drops the slots above t without a borrow.
-    size = width * (t + 1)
-    product = (pack(a) * pack(b) + biases(t + 1)) & ((1 << 8 * size) - 1)
-    slots = product.to_bytes(size, "little")
+    slots = _Slots(min(len(a), len(b)) * max(map(abs, a.values()))
+                   * max(map(abs, b.values())))
+    product = slots.pack(a) * slots.pack(b)
     den = den_a * den_b
-    out = {}
-    for n in range(t + 1):
-        c = int.from_bytes(slots[n * width:(n + 1) * width], "little") - half
-        if c:
-            out[n] = c if den == 1 else Fraction(c, den)
-    return out
+    return {n: c if den == 1 else Fraction(c, den)
+            for n, c in enumerate(slots.unpack(product, range(t + 1))) if c}
+
+
+def theta_moments(table: list[int], index: range, k_max: int,
+                  step: int = 1) -> list[list[int]]:
+    """The moments A_k(m) = sum over s = 0 (mod step), s^2 <= m, of
+    s^(2k) * table[m - s^2], for k = 0..k_max and each m of an increasing
+    range index: the coefficients of table * theta_2k, where theta_2k is
+    sum over s = 0 (mod step) of s^(2k) q^(s^2).
+
+    table[0..M], M the last index, is packed once into fixed-width slots.
+    Each s > 0 shifts the packed copy up by s^2 slots and adds the shift,
+    times s^(2k), into the sum of each k, which also stands for -s; s = 0
+    adds the copy to A_0 alone.  So the sparse theta side costs sqrt(M)
+    shift-adds, not one product over M slots.  Exact: the slot width comes
+    from a bound on every moment.
+    """
+    if not index:
+        return [[] for _ in range(k_max + 1)]
+    M = index[-1]
+    if M >= len(table):
+        raise ValueError(f"the table ends at {len(table) - 1}, below {M}")
+    values = table[:M + 1]
+    ss = range(step, isqrt(M) + 1, step)
+    # |s^(2k)| <= s^(2 k_max) for s != 0, so every A_k, and every entry,
+    # lies in [-bound, bound].
+    slots = _Slots(max(map(abs, values))
+                   * (1 + 2 * sum(s ** (2 * k_max) for s in ss)))
+    packed = slots.pack_dense(values)
+    sums = [0] * (k_max + 1)
+    for s in ss:
+        shifted = packed << 8 * slots.width * s * s
+        sums[0] += shifted
+        for k in range(1, k_max + 1):
+            sums[k] += s ** (2 * k) * shifted
+    sums = [2 * x for x in sums]
+    sums[0] += packed
+    return [slots.unpack(x, index) for x in sums]
 
 
 class QSeries:
     """Sparse truncated power series in q with exact coefficients."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("coeffs", "trunc", "_kind")
 
     def __init__(self, coeffs: dict, trunc: int):
         _check_trunc(trunc)
@@ -126,6 +203,15 @@ class QSeries:
         self.coeffs = {n: c for n, c in coeffs.items() if n <= self.trunc and c}
         if any(n < 0 for n in self.coeffs):
             raise ValueError("negative exponents are not supported")
+        self._kind = None       # scalar_kind(), found on first use
+
+    def _rational_if_self(self, coeffs: dict, trunc: int) -> "QSeries":
+        """A series of some of self's coefficients, their negatives or
+        rational multiples: rational when self is, without a scan."""
+        out = QSeries(coeffs, trunc)
+        if self.scalar_kind() == "rational":
+            out._kind = "rational"
+        return out
 
     @classmethod
     def zero(cls, trunc: int) -> "QSeries":
@@ -136,12 +222,9 @@ class QSeries:
         return cls({0: 1}, trunc)
 
     def scalar_kind(self) -> str:
-        for c in self.coeffs.values():
-            if isinstance(c, QuadExt):
-                return f"quadext({c.D})"
-            if not isinstance(c, (int, Fraction)):
-                return type(c).__name__
-        return "rational"
+        if self._kind is None:
+            self._kind = _scan_kind(self.coeffs)
+        return self._kind
 
     def coeff(self, n: int):
         if n < 0:
@@ -165,14 +248,18 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        _common_kind(self, other)
+        kind = _common_kind(self, other)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             out[n] = out.get(n, 0) + c
-        return QSeries(out, min(self.trunc, other.trunc))
+        out = QSeries(out, min(self.trunc, other.trunc))
+        if kind == "rational":
+            out._kind = kind
+        return out
 
     def __neg__(self):
-        return QSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
+        return self._rational_if_self({n: -c for n, c in self.coeffs.items()},
+                                      self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -186,10 +273,14 @@ class QSeries:
         # The dict loop makes one scalar product per pair of entries, the
         # Kronecker kernel writes and reads t + 1 slots: sparse pairs stay
         # on the dict loop.
-        if (_common_kind(self, other) == "rational"
-                and len(self.coeffs) * len(other.coeffs) > t + 1):
-            return QSeries(_kronecker_mul(self.coeffs, other.coeffs, t), t)
-        return QSeries(_dict_mul(self.coeffs, other.coeffs, t), t)
+        kind = _common_kind(self, other)
+        if kind == "rational" and len(self.coeffs) * len(other.coeffs) > t + 1:
+            out = QSeries(_kronecker_mul(self.coeffs, other.coeffs, t), t)
+        else:
+            out = QSeries(_dict_mul(self.coeffs, other.coeffs, t), t)
+        if kind == "rational":
+            out._kind = kind
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, QSeries):
@@ -197,7 +288,10 @@ class QSeries:
         return self.scale(other)
 
     def scale(self, c) -> "QSeries":
-        return QSeries({n: c * v for n, v in self.coeffs.items()}, self.trunc)
+        coeffs = {n: c * v for n, v in self.coeffs.items()}
+        if isinstance(c, (int, Fraction)):
+            return self._rational_if_self(coeffs, self.trunc)
+        return QSeries(coeffs, self.trunc)
 
     def __pow__(self, m: int) -> "QSeries":
         if m < 0:
@@ -214,28 +308,30 @@ class QSeries:
 
     def d_operator(self) -> "QSeries":
         """The normalized derivative q d/dq: a(n) -> n*a(n)."""
-        return QSeries({n: n * c for n, c in self.coeffs.items()}, self.trunc)
+        return self._rational_if_self({n: n * c for n, c in self.coeffs.items()},
+                                      self.trunc)
 
     def u_op(self, N: int) -> "QSeries":
         """U(N): a(n) -> a(N*n); truncation drops to floor(trunc/N)."""
         if N < 1:
             raise ValueError("N must be positive")
-        return QSeries({n // N: c for n, c in self.coeffs.items() if n % N == 0},
-                       self.trunc // N)
+        return self._rational_if_self(
+            {n // N: c for n, c in self.coeffs.items() if n % N == 0},
+            self.trunc // N)
 
     def v_op(self, N: int) -> "QSeries":
         """V(N): f(tau) -> f(N*tau); truncation grows to N*trunc (capped)."""
         if N < 1:
             raise ValueError("N must be positive")
-        return QSeries({n * N: c for n, c in self.coeffs.items()},
-                       min(self.trunc * N, MAX_TRUNC))
+        return self._rational_if_self({n * N: c for n, c in self.coeffs.items()},
+                                      min(self.trunc * N, MAX_TRUNC))
 
     def sieve(self, N: int, r: int) -> "QSeries":
         """Keep only exponents congruent to r mod N."""
         if N < 1 or not 0 <= r < N:
             raise ValueError("need N >= 1 and 0 <= r < N")
-        return QSeries({n: c for n, c in self.coeffs.items() if n % N == r},
-                       self.trunc)
+        return self._rational_if_self(
+            {n: c for n, c in self.coeffs.items() if n % N == r}, self.trunc)
 
     def twist(self, chi) -> "QSeries":
         """Coefficientwise twist a(n) -> chi(n)*a(n) by a character."""
@@ -243,8 +339,8 @@ class QSeries:
                        self.trunc)
 
     def truncate(self, T: int) -> "QSeries":
-        return QSeries({n: c for n, c in self.coeffs.items() if n <= T},
-                       min(self.trunc, T))
+        return self._rational_if_self(
+            {n: c for n, c in self.coeffs.items() if n <= T}, min(self.trunc, T))
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)

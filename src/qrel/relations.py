@@ -8,6 +8,16 @@ passes only when both sides agree on every index in the policy set.  The
 class number relations compare integers: both sides times 12 (or 24, or
 4), summed from the ``12*H`` table of :class:`~qrel.arith.HurwitzCache`.
 
+Each class number sum is a coefficient of a product of the class number
+series with a theta series, the holomorphic projection of a Rankin-Cohen
+bracket [H, theta]_nu.  The weight g_nu(s, n) is a polynomial in s^2 with
+n-dependent coefficients (``g_poly``), so ``eichler``, ``cohen``,
+``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*`` each combine, per n
+and in integers, the nu + 1 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2)
+that :func:`~qrel.qseries.theta_moments` computes from one packed copy of
+the live table.  The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii``
+is the moment A_0 over s = 0 (mod p) at m = 4n.
+
 Where a widely printed form of an identity disagrees with direct
 evaluation, the checker tests the candidate variants and records in the
 report which one holds, rather than assuming either.
@@ -23,18 +33,12 @@ from math import comb, isqrt, lcm
 from . import forms, holproj
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     kronecker_character)
-from .qseries import QSeries
+from .qseries import QSeries, theta_moments
 from .scalars import PiScalar, factorial, format_scalar, gen_binom
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def scaled_failure(n: int, lhs: int, rhs: int, scale: int) -> tuple:
-    """A failure entry for sides compared times scale: both sides as exact
-    Fractions, as reports hand them out."""
-    return (n, Fraction(lhs, scale), Fraction(rhs, scale))
 
 
 class RelationReport:
@@ -68,10 +72,11 @@ class RelationReport:
             self.failures.append((n, lhs, rhs))
 
     def record_scaled(self, n: int, lhs: int, rhs: int, scale: int) -> None:
-        """Record lhs/scale = rhs/scale, compared as integers."""
+        """Record lhs/scale = rhs/scale, compared as integers; a failure
+        holds both sides as exact Fractions, as reports hand them out."""
         self.checked += 1
         if lhs != rhs:
-            self.failures.append(scaled_failure(n, lhs, rhs, scale))
+            self.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
 
     def to_dict(self) -> dict:
         return {
@@ -112,11 +117,23 @@ class _Timer:
 # Classical class number relations
 
 
-def _symmetric_sum(tab: list[int], m: int, weight=lambda s: 1) -> int:
-    """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
-    even in s, folding s and -s into one term."""
-    return weight(0) * tab[m] + 2 * sum([weight(s) * tab[m - s * s]
-                                         for s in range(1, isqrt(m) + 1)])
+def g_poly(nu: int, double_s: bool) -> list[int]:
+    """The coefficients c_0..c_nu of g_nu(s, n) = sum_j c_j n^j s^(2nu-2j),
+    the coefficient of X^(2nu) in 1/(1 - S X + n X^2), with S = 2s when
+    double_s else S = s: c_j = (-1)^j C(2nu-j, j) S^(2nu-2j) / s^(2nu-2j).
+    g_0 = 1 is the Eichler weight and -g_1 with S = 2s the Cohen weight."""
+    return [(-1) ** j * comb(2 * nu - j, j) * (4 ** (nu - j) if double_s else 1)
+            for j in range(nu + 1)]
+
+
+def _g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
+    """sum over s in Z, s^2 <= m, of g_nu(s, n) 12 H(m - s^2), for each pair
+    (n, m) of ns and ms, from the moments A_k(m) of the live 12 H table:
+    sum_j c_j n^j A_(nu-j)(m)."""
+    moments = theta_moments(hurwitz_cache().scaled_table(ms[-1]), ms, nu)
+    c = g_poly(nu, double_s)
+    return [sum(cj * n ** j * a[nu - j] for j, cj in enumerate(c))
+            for n, *a in zip(ns, *moments)]
 
 
 def check_eichler(max_n: int = 2000) -> RelationReport:
@@ -124,11 +141,10 @@ def check_eichler(max_n: int = 2000) -> RelationReport:
     rep = RelationReport("eichler", 1, max_n, "odd n")
     with _Timer(rep):
         # times 12: sum_s 12 H(n - s^2) + 6 (2 lambda_1(n)) = 4 sigma_1(n)
-        tab = hurwitz_cache().scaled_table(max_n)
+        odd = range(1, max_n + 1, 2)
         sigma, lam = divisor_sieve(max_n, 1)
-        for n in range(1, max_n + 1, 2):
-            rep.record_scaled(n, _symmetric_sum(tab, n) + 6 * lam[n],
-                              4 * sigma[n], 12)
+        for n, tot in zip(odd, _g_sums(0, False, odd, odd)):
+            rep.record_scaled(n, tot + 6 * lam[n], 4 * sigma[n], 12)
     return rep
 
 
@@ -137,10 +153,9 @@ def check_cohen(max_n: int = 2000) -> RelationReport:
     rep = RelationReport("cohen", 1, max_n, "odd n")
     with _Timer(rep):
         # times 12: sum_s (4s^2 - n) 12 H(n - s^2) + 6 (2 lambda_3(n)) = 0
-        tab = hurwitz_cache().scaled_table(max_n)
+        odd = range(1, max_n + 1, 2)
         _, lam = divisor_sieve(max_n, 3)
-        for n in range(1, max_n + 1, 2):
-            tot = _symmetric_sum(tab, n, lambda s: 4 * s * s - n)
+        for n, tot in zip(odd, _g_sums(1, True, odd, odd)):
             rep.record_scaled(n, tot + 6 * lam[n], 0, 12)
     return rep
 
@@ -155,40 +170,22 @@ def check_kronecker_hurwitz(max_n: int = 2000) -> RelationReport:
     rep = RelationReport("kronecker_hurwitz", 1, max_n, "all n")
     with _Timer(rep):
         # times 12: sum_s 12 H(4n - s^2) +- 12 (2 lambda_1(n)) = 24 sigma_1(n)
-        tab = hurwitz_cache().scaled_table(4 * max_n)
+        ns = range(1, max_n + 1)
         sigma, lam = divisor_sieve(max_n, 1)
-        plus_fail, minus_fail = [], []
-        for n in range(1, max_n + 1):
-            tot, lam12, rhs = _symmetric_sum(tab, 4 * n), 12 * lam[n], 24 * sigma[n]
-            for fails, lhs in ((plus_fail, tot + lam12), (minus_fail, tot - lam12)):
-                if lhs != rhs:
-                    fails.append(scaled_failure(n, lhs, rhs, 12))
-        if len(plus_fail) <= len(minus_fail):
-            rep.failures, variant = plus_fail, "+2*lambda_1"
-        else:
-            rep.failures, variant = minus_fail, "-2*lambda_1"
-        rep.checked = max_n
-        rep.notes = f"variant that holds: {variant}"
-        if plus_fail and minus_fail:
+        tots = _g_sums(0, False, ns, range(4, 4 * max_n + 1, 4))
+        misses = {sign: sum(tot + sign * 12 * lam[n] != 24 * sigma[n]
+                            for n, tot in zip(ns, tots)) for sign in (1, -1)}
+        sign = 1 if misses[1] <= misses[-1] else -1
+        for n, tot in zip(ns, tots):
+            rep.record_scaled(n, tot + sign * 12 * lam[n], 24 * sigma[n], 12)
+        rep.notes = f"variant that holds: {'+' if sign == 1 else '-'}2*lambda_1"
+        if misses[1] and misses[-1]:
             rep.notes = "neither sign variant holds uniformly"
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Trace formulas
-
-
-def g_coeff(s: int, n: int, nu: int, *, double_s: bool) -> int:
-    """Coefficient of X^{2 nu} in 1/(1 - S X + n X^2), with S = 2s when
-    ``double_s`` else S = s, via the linear recurrence
-    c_j = S c_{j-1} - n c_{j-2}."""
-    if nu == 0:
-        return 1
-    S = 2 * s if double_s else s
-    c0, c1 = 1, S
-    for _ in range(2 * nu - 1):
-        c0, c1 = c1, S * c1 - n * c0
-    return c1
 
 
 _TRACE1_DEFAULT_MAX = {1: 500, 2: 500, 3: 500, 4: 500, 5: 300}
@@ -207,12 +204,10 @@ def check_trace_level1(nu: int, max_n: int | None = None) -> RelationReport:
     rep = RelationReport(f"trace1_nu{nu}", 1, max_n, "all n")
     with _Timer(rep):
         # times 24: -sum_s g 12 H(4n - s^2) - 12 (2 lambda(n)) = 24 tau(n)
-        tab = hurwitz_cache().scaled_table(4 * max_n)
+        ns = range(1, max_n + 1)
         _, lam = divisor_sieve(max_n, 2 * nu + 1)
         tau = forms.delta12(max_n) if nu == 5 else None
-        for n in range(1, max_n + 1):
-            tot = _symmetric_sum(tab, 4 * n,
-                                 lambda s: g_coeff(s, n, nu, double_s=False))
+        for n, tot in zip(ns, _g_sums(nu, False, ns, range(4, 4 * max_n + 1, 4))):
             rhs = 24 * tau.coeff(n) if tau is not None else 0
             rep.record_scaled(n, -tot - 12 * lam[n], rhs, 24)
     return rep
@@ -230,12 +225,10 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
     rep = RelationReport(f"trace4_nu{nu}", 1, max_n, "odd n")
     with _Timer(rep):
         # times 4: -sum_s g 12 H(n - s^2) - 6 (2 lambda(n)) = 4 eta(n)
-        tab = hurwitz_cache().scaled_table(max_n)
+        odd = range(1, max_n + 1, 2)
         _, lam = divisor_sieve(max_n, 2 * nu + 1)
         eta = forms.eta2_pow12(max_n) if nu == 2 else None
-        for n in range(1, max_n + 1, 2):
-            tot = _symmetric_sum(tab, n,
-                                 lambda s: g_coeff(s, n, nu, double_s=True))
+        for n, tot in zip(odd, _g_sums(nu, True, odd, odd)):
             rhs = 4 * eta.coeff(n) if eta is not None else 0
             rep.record_scaled(n, -tot - 6 * lam[n], rhs, 4)
     return rep
@@ -296,6 +289,14 @@ def check_hap_table(max_prime: int = 200) -> RelationReport:
 # Quasi-modular identities on level 25 and 49
 
 
+def _theta_base(p: int, T: int) -> QSeries:
+    """(H * theta^{(p,0)})|U(4) up to T: at n, the sum over s = 0 (mod p)
+    of H(4n - s^2), the moment A_0(4n) of the live 12 H table over 12."""
+    sums, = theta_moments(hurwitz_cache().scaled_table(4 * T),
+                          range(0, 4 * T + 1, 4), 0, p)
+    return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums) if a}, T)
+
+
 def check_cor_i(max_n: int = 1000) -> RelationReport:
     """Level-25 weight-2 identity:
 
@@ -314,9 +315,8 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
     rep = RelationReport("cor_i", 0, max_n, "all n")
     with _Timer(rep):
         T = max_n
-        hurwitz_cache().ensure(4 * T)
         chi5 = kronecker_character(5)
-        base = (forms.hurwitz_series(4 * T) * forms.theta_congruence(5, 0, 4 * T)).u_op(4)
+        base = _theta_base(5, T)
         g2 = forms.eisenstein_g2(T)
         twist_diff = g2.twist(chi5) - g2.twist(lambda n: chi5(n) ** 2)
         twist_fn = g2.twist(lambda n: chi5(n) * (1 - chi5(n)))
@@ -331,16 +331,15 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
         d52 = holproj.d_pa_series(5, 2, 1, T)
         variants = {4: common + d52.sieve(5, 4).scale(2),
                     1: common + d52.sieve(5, 1).scale(2)}
-        fails = {r: [(n, lhs.coeff(n), rhs.coeff(n)) for n in range(T + 1)
-                     if lhs.coeff(n) != rhs.coeff(n)]
-                 for r, lhs in variants.items()}
-        best = min(fails, key=lambda r: (len(fails[r]), r))
-        rep.failures = fails[best]
-        rep.checked = T + 1
+        misses = {r: sum(lhs.coeff(n) != rhs.coeff(n) for n in range(T + 1))
+                  for r, lhs in variants.items()}
+        best = min(misses, key=lambda r: (misses[r], r))
+        for n in range(T + 1):
+            rep.record(n, variants[best].coeff(n), rhs.coeff(n))
         rep.notes = (f"sieve residue on D_1^(5,2): {best}; "
                      f"twist readings pointwise equal: {readings_agree}")
-        if not readings_agree:
-            rep.failures = rep.failures or [(0, Fraction(0), Fraction(1))]
+        if not readings_agree and rep.ok:
+            rep.record(0, Fraction(0), Fraction(1))
     return rep
 
 
@@ -358,10 +357,8 @@ def check_cor_ii(max_n: int = 500) -> RelationReport:
                          "n with prime support >= 5 and != 7")
     with _Timer(rep):
         T = max_n
-        hurwitz_cache().ensure(4 * T)
         chi7 = kronecker_character(7)
-        base = (forms.hurwitz_series(4 * T) * forms.theta_congruence(7, 0, 4 * T)).u_op(4)
-        lhs = (base
+        lhs = (_theta_base(7, T)
                + holproj.d_pa_series(1, 0, 1, -(-T // 49)).v_op(49).scale(7).truncate(T)
                + holproj.d_pa_series(7, 2, 1, T).sieve(7, 3).scale(2)
                + holproj.d_pa_series(7, 4, 1, T).sieve(7, 5).scale(2)

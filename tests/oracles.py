@@ -3,9 +3,9 @@ against.  Nothing in qrel calls them, so they live here rather than in
 the package."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
-from qrel.arith import H0
+from qrel.arith import H0, hurwitz_cache
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 
@@ -92,6 +92,47 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
         else:
             raise ValueError(f"malformed series line: {line!r}")
     return QSeries(coeffs, trunc)
+
+
+# ---------------------------------------------------------------------------
+# The class number sums of qrel.relations, one index at a time
+
+
+def symmetric_sum(tab: list[int], m: int, weight=lambda s: 1) -> int:
+    """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
+    even in s, folding s and -s into one term."""
+    return weight(0) * tab[m] + 2 * sum([weight(s) * tab[m - s * s]
+                                         for s in range(1, isqrt(m) + 1)])
+
+
+def g_coeff(s: int, n: int, nu: int, *, double_s: bool) -> int:
+    """Coefficient of X^{2 nu} in 1/(1 - S X + n X^2), with S = 2s when
+    ``double_s`` else S = s, via the linear recurrence
+    c_j = S c_{j-1} - n c_{j-2}."""
+    if nu == 0:
+        return 1
+    S = 2 * s if double_s else s
+    c0, c1 = 1, S
+    for _ in range(2 * nu - 1):
+        c0, c1 = c1, S * c1 - n * c0
+    return c1
+
+
+def g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
+    """relations._g_sums one pair (n, m) at a time: the live 12 H table
+    summed with the weight g_coeff(s, n) by symmetric_sum."""
+    tab = hurwitz_cache().scaled_table(ms[-1])
+    return [symmetric_sum(tab, m, lambda s: g_coeff(s, n, nu, double_s=double_s))
+            for n, m in zip(ns, ms)]
+
+
+def theta_base(p: int, T: int) -> QSeries:
+    """relations._theta_base one n at a time: the live 12 H table summed
+    over s = 0 (mod p) at 4n, over 12."""
+    tab = hurwitz_cache().scaled_table(4 * T)
+    sums = [symmetric_sum(tab, 4 * n, lambda s: int(s % p == 0))
+            for n in range(T + 1)]
+    return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums)}, T)
 
 
 # ---------------------------------------------------------------------------

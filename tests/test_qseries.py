@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_from_csv_lines
-from qrel import forms
+from oracles import series_from_csv_lines, symmetric_sum
+from qrel import forms, qseries
 from qrel.arith import kronecker_character
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
-                          _euler_function, _kronecker_mul, eta_product)
+                          _euler_function, _kronecker_mul, eta_product,
+                          theta_moments)
 from qrel.scalars import QuadExt
 
 small_series = st.builds(
@@ -71,6 +72,36 @@ class TestRingOps:
             g + h
         with pytest.raises(ScalarKindError):
             g * h
+        # disjoint supports do not mix either
+        with pytest.raises(ScalarKindError):
+            g + QSeries({2: QuadExt(0, 1, 3)}, 40)
+
+    def test_rational_sums_do_not_scan(self, monkeypatch):
+        # a series derived from a rational one, and a sum or product of two
+        # rational series, is known to be rational without a scan
+        f, g = q_poly((0, 1), (3, Fraction(1, 2))), q_poly((1, 2), (5, -3))
+        assert f.scalar_kind() == g.scalar_kind() == "rational"
+        scans = []
+        monkeypatch.setattr(qseries, "_scan_kind",
+                            lambda coeffs: scans.append(coeffs) or "rational")
+        parts = [f + g, f - g, f * g, f.scale(Fraction(2, 3)), f.sieve(3, 0),
+                 f.u_op(3), f.v_op(2), f.truncate(4), f.d_operator(), -f]
+        total = QSeries.zero(40)
+        total._kind = "rational"
+        for part in parts:
+            total = total + part
+        assert scans == [] and total.scalar_kind() == "rational"
+
+    def test_kind_of_a_part_of_an_irrational_series(self):
+        # what is left of a QuadExt series may be rational, and then mixes
+        # with another radicand as before
+        g = QSeries({1: QuadExt(0, 1, 2), 2: 5}, 40)
+        assert g.scalar_kind() == "quadext(2)"
+        part = g.sieve(2, 0)
+        assert part.scalar_kind() == "rational"
+        h = QSeries({1: QuadExt(0, 1, 3)}, 40)
+        assert (part + h).coeff(2) == 5
+        assert g.scale(QuadExt(0, 1, 2)).scalar_kind() == "quadext(2)"
 
 
 # Rational coefficients for the product kernels: ints up to the slot-width
@@ -152,6 +183,74 @@ class TestProductKernels:
         g = QSeries({0: Fraction(1, 2), 3: -1}, 10)
         assert f * g == QSeries({0: Fraction(1, 2), 1: r2 / 2, 3: -1, 4: -r2}, 10)
         assert g * f == f * g
+
+
+def moments_oracle(table, index, k_max, step, double_s):
+    """theta_moments by the per-index sum, with the weight S^(2k) for
+    S = 2s when double_s else S = s, scaled back by 4^k."""
+    out = []
+    for k in range(k_max + 1):
+        def weight(s):
+            return int(s % step == 0) * ((2 * s if double_s else s) ** (2 * k))
+        sums = [symmetric_sum(table, m, weight) for m in index]
+        out.append([a // 4 ** k for a in sums] if double_s else sums)
+    return out
+
+
+def index_set(kind: str, M: int) -> range:
+    return {"odd": range(1, M + 1, 2), "four": range(0, M + 1, 4),
+            "all": range(M + 1), "single": range(M, M + 1)}[kind]
+
+
+# 12 H-like tables: -1 at index 0, signed entries up to the slot-width edge
+# near 2^64
+table_entries = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(1 << 64), 1 << 64),
+    st.sampled_from([(1 << 64) - 1, 1 << 64, -(1 << 64), (1 << 63) + 1]))
+
+
+class TestThetaMoments:
+    """theta_moments against the per-index sum it replaces."""
+
+    @given(st.lists(table_entries, max_size=130), st.integers(0, 5),
+           st.sampled_from(["odd", "four", "all", "single"]),
+           st.sampled_from([1, 1, 2, 5, 7]), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_symmetric_sum(self, entries, k_max, kind, step,
+                                   double_s, data):
+        table = [-1] + entries
+        M = data.draw(st.integers(0, len(table) - 1))
+        index = index_set(kind, M)
+        assert theta_moments(table, index, k_max, step) == \
+            moments_oracle(table, index, k_max, step, double_s)
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 3, 4, 49, 50, 100, 121])
+    @pytest.mark.parametrize("kind", ["odd", "four", "all", "single"])
+    def test_small_and_square_ranges(self, M, kind):
+        table = [-1] + [(-1) ** n * (n % 13) for n in range(1, 130)]
+        index = index_set(kind, M)
+        for k_max in (0, 1, 5):
+            assert theta_moments(table, index, k_max) == \
+                moments_oracle(table, index, k_max, 1, False)
+
+    @pytest.mark.parametrize("edge", [(1 << 64) - 1, 1 << 64, -(1 << 64)])
+    def test_slot_width_edge(self, edge):
+        # constant tables: A_k(M) sits at the bound max|table| *
+        # (1 + 2 sum s^(2k)) when k = k_max and M is a square
+        for M in (0, 1, 16, 49):
+            table = [edge] * (M + 1)
+            for k_max in range(6):
+                got = theta_moments(table, range(M + 1), k_max)
+                assert got == moments_oracle(table, range(M + 1), k_max, 1, False)
+
+    def test_reads_only_up_to_the_last_index(self):
+        table = [-1, 3, 0, 4, 6, 0, 0, 12]
+        assert theta_moments(table + [10 ** 30] * 5, range(1, 8, 2), 2) == \
+            theta_moments(table, range(1, 8, 2), 2)
+        with pytest.raises(ValueError, match="table ends at 7"):
+            theta_moments(table, range(0, 9, 4), 0)
+        assert theta_moments(table, range(0), 2) == [[], [], []]
 
 
 class TestOperators:

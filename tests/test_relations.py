@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from qrel import relations as R
-from qrel.arith import hurwitz, lambda_k, sigma_k
+from qrel.arith import hurwitz, hurwitz_cache, lambda_k, sigma_k
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt
 
@@ -176,7 +176,18 @@ class TestTraceFormulas:
                 for j in range(2, 12):
                     assert c[j] - S * c[j - 1] + n * c[j - 2] == 0
                 for nu in range(6):
-                    assert c[2 * nu] == R.g_coeff(s, n, nu, double_s=double_s)
+                    assert c[2 * nu] == oracles.g_coeff(s, n, nu, double_s=double_s)
+
+    def test_g_poly_matches_g_coeff(self):
+        # g_nu(s, n) = sum_j c_j n^j s^(2nu-2j) against the recurrence
+        for nu in range(6):
+            for double_s in (False, True):
+                c = R.g_poly(nu, double_s)
+                for s in range(-7, 8):
+                    for n in range(25):
+                        assert sum(cj * n ** j * s ** (2 * nu - 2 * j)
+                                   for j, cj in enumerate(c)) == \
+                            oracles.g_coeff(s, n, nu, double_s=double_s)
 
     def test_level4_degree_zero_is_eichler(self):
         # at nu=0 the level-4 trace sum reduces to the first class number
@@ -184,6 +195,53 @@ class TestTraceFormulas:
         for n in range(1, 301, 2):
             tot = sum(hurwitz(n - s * s) for s in range(-isqrt(n), isqrt(n) + 1))
             assert -3 * tot - 3 * lambda_k(n, 1) == -sigma_k(n, 1)
+
+
+class TestMomentPath:
+    """The class number sums from theta moments against the per-index
+    oracle, at the sizes of the scaled benchmark workloads."""
+
+    @pytest.mark.parametrize("nu, double_s, ns, ms", [
+        (0, False, range(1, 8001, 2), range(1, 8001, 2)),        # eichler
+        (1, True, range(1, 8001, 2), range(1, 8001, 2)),         # cohen
+        (0, False, range(1, 4001), range(4, 16001, 4)),          # kronecker
+        (2, True, range(1, 3002, 2), range(1, 3002, 2)),         # trace4_nu2
+        (5, False, range(1, 301), range(4, 1201, 4)),            # trace1_nu5
+    ])
+    def test_sums_match_oracle(self, nu, double_s, ns, ms):
+        assert R._g_sums(nu, double_s, ns, ms) == \
+            oracles.g_sums(nu, double_s, ns, ms)
+
+    @pytest.mark.parametrize("p, T", [(5, 3000), (7, 500)])
+    def test_theta_base_matches_oracle(self, p, T):
+        assert R._theta_base(p, T).coeffs == oracles.theta_base(p, T).coeffs
+
+    def test_perturbed_table_fails_like_oracle(self, monkeypatch):
+        # H(23) raised by 1/12 in the live table: every check on the moment
+        # path must fail with the oracle path's failures and notes, so no
+        # packed copy of the table outlives a call
+        def run():
+            reps = [R.check_eichler(100), R.check_cohen(100),
+                    R.check_kronecker_hurwitz(50), R.check_trace_level1(1, 50),
+                    R.check_trace_level4(1, 99), R.check_cor_i(60)]
+            return [(r.failures, r.notes, r.checked) for r in reps]
+
+        cache = hurwitz_cache()
+        cache.ensure(8000)
+        run()
+        original = cache._table[23]
+        try:
+            cache._table[23] = original + 1
+            got = run()
+            with monkeypatch.context() as m:
+                m.setattr(R, "_g_sums", oracles.g_sums)
+                m.setattr(R, "_theta_base", oracles.theta_base)
+                want = run()
+        finally:
+            cache._table[23] = original
+        assert got == want
+        assert all(failures for failures, _, _ in got)
+        assert got[2][1] == "neither sign variant holds uniformly"
 
 
 class TestHapTable:

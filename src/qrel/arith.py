@@ -55,23 +55,32 @@ def divisor_sieve(max_n: int, k: int) -> tuple[list[int], list[int]]:
     return sigma, lam
 
 
+def pair_sieve(hi: int, classes, period: int, lo: int = 0, unit: int = 1) -> list[int]:
+    """out[r - lo] for lo <= r <= hi: the sum over the pairs d*f = unit*r,
+    d < f, of a weight w(d, f mod period).  classes yields (d, f, w) once
+    per class: f its least cofactor with d < f and lo <= d*f/unit, and w
+    its weight (unit | d*f where w != 0).  A class costs one slice update."""
+    out = [0] * max(hi - lo + 1, 0)
+    for d, f, w in classes:
+        if w:
+            pairs = slice(d * f // unit - lo, len(out), d * period // unit)
+            out[pairs] = [v + w for v in out[pairs]]
+    return out
+
+
 def residue_class_sieve(max_n: int, k: int, p: int, a: int) -> list[int]:
     """D^{(p,a)}_k(n) for 0 <= n <= max_n (entry 0 is 0): the sum of d^k over
     the divisors d <= sqrt(n) with d = -a (mod p) plus d < sqrt(n) with
-    d = a (mod p), from one sieve over the divisor pairs n = d*m, d <= m."""
+    d = a (mod p): one pair sieve over the d of either class, and n = d^2."""
     if p < 1 or (p > 1 and not _is_odd_prime_or_one(p)):
         raise ValueError(f"p must be 1 or an odd prime, got {p}")
     if not 0 <= a < p:
         raise ValueError("need 0 <= a < p")
-    lam = [0] * (max_n + 1)
-    for d in range(1, isqrt(max_n) + 1):
-        minus, plus = d % p == (-a) % p, d % p == a
-        if minus:
-            lam[d * d] += d ** k
-        if minus or plus:
-            step = (minus + plus) * d ** k
-            pairs = slice(d * (d + 1), max_n + 1, d)
-            lam[pairs] = [v + step for v in lam[pairs]]
+    minus, top = -a % p, isqrt(max_n)
+    lam = pair_sieve(max_n, ((d, d + 1, (1 + (a == minus)) * d ** k)
+                             for c in {a, minus} for d in range(c or p, top + 1, p)), 1)
+    for d in range(minus or p, top + 1, p):
+        lam[d * d] += d ** k
     return lam
 
 
@@ -267,8 +276,8 @@ def kronecker_character(d: int) -> DirichletCharacter:
 
 
 def ec_ap(a4: int, a6: int, p: int) -> int:
-    """Trace of Frobenius a_p of y^2 = x^3 + a4 x + a6 via Legendre sums
-    (jacobi_symbol, which is the Legendre symbol at a prime p).
+    """Trace of Frobenius a_p of y^2 = x^3 + a4 x + a6, from one table of
+    the squares mod p: a_p = p + 1 - #E(F_p) = -sum_x (x^3 + a4 x + a6 | p).
 
     Only valid for p >= 5 with good reduction (short Weierstrass form breaks
     in characteristic 2 and 3).
@@ -278,11 +287,12 @@ def ec_ap(a4: int, a6: int, p: int) -> int:
     disc = -16 * (4 * a4 ** 3 + 27 * a6 ** 2)
     if disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
-    total = 0
-    for x in range(p):
-        total += jacobi_symbol(x * x * x + a4 * x + a6, p)
-    # #E(F_p) = p + 1 + sum of Legendre terms; a_p = p + 1 - #E(F_p)
-    return -total
+    square = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        square[y * y % p] = 1
+    values = [(x * x * x + a4 * x + a6) % p for x in range(p)]
+    # (v | p) is 2 square[v] - 1 for v != 0 and 0 for v = 0
+    return p - values.count(0) - 2 * sum(map(square.__getitem__, values))
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -155,7 +155,8 @@ def g7(T: int) -> PartialSeries:
     """Coefficients of the level 49 weight 2 newform, from point counting.
 
     Defined only on indices supported on good primes (>= 5, != 7); built
-    solely from Legendre-symbol point counts plus the Hecke recursion.
+    solely from point counts, each from a table of squares mod p (ec_ap),
+    plus the Hecke recursion.
     """
     if T < 1:
         raise ValueError("T must be at least 1")

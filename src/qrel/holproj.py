@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, isqrt, lcm
 
-from .arith import DirichletCharacter, kronecker_character, residue_class_sieve
+from .arith import (DirichletCharacter, kronecker_character, pair_sieve,
+                    residue_class_sieve)
 from .qseries import QSeries, _check_trunc
 from .scalars import (PiScalar, QuadExt, as_half_integer, factorial,
                       falling_gamma_ratio, gamma_half, gen_binom, is_square,
@@ -357,50 +358,43 @@ def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
 # Indefinite theta series Lambda and Delta
 
 
-def _square_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
-    """r -> the double sum of r, an int, for every r in [lo, hi] with a
-    nonzero sum (s*t = c^2).  s m^2 - t n^2 = r factors as d f = s r with
-    d = s m - c n < f = s m + c n, so one sweep over d, and over the f of
-    each d with f = -d (mod 2s), f = d (mod 2c) and d f in s[lo, hi],
-    finds every solution; its term is d^{2nu+1}."""
-    c, e, sums = isqrt(s * t), 2 * nu + 1, {}
-    g, step = gcd(s, c), lcm(2 * s, 2 * c)
-    # d < f, so d^2 < s hi; the two congruences hold together only if g | d
-    for d in range(g, isqrt(max(s * hi - 1, 0)) + 1, g):
-        f = max(d + 1, -(-s * lo // d))
-        f += (-d - f) % (2 * s)
-        f = next(f for f in range(f, f + step, 2 * s) if (f - d) % (2 * c) == 0)
-        for f in range(f, s * hi // d + 1, step):
-            v = chi((d + f) // (2 * s)) * psi((f - d) // (2 * c))
-            if v:
-                r = d * f // s
-                sums[r] = sums.get(r, 0) + v * d ** e
-    return sums
-
-
 def _double_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
-    """D, N and r -> (a, b) with (a + b sqrt D) / N the double sum of r
-    scaled by s^{nu+1/2}, for every r in [lo, hi]: the divisor sweep when
-    s*t is a square (D = N = 1), the Pell orbit sums otherwise."""
+    """D, N and the nonzero double sums of r in [lo, hi], scaled by
+    s^{nu+1/2}: r -> (a, b) with (a + b sqrt D) / N the sum of r, from the
+    Pell orbits; or, when s*t = c^2 (D = N = 1), r -> an int, from one pair
+    sieve over d f = s r, d = s m - c n < f = s m + c n, whose term
+    chi(m) psi(n) d^{2nu+1} depends on f modulo lcm(2s mod(chi), 2c mod(psi))."""
     if s < 1 or t < 1 or lo < 1:
         raise ValueError("s, t, r must be positive")
-    if is_square(s * t):
-        return 1, 1, {r: (v, 0) for r, v in
-                      _square_sums(s, t, chi, psi, nu, lo, hi).items()}
-    return _orbit_sums(s, t, chi, psi, nu, lo, hi)
+    if not is_square(s * t):
+        return _orbit_sums(s, t, chi, psi, nu, lo, hi)
+    c, e = isqrt(s * t), 2 * nu + 1
+    g, step = gcd(s, c), lcm(2 * s, 2 * c)
+    period = lcm(2 * s * chi.modulus, 2 * c * psi.modulus)
 
+    def classes():
+        # d < f, so d^2 < s hi; the two congruences hold together only if g | d
+        for d in range(g, isqrt(max(s * hi - 1, 0)) + 1, g):
+            least = max(d + 1, -(-s * lo // d))
+            f = least + (-d - least) % (2 * s)
+            f = next(f for f in range(f, f + step, 2 * s) if (f - d) % (2 * c) == 0)
+            de = d ** e
+            for f in range(f, min(least + period, s * hi // d + 1), step):
+                yield d, f, chi((d + f) // (2 * s)) * psi((f - d) // (2 * c)) * de
 
-def _scalar(a: int, b: int, N: int, D: int):
-    """(a + b sqrt D) / N: a Fraction for D = 1, a QuadExt otherwise."""
-    return QuadExt(Fraction(a, N), Fraction(b, N), D) if D > 1 else Fraction(a, N)
+    sums = pair_sieve(hi, classes(), period, lo, s)
+    return 1, 1, {r: v for r, v in enumerate(sums, lo) if v}
 
 
 def indefinite_double_sum(s: int, t: int, chi, psi, nu: int, r: int):
     """sum over s m^2 - t n^2 = r, m, n >= 1 of chi(m) psi(n)
     (s m - sqrt(st) n)^{2 nu + 1}, i.e. the Lambda double sum scaled by
-    s^{nu + 1/2}."""
+    s^{nu + 1/2}: an int when s*t is a square, else a QuadExt."""
     D, N, sums = _double_sums(s, t, chi, psi, nu, r, r)
-    return _scalar(*sums.get(r, (0, 0)), N, D)
+    if D == 1:
+        return sums.get(r, 0)
+    a, b = sums.get(r, (0, 0))
+    return QuadExt(Fraction(a, N), Fraction(b, N), D)
 
 
 def _check_positive(s: int, t: int) -> None:
@@ -448,8 +442,13 @@ def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
     # for square s the scaling by s^{nu+1/2} is undone in the denominator
     root = isqrt(s) ** e if is_square(s) else 1
     D, N, sums = _double_sums(s, t, chi, psi, nu, 1, T)
-    coeffs = {r: _scalar(2 * a + boundary.pop(r, 0) * N, 2 * b, N * root, D)
-              for r, (a, b) in sums.items()}
+    if D == 1:      # ints: with s*t square, t is a square if s is, and root | each term
+        coeffs = {r: 2 * a // root for r, a in sums.items()}
+        for r, v in boundary.items():
+            coeffs[r] = coeffs.get(r, 0) + v // root
+        return QSeries(coeffs, T)
+    coeffs = {r: QuadExt(Fraction(2 * a + boundary.pop(r, 0) * N, N * root),
+                         Fraction(2 * b, N * root), D) for r, (a, b) in sums.items()}
     coeffs.update((r, Fraction(v, root)) for r, v in boundary.items())
     return QSeries(coeffs, T)
 
@@ -490,9 +489,9 @@ def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
     """
     if not 0 <= a < p:
         raise ValueError("need 0 <= a < p")
-    signs = {a, -a % p}
-    return _indef_series(1, 1, lambda m: int(m % p in signs),
-                         kronecker_character(1), nu, T)
+    # the class weight as a periodic value table: the sieve reads its period
+    weight = DirichletCharacter(p, [m in (a, p - a) for m in range(p)])
+    return _indef_series(1, 1, weight, kronecker_character(1), nu, T)
 
 
 def d_pa_series(p: int, a: int, k: int, T: int) -> QSeries:

@@ -3,9 +3,9 @@ against.  Nothing in qrel calls them, so they live here rather than in
 the package."""
 
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, lcm
 
-from qrel.arith import H0, hurwitz_cache
+from qrel.arith import H0, hurwitz_cache, jacobi_symbol
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 
@@ -92,6 +92,64 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
         else:
             raise ValueError(f"malformed series line: {line!r}")
     return QSeries(coeffs, trunc)
+
+
+# ---------------------------------------------------------------------------
+# The divisor-pair sums of qrel.arith.pair_sieve's callers, one pair at a
+# time, and the point counts of qrel.arith.ec_ap, one Jacobi symbol at a time
+
+
+def square_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int) -> dict:
+    """r -> the double sum of r, an int, for every r in [lo, hi] with a
+    nonzero sum (s*t = c^2).  s m^2 - t n^2 = r factors as d f = s r with
+    d = s m - c n < f = s m + c n, so one sweep over d, and over the f of
+    each d with f = -d (mod 2s), f = d (mod 2c) and d f in s[lo, hi],
+    finds every solution; its term is chi(m) psi(n) d^{2nu+1}."""
+    c, e, sums = isqrt(s * t), 2 * nu + 1, {}
+    g, step = gcd(s, c), lcm(2 * s, 2 * c)
+    # d < f, so d^2 < s hi; the two congruences hold together only if g | d
+    for d in range(g, isqrt(max(s * hi - 1, 0)) + 1, g):
+        f = max(d + 1, -(-s * lo // d))
+        f += (-d - f) % (2 * s)
+        f = next(f for f in range(f, f + step, 2 * s) if (f - d) % (2 * c) == 0)
+        for f in range(f, s * hi // d + 1, step):
+            v = chi((d + f) // (2 * s)) * psi((f - d) // (2 * c))
+            if v:
+                r = d * f // s
+                sums[r] = sums.get(r, 0) + v * d ** e
+    return {r: v for r, v in sums.items() if v}
+
+
+def residue_class_sieve(max_n: int, k: int, p: int, a: int) -> list[int]:
+    """D^{(p,a)}_k(n) for 0 <= n <= max_n: one slice per d in a class."""
+    lam = [0] * (max_n + 1)
+    for d in range(1, isqrt(max_n) + 1):
+        minus, plus = d % p == (-a) % p, d % p == a
+        if minus:
+            lam[d * d] += d ** k
+        if minus or plus:
+            step = (minus + plus) * d ** k
+            pairs = slice(d * (d + 1), max_n + 1, d)
+            lam[pairs] = [v + step for v in lam[pairs]]
+    return lam
+
+
+def w_term(p: int, a: int, e: int, T: int) -> dict:
+    """n -> 2 sum over divisors alpha of n with alpha < sqrt(n),
+    alpha = 0 (p), n/alpha = +-a (p), of alpha^e, one pair at a time."""
+    coeffs: dict[int, int] = {}
+    targets = {a % p, (-a) % p}
+    for alpha in range(p, isqrt(T) + 1, p):
+        for n in range(alpha * (alpha + 1), T + 1, alpha):
+            if (n // alpha) % p in targets:
+                coeffs[n] = coeffs.get(n, 0) + 2 * alpha ** e
+    return coeffs
+
+
+def ec_ap(a4: int, a6: int, p: int) -> int:
+    """a_p of y^2 = x^3 + a4 x + a6 at a good prime p >= 5, as minus the
+    sum of the Legendre symbols of x^3 + a4 x + a6 (jacobi_symbol)."""
+    return -sum(jacobi_symbol(x * x * x + a4 * x + a6, p) for x in range(p))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@ their cache, Dirichlet characters, and elliptic-curve point counts."""
 
 import os
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import class_number_decomposition, hurwitz_oracle, reduced_forms
 from qrel.arith import (divisor_sieve, divisors, ec_ap, hurwitz, hurwitz_cache,
                         HurwitzCache, jacobi_symbol, kronecker_character,
-                        lambda_k, residue_class_sieve, sigma_k)
+                        lambda_k, pair_sieve, residue_class_sieve, sigma_k,
+                        _primes_upto)
 from qrel.forms import hecke_extend
 
 
@@ -80,6 +83,38 @@ class TestDivisorSums:
         assert (mirror[16], mirror[9]) == (0, 3 ** 3)
         zero = residue_class_sieve(60, 3, 7, 0)
         assert (zero[49], zero[56]) == (7 ** 3, 2 * 7 ** 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(max_n=st.integers(0, 3000), k=st.integers(0, 5),
+           p=st.sampled_from((1, 3, 5, 7, 11)), a=st.integers(0, 10))
+    def test_residue_class_sieve_matches_former_loop(self, max_n, k, p, a):
+        assert (residue_class_sieve(max_n, k, p, a % p)
+                == oracles.residue_class_sieve(max_n, k, p, a % p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 4), unit=st.sampled_from((1, 2, 3)),
+           lo=st.integers(0, 150), span=st.integers(-2, 300),
+           table=st.lists(st.integers(-3, 3), min_size=144, max_size=144))
+    def test_pair_sieve_matches_pairs(self, k, unit, lo, span, table):
+        # the weight of (d, f) is d times table[d mod 12][f mod period],
+        # zero where unit does not divide d f: periodic in f, as unit | period
+        period = k * unit
+
+        def weight(d, f):
+            return d * table[12 * (d % 12) + f % period] if d * f % unit == 0 else 0
+
+        def classes():      # every class of every d, a few past the last
+            for d in range(1, isqrt(unit * max(hi, 0)) + 3):
+                least = max(d + 1, -(-unit * lo // d))
+                for f in range(least, least + period):
+                    yield d, f, weight(d, f)
+
+        hi = lo + span
+        got = pair_sieve(hi, classes(), period, lo, unit)
+        want = [sum(weight(d, unit * r // d) for d in range(1, unit * r)
+                    if unit * r % d == 0 and d * d < unit * r)
+                for r in range(lo, hi + 1)]
+        assert got == want
 
     @pytest.mark.parametrize("p, a", [(0, 0), (2, 1), (9, 1), (5, 5), (5, -1)])
     def test_residue_class_sieve_rejects_bad_class(self, p, a):
@@ -251,6 +286,32 @@ class TestEllipticCurve:
         for p in (5, 13, 17, 19, 41, 47):
             assert jacobi_symbol(p, 7) == -1
             assert ec_ap(self.A4, self.A6, p) == 0
+
+    def test_matches_jacobi_oracle(self):
+        for p in _primes_upto(2000):
+            if p >= 5 and (4 * self.A4 ** 3 + 27 * self.A6 ** 2) % p:
+                assert ec_ap(self.A4, self.A6, p) == oracles.ec_ap(self.A4, self.A6, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a4=st.integers(-10 ** 9, 10 ** 9), a6=st.integers(-10 ** 9, 10 ** 9),
+           p=st.sampled_from([p for p in _primes_upto(2000) if p >= 5]))
+    def test_random_curves_match_jacobi_oracle(self, a4, a6, p):
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p:
+            assert ec_ap(a4, a6, p) == oracles.ec_ap(a4, a6, p)
+        else:
+            with pytest.raises(ValueError, match=f"bad reduction at {p}"):
+                ec_ap(a4, a6, p)
+
+    @pytest.mark.parametrize("p", [-7, 0, 1, 2, 3, 4, 9, 25, 1001])
+    def test_rejects_small_or_composite_p(self, p):
+        with pytest.raises(ValueError, match="need a prime p >= 5"):
+            ec_ap(self.A4, self.A6, p)
+
+    def test_rejects_bad_reduction(self):
+        with pytest.raises(ValueError, match="bad reduction at 7"):
+            ec_ap(self.A4, self.A6, 7)
+        with pytest.raises(ValueError, match="bad reduction at 5"):
+            ec_ap(0, 5, 5)
 
     def test_hasse_bound(self):
         for p in (5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):

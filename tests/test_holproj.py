@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qrel import forms, holproj as hp
-from qrel.arith import kronecker_character
+from qrel.arith import DirichletCharacter, kronecker_character
 from qrel.qseries import MAX_TRUNC, QSeries
 from qrel.scalars import PiScalar, QuadExt, is_square
 
@@ -366,8 +366,9 @@ class TestTruncationInput:
 
 
 class TestSquareSweep:
-    """The one sweep over factor pairs against the former divisor loop per
-    r, over a whole range and at single r."""
+    """The pair sieve of _double_sums (s*t a square) against the former
+    divisor loop per r and the former sweep over factor pairs, over whole
+    ranges and at single r."""
 
     ST = ((1, 1), (1, 4), (4, 1), (2, 2), (3, 12), (9, 1), (1, 9), (2, 8),
           (4, 9))
@@ -378,15 +379,38 @@ class TestSquareSweep:
         for chi, psi in self.CHARS:
             chi, psi = kronecker_character(chi), kronecker_character(psi)
             for nu in (0, 1, 2):
-                sums = hp._square_sums(s, t, chi, psi, nu, 1, 200)
+                D, N, sums = hp._double_sums(s, t, chi, psi, nu, 1, 200)
                 want = {r: v for r in range(1, 201)
                         if (v := _indef_coeff_square(s, t, chi, psi, nu, r))}
-                assert {r: v for r, v in sums.items() if v} == want, (s, t, nu)
-                assert all(1 <= r <= 200 for r in sums)
+                assert (D, N) == (1, 1)
+                assert sums == want, (s, t, nu)
                 for r in (1, 3, 7, 24, 45, 120, 199, 200):
-                    one = hp._square_sums(s, t, chi, psi, nu, r, r)
-                    assert one.get(r, 0) == want.get(r, 0), (s, t, nu, r)
-                    assert set(one) <= {r}
+                    one = hp._double_sums(s, t, chi, psi, nu, r, r)[2]
+                    assert one == ({r: want[r]} if r in want else {}), r
+
+    # moduli 1, 4, 5 and 7, and a class weight [m = +-2 (7)] as lambda_pa
+    # passes it
+    WEIGHTS = [kronecker_character(d) for d in (1, -4, 5, 7)] + [
+        DirichletCharacter(7, [m in (2, 5) for m in range(7)])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st_=st.sampled_from(((1, 1), (1, 4), (4, 9), (9, 4), (2, 8), (3, 12))),
+           chi=st.sampled_from(WEIGHTS), psi=st.sampled_from(WEIGHTS),
+           nu=st.integers(0, 3), lo=st.integers(1, 300), span=st.integers(-2, 300))
+    def test_sieve_matches_pair_sweep(self, st_, chi, psi, nu, lo, span):
+        s, t = st_
+        for lo, hi in ((lo, lo + span), (lo, lo), (1, span % 3)):
+            sums = hp._double_sums(s, t, chi, psi, nu, lo, hi)[2]
+            assert sums == oracles.square_sums(s, t, chi, psi, nu, lo, hi)
+
+    @pytest.mark.parametrize("T", [0, 1, 2])
+    def test_tiny_truncations(self, T):
+        # at r <= 2 only the boundary term at r = 1 remains for s = t = 1
+        for a in range(5):
+            assert hp.lambda_pa(5, a, 1, T).coeffs == ({1: 1} if a in (1, 4)
+                                                       and T else {})
+        assert hp.lambda_indef(1, 4, TRIV, TRIV, 0, T).coeffs == (
+            {1: 1} if T else {})
 
 
 class TestDeltaIndef:
@@ -558,7 +582,8 @@ def _lambda_pa_loop(p, a, nu, T):
 def _oracle_series(s, t, chi, psi, nu, T):
     """Test oracle: the former series assembly, one double sum per r (the
     per-orbit oracle, or the divisor sum for square st), then the boundary
-    terms and, for square s, the unscaling."""
+    terms and, for square s, the unscaling.  For square st the coefficients
+    are ints: then t is a square with s, and the unscaling is exact."""
     double_sum = _indef_coeff_square if is_square(s * t) else _indef_coeff_orbit
     coeffs = {}
     for r in range(1, T + 1):
@@ -572,6 +597,10 @@ def _oracle_series(s, t, chi, psi, nu, T):
                 coeffs[s * rho * rho] = coeffs.get(s * rho * rho, 0) + term
     if is_square(s):
         coeffs = {n: v / Fraction(isqrt(s)) ** (2 * nu + 1)
+                  for n, v in coeffs.items()}
+    if is_square(s * t):
+        # integers, unscaled or not: a Fraction here fails the type check
+        coeffs = {n: v.numerator if v.denominator == 1 else v
                   for n, v in coeffs.items()}
     return {n: v for n, v in coeffs.items() if v}
 

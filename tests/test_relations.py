@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qrel import relations as R
@@ -308,8 +310,30 @@ class TestQuasiModular:
         # n=30, p=5, a=1: divisors alpha<sqrt(30) with alpha=0 (5) and
         # 30/alpha = +-1 (5): alpha=5 -> 6 = 1 (5): contributes 2*5
         w = R.w_term(5, 1, 1, 40)
-        assert w.coeff(30) == 10
-        assert w.coeff(7) == 0
+        assert len(w) == 41
+        assert w[30] == 10
+        assert w[7] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from((1, 3, 5, 7, 11)), a=st.integers(0, 10),
+           e=st.sampled_from((1, 3, 5)), T=st.integers(0, 2000))
+    def test_w_term_matches_former_loop(self, p, a, e, T):
+        w = R.w_term(p, a % p, e, T)
+        assert len(w) == T + 1
+        assert {n: v for n, v in enumerate(w) if v} == oracles.w_term(p, a % p, e, T)
+
+    def test_sides_compared_as_ints(self, monkeypatch):
+        # both sides reach record_scaled as ints over the scale 1
+        seen = set()
+        record_scaled = R.RelationReport.record_scaled
+
+        def spy(self, n, lhs, rhs, scale):
+            seen.add((type(lhs), type(rhs), scale))
+            record_scaled(self, n, lhs, rhs, scale)
+
+        monkeypatch.setattr(R.RelationReport, "record_scaled", spy)
+        assert R.check_prop72(60).ok
+        assert seen == {(int, int, 1)}
 
 
 class TestIdentities:

@@ -142,14 +142,18 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
         return {n: c.numerator * (den // c.denominator)
                 for n, c in coeffs.items()}, den
 
-    (a, den_a), (b, den_b) = scaled(a), scaled(b)
+    square = a is b
+    (a, den_a) = scaled(a)
+    (b, den_b) = (a, den_a) if square else scaled(b)
     if not a or not b:
         return {}
     # At most min(len(a), len(b)) pairs meet at one exponent, so every
     # product coefficient, and every input, lies in [-bound, bound].
     slots = _Slots(min(len(a), len(b)) * max(map(abs, a.values()))
                    * max(map(abs, b.values())))
-    product = slots.pack(a) * slots.pack(b)
+    # a square packs once: an int times itself takes CPython's squaring path
+    packed = slots.pack(a)
+    product = packed * (packed if square else slots.pack(b))
     den = den_a * den_b
     return {n: c if den == 1 else Fraction(c, den)
             for n, c in enumerate(slots.unpack(product, range(t + 1))) if c}
@@ -201,7 +205,7 @@ class QSeries:
         _check_trunc(trunc)
         self.trunc = trunc
         self.coeffs = {n: c for n, c in coeffs.items() if n <= self.trunc and c}
-        if any(n < 0 for n in self.coeffs):
+        if self.coeffs and min(self.coeffs) < 0:
             raise ValueError("negative exponents are not supported")
         self._kind = None       # scalar_kind(), found on first use
 
@@ -296,15 +300,15 @@ class QSeries:
     def __pow__(self, m: int) -> "QSeries":
         if m < 0:
             raise ValueError("negative powers are not supported")
-        result = QSeries.one(self.trunc)
+        result = None
         base = self
         while m:
             if m & 1:
-                result = result * base
+                result = base if result is None else result * base
             m >>= 1
             if m:
                 base = base * base
-        return result
+        return QSeries.one(self.trunc) if result is None else result
 
     def d_operator(self) -> "QSeries":
         """The normalized derivative q d/dq: a(n) -> n*a(n)."""
@@ -358,8 +362,9 @@ class QSeries:
             if isinstance(c, QuadExt):
                 lines.append(f"{n},{c.a.numerator},{c.a.denominator},"
                              f"{c.b.numerator},{c.b.denominator},{c.D}")
+            elif isinstance(c, int):
+                lines.append(f"{n},{c},1")
             else:
-                c = Fraction(c)
                 lines.append(f"{n},{c.numerator},{c.denominator}")
         return lines
 
@@ -367,21 +372,34 @@ class QSeries:
 def eta_product(factors, T: int) -> QSeries:
     """q-expansion of prod_d eta(d*tau)^{e_d} for factors [(d, e), ...].
 
-    The leading power sum(d*e)/24 must be a nonnegative integer, and every
-    exponent e must be nonnegative.  Euler products are expanded via the pentagonal
-    number theorem, so each factor is extremely sparse before the final
-    powering.
+    The leading power sum(d*e)/24 must be a nonnegative integer, every d
+    positive and every e nonnegative.  Each prod (1 - q^{dn})^e is
+    (J^(e // 3) E^(e % 3))|V(d) to T // d, with the sparse J = E^3 of
+    Jacobi's identity and Euler function E: Delta = q J^8 takes three
+    squarings, and eta(2 tau)^12 = q (J^4)|V(2) two at half the length.
     """
     lead = Fraction(sum(d * e for d, e in factors), 24)
     if lead.denominator != 1 or lead < 0:
         raise ValueError(f"leading q-power {lead} is not a nonnegative integer")
     if any(e < 0 for _, e in factors):
         raise ValueError(f"negative exponents are not supported: {factors}")
-    lead = int(lead)
-    result = QSeries({lead: 1}, T)
+    if any(d < 1 for d, _ in factors):
+        raise ValueError(f"every d must be positive: {factors}")
+    result = QSeries({int(lead): 1}, T)
     for d, e in factors:
-        result = result * _euler_function(d, T) ** e
+        factor = QSeries.one(T // d)
+        for base, m in ((_jacobi_cube, e // 3), (_euler_function, e % 3)):
+            if m:
+                factor = factor * base(1, T // d) ** m
+        result = result * QSeries({d * n: c for n, c in factor.coeffs.items()}, T)
     return result
+
+
+def _jacobi_cube(d: int, T: int) -> QSeries:
+    """prod_{n>=1} (1 - q^{d n})^3 = sum_{k>=0} (-1)^k (2k+1) q^{d k(k+1)/2},
+    Jacobi's identity."""
+    return QSeries({d * k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
+                    for k in range(isqrt(2 * T // d) + 1)}, T)
 
 
 def _euler_function(d: int, T: int) -> QSeries:

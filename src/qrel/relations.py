@@ -16,7 +16,8 @@ n-dependent coefficients (``g_poly``), so ``eichler``, ``cohen``,
 and in integers, the nu + 1 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2)
 that :func:`~qrel.qseries.theta_moments` computes from one packed copy of
 the live table.  The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii``
-is the moment A_0 over s = 0 (mod p) at m = 4n.
+is the moment A_0 over s = 0 (mod p) at m = 4n; both checks build each
+side as one integer list times a common scale.
 
 Where a widely printed form of an identity disagrees with direct
 evaluation, the checker tests the candidate variants and records in the
@@ -30,10 +31,9 @@ import time
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
-from . import forms, holproj
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     kronecker_character, pair_sieve, residue_class_sieve)
-from .qseries import QSeries, theta_moments
+from .qseries import theta_moments
 from .scalars import PiScalar, factorial, format_scalar, gen_binom
 
 
@@ -77,6 +77,17 @@ class RelationReport:
         self.checked += 1
         if lhs != rhs:
             self.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
+
+    def record_lists(self, ns, lhs: list, rhs: list, scale: int) -> None:
+        """record_scaled(n, l, r, scale) for each n of ns and its values l
+        and r, at the same position in lhs and rhs; equal lists are
+        compared at once, and only unequal entries make a failure."""
+        if not len(ns) == len(lhs) == len(rhs):
+            raise ValueError("ns, lhs and rhs must have the same length")
+        self.checked += len(ns)
+        if lhs != rhs:
+            self.failures.extend((n, Fraction(l, scale), Fraction(r, scale))
+                                 for n, l, r in zip(ns, lhs, rhs) if l != r)
 
     def to_dict(self) -> dict:
         return {
@@ -204,6 +215,7 @@ def check_trace_level1(nu: int, max_n: int | None = None) -> RelationReport:
     rep = RelationReport(f"trace1_nu{nu}", 1, max_n, "all n")
     with _Timer(rep):
         # times 24: -sum_s g 12 H(4n - s^2) - 12 (2 lambda(n)) = 24 tau(n)
+        from . import forms
         ns = range(1, max_n + 1)
         _, lam = divisor_sieve(max_n, 2 * nu + 1)
         tau = forms.delta12(max_n) if nu == 5 else None
@@ -225,6 +237,7 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
     rep = RelationReport(f"trace4_nu{nu}", 1, max_n, "odd n")
     with _Timer(rep):
         # times 4: -sum_s g 12 H(n - s^2) - 6 (2 lambda(n)) = 4 eta(n)
+        from . import forms
         odd = range(1, max_n + 1, 2)
         _, lam = divisor_sieve(max_n, 2 * nu + 1)
         eta = forms.eta2_pow12(max_n) if nu == 2 else None
@@ -289,12 +302,24 @@ def check_hap_table(max_prime: int = 200) -> RelationReport:
 # Quasi-modular identities on level 25 and 49
 
 
-def _theta_base(p: int, T: int) -> QSeries:
-    """(H * theta^{(p,0)})|U(4) up to T: at n, the sum over s = 0 (mod p)
-    of H(4n - s^2), the moment A_0(4n) of the live 12 H table over 12."""
+def _add(out: list[int], at: slice, c: int, values) -> None:
+    """out[at] += c * values, entry by entry, for a strided slice at."""
+    out[at] = [u + c * v for u, v in zip(out[at], values)]
+
+
+def _theta_d_side(p: int, T: int, scale: int, c1: int, classes) -> list[int]:
+    """scale times (H * theta^{(p,0)})|U(4) + c1 D_1^{(1,0)}|V(p^2)
+    + 2 sum over (a, r) in classes of D_1^{(p,a)}|S_{p,r}, for 0 <= n <= T:
+    the moments A_0(4n), and each D-series added by one strided slice."""
     sums, = theta_moments(hurwitz_cache().scaled_table(4 * T),
                           range(0, 4 * T + 1, 4), 0, p)
-    return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums) if a}, T)
+    out = [scale // 12 * v for v in sums]
+    _add(out, slice(None, None, p * p), scale * c1,
+         residue_class_sieve(T // (p * p), 1, 1, 0))
+    for a, r in classes:
+        _add(out, slice(r, None, p), 2 * scale,
+             residue_class_sieve(T, 1, p, a)[r::p])
+    return out
 
 
 def check_cor_i(max_n: int = 1000) -> RelationReport:
@@ -314,28 +339,28 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
     """
     rep = RelationReport("cor_i", 0, max_n, "all n")
     with _Timer(rep):
+        # times 48; G_2 has no zero coefficient, so the twist readings agree
+        # up to T when their weights agree on the residues mod 5 of 0..T
         T = max_n
-        chi5 = kronecker_character(5)
-        base = _theta_base(5, T)
-        g2 = forms.eisenstein_g2(T)
-        twist_diff = g2.twist(chi5) - g2.twist(lambda n: chi5(n) ** 2)
-        twist_fn = g2.twist(lambda n: chi5(n) * (1 - chi5(n)))
-        readings_agree = twist_diff == twist_fn
-        rhs = (g2.scale(Fraction(1, 2))
-               + twist_diff.scale(Fraction(1, 12))
-               - g2.v_op(5).truncate(T)
-               + g2.v_op(25).truncate(T).scale(Fraction(5, 2)))
-        d10 = holproj.d_pa_series(1, 0, 1, -(-T // 25)).v_op(25).scale(5).truncate(T)
-        common = (base + d10
-                  + holproj.d_pa_series(5, 1, 1, T).sieve(5, 4).scale(2))
-        d52 = holproj.d_pa_series(5, 2, 1, T)
-        variants = {4: common + d52.sieve(5, 4).scale(2),
-                    1: common + d52.sieve(5, 1).scale(2)}
-        misses = {r: sum(lhs.coeff(n) != rhs.coeff(n) for n in range(T + 1))
+        chi5 = kronecker_character(5).values
+        diff = [c - c * c for c in chi5][:T + 1]
+        readings_agree = diff == [c * (1 - c) for c in chi5][:T + 1]
+        sigma, _ = divisor_sieve(T, 1)
+        g24 = [-1] + [24 * v for v in sigma[1:]]           # 24 G_2
+        rhs = g24[:]
+        for r, w in enumerate(diff):
+            _add(rhs, slice(r, None, 5), 4 * w, sigma[r::5])
+        _add(rhs, slice(None, None, 5), -2, g24)
+        _add(rhs, slice(None, None, 25), 5, g24)
+        common = _theta_d_side(5, T, 48, 5, [(1, 4)])
+        d52 = residue_class_sieve(T, 1, 5, 2)
+        variants = {r: common[:] for r in (4, 1)}
+        for r, lhs in variants.items():
+            _add(lhs, slice(r, None, 5), 96, d52[r::5])
+        misses = {r: sum(u != v for u, v in zip(lhs, rhs))
                   for r, lhs in variants.items()}
         best = min(misses, key=lambda r: (misses[r], r))
-        for n in range(T + 1):
-            rep.record(n, variants[best].coeff(n), rhs.coeff(n))
+        rep.record_lists(range(T + 1), variants[best], rhs, 48)
         rep.notes = (f"sieve residue on D_1^(5,2): {best}; "
                      f"twist readings pointwise equal: {readings_agree}")
         if not readings_agree and rep.ok:
@@ -356,20 +381,17 @@ def check_cor_ii(max_n: int = 500) -> RelationReport:
     rep = RelationReport("cor_ii", 1, max_n,
                          "n with prime support >= 5 and != 7")
     with _Timer(rep):
+        # times 24, on the support of g_7
+        from . import forms
         T = max_n
         chi7 = kronecker_character(7)
-        lhs = (_theta_base(7, T)
-               + holproj.d_pa_series(1, 0, 1, -(-T // 49)).v_op(49).scale(7).truncate(T)
-               + holproj.d_pa_series(7, 2, 1, T).sieve(7, 3).scale(2)
-               + holproj.d_pa_series(7, 4, 1, T).sieve(7, 5).scale(2)
-               + holproj.d_pa_series(7, 1, 1, T).sieve(7, 6).scale(2))
-        g2 = forms.eisenstein_g2(T)
+        lhs = _theta_d_side(7, T, 24, 7, [(2, 3), (4, 5), (1, 6)])
+        sigma, _ = divisor_sieve(T, 1)
         g7 = forms.g7(T)
-        for n in forms.g7_support(T):
-            rhs = (Fraction(1, 4) * g2.coeff(n)
-                   - Fraction(1, 24) * (chi7(n) - chi7(n) ** 2) * g2.coeff(n)
-                   + Fraction(1, 4) * g7.coeff(n))
-            rep.record(n, lhs.coeff(n), rhs)
+        ns = forms.g7_support(T)
+        rep.record_lists(ns, [lhs[n] for n in ns],
+                         [(6 - chi7(n) + chi7(n) ** 2) * sigma[n] + 6 * g7.coeff(n)
+                          for n in ns], 24)
     return rep
 
 
@@ -400,9 +422,9 @@ def prop72_rhs(p: int, a: int, nu: int, T: int, d: dict) -> list[int]:
     for c in range(1, p):
         for b in {a % p, -a % p}:       # one class for a = 0
             r = c * (b - c) % p         # D^{(p,c)}_e | S_{p,r}; r = 0 at c = b
-            total[r::p] = [u + v for u, v in zip(total[r::p], d[c][r::p])]
+            _add(total, slice(r, None, p), 1, d[c][r::p])
     if a % p == 0:      # p^e D^{(1,0)}_e | V(p^2)
-        total[::p * p] = [u + p ** e * v for u, v in zip(total[::p * p], d[0])]
+        _add(total, slice(None, None, p * p), p ** e, d[0])
     else:
         total = [u + v for u, v in zip(total, w_term(p, a, e, T))]
     return [2 ** e * v for v in total]
@@ -415,18 +437,20 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
     rep = RelationReport("prop72", 1, max_n,
                          f"all n; p in {list(primes)}, nu in {list(nus)}, all a")
     with _Timer(rep):
+        from . import holproj
+        ns = range(1, max_n + 1)
         for p in primes:
             for nu in nus:
                 d = [residue_class_sieve(max_n // (p * p), 2 * nu + 1, 1, 0)] + [
                     residue_class_sieve(max_n, 2 * nu + 1, p, c) for c in range(1, p)]
                 # a and p - a name the same class set {a, -a}: build it once
-                sides = {a: (holproj.lambda_pa(p, a, nu, 4 * max_n).u_op(4),
-                             prop72_rhs(p, a, nu, max_n, d))
-                         for a in range(p // 2 + 1)}
+                sides = {}
+                for a in range(p // 2 + 1):     # U(4): the coefficients at 4n
+                    lam = holproj.lambda_pa(p, a, nu, 4 * max_n).coeffs
+                    sides[a] = ([lam.get(4 * n, 0) for n in ns],
+                                prop72_rhs(p, a, nu, max_n, d)[1:])
                 for a in range(p):
-                    lhs, rhs = sides[min(a, p - a)]
-                    for n in range(1, max_n + 1):
-                        rep.record_scaled(n, lhs.coeff(n), rhs[n], 1)
+                    rep.record_lists(ns, *sides[min(a, p - a)], 1)
     return rep
 
 
@@ -485,6 +509,7 @@ def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
     and as sum_j C(a+b-3,a-2-j) C(j+b-2,j) (X+Y)^{a-2-j} (-Y)^j, for
     half-integer b not in {1, 2}.  Polynomials are coefficient lists
     indexed by the power of X, as holproj.p_poly returns them."""
+    from . import holproj
     bad = []
     bs = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2),
           Fraction(5, 2), Fraction(7, 2))
@@ -529,6 +554,7 @@ def _closed_sum_holds(nu: int, odd: int) -> bool:
     = (-1)^odd 4^{-nu} C(2nu,nu) x^{2nu-1+odd} (x-y)^{2nu+1}, with
     c_mu = C(nu+1/2-odd, nu-mu) C(nu-1/2+odd, mu).  Each mu-term is an
     integer list over its own denominator; all are scaled to their lcm L."""
+    from . import holproj
     terms = []
     for mu in range(nu + 1):
         c = (gen_binom(Fraction(2 * nu + 1 - 2 * odd, 2), nu - mu)
@@ -554,6 +580,7 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
     = 2^{-2nu} C(2nu,nu) (sqrt(m) - sqrt(n))^{2nu+1}, as a polynomial
     identity after m = x^2, n = y^2 (cleared of half powers by x^{2nu-1};
     the nu = 0 case is checked pointwise since that factor is 1/x)."""
+    from . import holproj
     bad = []
     P = holproj.p_poly(2, Fraction(1, 2))
     for x in (2, 3, 5, 7):
@@ -577,6 +604,7 @@ def _closed_sum_odd(nu_max: int) -> list[tuple[int, object, object]]:
 
 def _kappa_closed_form(nu_max: int) -> list[tuple[int, object, object]]:
     """kappa(3/2, 1/2, nu) = 2^{1-2nu} sqrt(pi) C(2nu, nu)."""
+    from . import holproj
     bad = []
     for nu in range(nu_max + 1):
         got = holproj.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu))
@@ -661,5 +689,8 @@ def run_check(relation_id: str, max_n: int | None = None) -> RelationReport:
 def verify_all(max_n: int | None = None) -> list[RelationReport]:
     """Run every registered check, in registry order, at its default range
     (or at max_n for all of them when given, except the fixed-range ones)."""
+    # load the modules the checks import lazily before their temporaries,
+    # which otherwise raise the peak RSS of the run
+    from . import forms, holproj  # noqa: F401
     return [run_check(rid, None if rid in _FIXED_RANGE else max_n)
             for rid in _REGISTRY]

@@ -5,8 +5,10 @@ the package."""
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
-from qrel.arith import H0, hurwitz_cache, jacobi_symbol
-from qrel.qseries import QSeries
+from qrel import forms, holproj
+from qrel.arith import H0, hurwitz_cache, jacobi_symbol, kronecker_character
+from qrel.qseries import QSeries, _euler_function
+from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 
 
@@ -92,6 +94,15 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
         else:
             raise ValueError(f"malformed series line: {line!r}")
     return QSeries(coeffs, trunc)
+
+
+def eta_product(factors, T: int) -> QSeries:
+    """qrel.qseries.eta_product as q^lead times each Euler function
+    prod (1 - q^{dn}) raised to its exponent e, with no Jacobi cube."""
+    result = QSeries({sum(d * e for d, e in factors) // 24: 1}, T)
+    for d, e in factors:
+        result = result * _euler_function(d, T) ** e
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +202,63 @@ def theta_base(p: int, T: int) -> QSeries:
     sums = [symmetric_sum(tab, 4 * n, lambda s: int(s % p == 0))
             for n in range(T + 1)]
     return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums)}, T)
+
+
+def cor_i_sides(T: int) -> tuple[dict, QSeries, bool]:
+    """The two variants (sieve residue r = 4 or 1) of the left side of
+    qrel.relations.check_cor_i, its right side, and whether the two twist
+    readings agree, as Fraction series built by the QSeries operators."""
+    chi5 = kronecker_character(5)
+    g2 = forms.eisenstein_g2(T)
+    twist_diff = g2.twist(chi5) - g2.twist(lambda n: chi5(n) ** 2)
+    twist_fn = g2.twist(lambda n: chi5(n) * (1 - chi5(n)))
+    rhs = (g2.scale(Fraction(1, 2))
+           + twist_diff.scale(Fraction(1, 12))
+           - g2.v_op(5).truncate(T)
+           + g2.v_op(25).truncate(T).scale(Fraction(5, 2)))
+    d10 = holproj.d_pa_series(1, 0, 1, -(-T // 25)).v_op(25).scale(5).truncate(T)
+    common = (theta_base(5, T) + d10
+              + holproj.d_pa_series(5, 1, 1, T).sieve(5, 4).scale(2))
+    d52 = holproj.d_pa_series(5, 2, 1, T)
+    variants = {r: common + d52.sieve(5, r).scale(2) for r in (4, 1)}
+    return variants, rhs, twist_diff == twist_fn
+
+
+def check_cor_i(max_n: int):
+    """qrel.relations.check_cor_i one Fraction coefficient at a time."""
+    rep = RelationReport("cor_i", 0, max_n, "all n")
+    variants, rhs, readings_agree = cor_i_sides(max_n)
+    misses = {r: sum(lhs.coeff(n) != rhs.coeff(n) for n in range(max_n + 1))
+              for r, lhs in variants.items()}
+    best = min(misses, key=lambda r: (misses[r], r))
+    for n in range(max_n + 1):
+        rep.record(n, variants[best].coeff(n), rhs.coeff(n))
+    rep.notes = (f"sieve residue on D_1^(5,2): {best}; "
+                 f"twist readings pointwise equal: {readings_agree}")
+    if not readings_agree and rep.ok:
+        rep.record(0, Fraction(0), Fraction(1))
+    return rep
+
+
+def check_cor_ii(max_n: int):
+    """qrel.relations.check_cor_ii one Fraction coefficient at a time."""
+    rep = RelationReport("cor_ii", 1, max_n,
+                         "n with prime support >= 5 and != 7")
+    T = max_n
+    chi7 = kronecker_character(7)
+    lhs = (theta_base(7, T)
+           + holproj.d_pa_series(1, 0, 1, -(-T // 49)).v_op(49).scale(7).truncate(T)
+           + holproj.d_pa_series(7, 2, 1, T).sieve(7, 3).scale(2)
+           + holproj.d_pa_series(7, 4, 1, T).sieve(7, 5).scale(2)
+           + holproj.d_pa_series(7, 1, 1, T).sieve(7, 6).scale(2))
+    g2 = forms.eisenstein_g2(T)
+    g7 = forms.g7(T)
+    for n in forms.g7_support(T):
+        rhs = (Fraction(1, 4) * g2.coeff(n)
+               - Fraction(1, 24) * (chi7(n) - chi7(n) ** 2) * g2.coeff(n)
+               + Fraction(1, 4) * g7.coeff(n))
+        rep.record(n, lhs.coeff(n), rhs)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,8 @@ class TestVerifyAll:
     # Recorded with `python -m qrel.cli ARGV`, each "elapsed_ms" line
     # dropped from the JSON: the verify-all outputs from commit 1356505,
     # the scaled prop72 and cor_ii reports (the two checks built on
-    # D^{(p,a)}_k) from d443076.  The CLI output must stay byte-identical
-    # to these, timing aside.
+    # D^{(p,a)}_k) from d443076, the scaled cor_i report from 48eb039.
+    # The CLI output must stay byte-identical to these, timing aside.
     @pytest.mark.parametrize("argv, golden", [
         (["verify-all"], "verify_all.txt"),
         (["verify-all", "--json"], "verify_all.json"),
@@ -303,7 +303,9 @@ class TestVerifyAll:
         (["verify", "prop72", "--max", "1500", "--json"],
          "verify_prop72_max1500.json"),
         (["verify", "cor_ii", "--max", "2000", "--json"],
-         "verify_cor_ii_max2000.json")])
+         "verify_cor_ii_max2000.json"),
+        (["verify", "cor_i", "--max", "3000", "--json"],
+         "verify_cor_i_max3000.json")])
     def test_output_matches_golden(self, capsys, argv, golden):
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -362,10 +364,11 @@ class TestImportFootprint:
         (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
         (["hurwitz", "--max", "50", "--out", "{tmp}"],
          {"forms", "holproj", "qseries", "relations", "scalars"}),
-        (["verify", "eichler", "--max", "50"], set()),
+        (["verify", "eichler", "--max", "50"], {"forms", "holproj"}),
+        (["verify", "cor_i", "--max", "50"], {"forms", "holproj"}),
         (["verify-all", "--max", "40", "--json"], set())],
         ids=["help", "lambda-csv", "lambda-text", "catalog", "hurwitz", "verify",
-             "verify-all"])
+             "verify-cor_i", "verify-all"])
     def test_modules_loaded(self, tmp_path, argv, absent):
         argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
         src = os.path.dirname(os.path.dirname(qrel.__file__))

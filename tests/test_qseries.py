@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import series_from_csv_lines, symmetric_sum
 from qrel import forms, qseries
 from qrel.arith import kronecker_character
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
-                          _euler_function, _kronecker_mul, eta_product,
-                          theta_moments)
+                          _euler_function, _jacobi_cube, _kronecker_mul,
+                          eta_product, theta_moments)
 from qrel.scalars import QuadExt
 
 small_series = st.builds(
@@ -174,6 +175,27 @@ class TestProductKernels:
                     nonzero(_dict_mul(f.coeffs, g.coeffs, t))
                 assert f * g == QSeries(_dict_mul(f.coeffs, g.coeffs, t), t)
 
+    @given(rational_map, st.integers(0, 70))
+    @settings(max_examples=200, deadline=None)
+    def test_square_matches_dict_loop(self, a, t):
+        # one map as both operands: packed once and squared
+        assert _kronecker_mul(a, a, t) == nonzero(_dict_mul(a, a, t))
+
+    def test_square_empty_and_t0(self):
+        assert _kronecker_mul({}, {}, 5) == {}
+        a = {0: Fraction(-2, 3), 1: 5, 4: Fraction(1, 7)}
+        assert _kronecker_mul(a, a, 0) == {0: Fraction(4, 9)}
+        assert _kronecker_mul(a, a, 8) == nonzero(_dict_mul(a, a, 8))
+
+    @given(rational_map, st.integers(0, 9), st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_pow_matches_repeated_dict_products(self, a, m, t):
+        f = QSeries(a, t)
+        want = {0: 1}
+        for _ in range(m):
+            want = nonzero(_dict_mul(want, f.coeffs, t))
+        assert f ** m == QSeries(want, t)
+
     def test_quadext_products_unchanged(self):
         r2 = QuadExt(0, 1, 2)
         f = QSeries({0: 1, 1: r2}, 10)
@@ -327,6 +349,33 @@ class TestEtaProduct:
             [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57]
         assert all(f.coeff(n) in (-1, 1) for n in f.support())
 
+    def test_jacobi_cube_first_terms(self):
+        # prod (1 - q^n)^3 = 1 - 3q + 5q^3 - 7q^6 + 9q^10 - 11q^15 + ...
+        assert _jacobi_cube(1, 21).coeffs == \
+            {0: 1, 1: -3, 3: 5, 6: -7, 10: 9, 15: -11, 21: 13}
+        assert _jacobi_cube(2, 20).coeffs == {0: 1, 2: -3, 6: 5, 12: -7, 20: 9}
+        assert _jacobi_cube(3, 0).coeffs == {0: 1}
+        assert _jacobi_cube(1, 40) == _euler_function(1, 40) ** 3
+
+    @pytest.mark.parametrize("T", [0, 1, 7, 100, 400])
+    def test_matches_euler_power_oracle(self, T):
+        # every valid (d, e) with d <= 4 and e <= 30, and mixed factor lists
+        single = [[(d, e)] for d in range(1, 5) for e in range(31)
+                  if d * e % 24 == 0]
+        mixed = [[(1, 8), (2, 8)], [(1, 4), (2, 4), (3, 4), (6, 4)],
+                 [(1, 2), (2, 2), (3, 2), (6, 2), (4, 0), (12, 6)],
+                 [(1, 1), (23, 1)], [(1, 3), (3, 3), (2, 6)]]
+        for factors in single + mixed:
+            got = eta_product(factors, T)
+            assert got.coeffs == oracles.eta_product(factors, T).coeffs, factors
+            assert got.trunc == T
+
+    def test_csv_lines_of_int_coefficients(self):
+        f = eta_product([(1, 24)], 30)
+        assert all(isinstance(c, int) for c in f.coeffs.values())
+        assert f.to_csv_lines() == [f"{n},{c},1"
+                                    for n, c in sorted(f.coeffs.items())]
+
     def test_negative_exponent(self):
         # eta quotients are not supported, even with a valid lead
         # (48 - 24)/24 = 1
@@ -334,3 +383,9 @@ class TestEtaProduct:
             eta_product([(1, 48), (1, -24)], 300)
         with pytest.raises(ValueError, match="leading q-power -1/24"):
             eta_product([(1, -1)], 300)
+
+    def test_nonpositive_d(self):
+        # eta(0 tau) has no Euler product, and a negative d no q-expansion
+        for factors in ([(0, 24)], [(1, 24), (-1, 0)]):
+            with pytest.raises(ValueError, match="every d must be positive"):
+                eta_product(factors, 30)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qrel import holproj
 from qrel import relations as R
 from qrel.arith import hurwitz, hurwitz_cache, lambda_k, sigma_k
 from qrel.qseries import QSeries
@@ -53,6 +54,27 @@ class TestReports:
         assert rep.status == "pass" and rep.ok
         rep.record(2, Fraction(1), Fraction(2))
         assert rep.status == "fail" and not rep.ok
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    max_size=30), st.integers(1, 48))
+    @settings(max_examples=100, deadline=None)
+    def test_record_lists_matches_record_scaled(self, pairs, scale):
+        ns = range(5, 5 + 2 * len(pairs), 2)
+        lhs, rhs = [l for l, _ in pairs], [r for _, r in pairs]
+        got = R.RelationReport("demo", 1, 10, "all n", checked=2)
+        got.record_lists(ns, lhs, rhs, scale)
+        want = R.RelationReport("demo", 1, 10, "all n", checked=2)
+        for n, l, r in zip(ns, lhs, rhs):
+            want.record_scaled(n, l, r, scale)
+        assert (got.failures, got.checked) == (want.failures, want.checked)
+
+    def test_record_lists_lengths_must_agree(self):
+        rep = R.RelationReport("demo", 1, 10, "all n")
+        with pytest.raises(ValueError, match="same length"):
+            rep.record_lists(range(1, 4), [1, 2, 3], [1, 2], 1)
+        with pytest.raises(ValueError, match="same length"):
+            rep.record_lists([1, 2], [1, 2, 3], [1, 2, 3], 1)
+        assert rep.checked == 0 and rep.failures == []
 
     def test_defaults(self):
         rep = R.RelationReport("demo", 1, 10, "all n")
@@ -216,16 +238,19 @@ class TestMomentPath:
 
     @pytest.mark.parametrize("p, T", [(5, 3000), (7, 500)])
     def test_theta_base_matches_oracle(self, p, T):
-        assert R._theta_base(p, T).coeffs == oracles.theta_base(p, T).coeffs
+        # the theta base alone: scale 12, no D-series
+        base = oracles.theta_base(p, T)
+        assert R._theta_d_side(p, T, 12, 0, []) == \
+            [12 * base.coeff(n) for n in range(T + 1)]
 
     def test_perturbed_table_fails_like_oracle(self, monkeypatch):
         # H(23) raised by 1/12 in the live table: every check on the moment
         # path must fail with the oracle path's failures and notes, so no
         # packed copy of the table outlives a call
-        def run():
+        def run(cor_i=R.check_cor_i):
             reps = [R.check_eichler(100), R.check_cohen(100),
                     R.check_kronecker_hurwitz(50), R.check_trace_level1(1, 50),
-                    R.check_trace_level4(1, 99), R.check_cor_i(60)]
+                    R.check_trace_level4(1, 99), cor_i(60)]
             return [(r.failures, r.notes, r.checked) for r in reps]
 
         cache = hurwitz_cache()
@@ -237,8 +262,7 @@ class TestMomentPath:
             got = run()
             with monkeypatch.context() as m:
                 m.setattr(R, "_g_sums", oracles.g_sums)
-                m.setattr(R, "_theta_base", oracles.theta_base)
-                want = run()
+                want = run(oracles.check_cor_i)
         finally:
             cache._table[23] = original
         assert got == want
@@ -273,6 +297,84 @@ class TestQuasiModular:
     def test_cor_ii(self):
         assert R.check_cor_ii(200).ok
 
+    @pytest.mark.parametrize("check, T", [
+        ("check_cor_i", 0), ("check_cor_i", 1), ("check_cor_i", 7),
+        ("check_cor_i", 300), ("check_cor_i", 3000),
+        ("check_cor_ii", 1), ("check_cor_ii", 200), ("check_cor_ii", 2000)])
+    def test_matches_fraction_oracle(self, check, T):
+        # the integer lists against the Fraction series they replace
+        got, want = getattr(R, check)(T), getattr(oracles, check)(T)
+        assert (got.failures, got.notes, got.checked, got.status) == \
+            (want.failures, want.notes, want.checked, want.status)
+
+    def test_cor_i_sides_match_fraction_oracle(self):
+        T = 1000
+        variants, rhs, readings_agree = oracles.cor_i_sides(T)
+        common = R._theta_d_side(5, T, 48, 5, [(1, 4)])
+        d52 = R.residue_class_sieve(T, 1, 5, 2)
+        for r, lhs in variants.items():
+            assert [v + 96 * d52[n] * (n % 5 == r) for n, v in enumerate(common)] \
+                == [48 * lhs.coeff(n) for n in range(T + 1)]
+        assert readings_agree
+
+    def test_perturbed_reports_match_golden(self, monkeypatch):
+        # Reports under six perturbations, recorded from the Fraction-series
+        # cor_i and cor_ii of commit 48eb039: 12 H(23) or 12 H(20) raised by
+        # 1, and D_1^{(p,a)} changed through the sieve that the checks read:
+        # raised by 1 at some n, or, so that the sieve residue 4 misses
+        # fewer indices than 1, raised by 1000 on the class 1 mod 5 and
+        # cleared on the class 4
+        with open(os.path.join(GOLDEN, "cor_perturbed.json"),
+                  encoding="utf-8") as f:
+            golden = json.load(f)
+        sieve = R.residue_class_sieve
+
+        def raise_at(ns):
+            def edit(out):
+                for n in ns:
+                    if n < len(out):
+                        out[n] += 1
+            return edit
+
+        def favour_4(out):
+            out[1::5] = [v + 1000 for v in out[1::5]]
+            out[4::5] = [0] * len(out[4::5])
+
+        def edited(pa, edit):
+            def perturbed(max_n, k, p, a):
+                out = sieve(max_n, k, p, a)
+                if (p, a) == pa:
+                    edit(out)
+                return out
+            return perturbed
+
+        def report(rep):
+            d = rep.to_dict()
+            del d["elapsed_ms"]
+            return {**d, "checked": rep.checked}
+
+        got = {}
+        cache = hurwitz_cache()
+        cache.ensure(8000)
+        for name, disc, check, T in [("cor_i_H23", 23, R.check_cor_i, 300),
+                                     ("cor_ii_H20", 20, R.check_cor_ii, 500)]:
+            original = cache._table[disc]
+            try:
+                cache._table[disc] = original + 1
+                got[name] = report(check(T))
+            finally:
+                cache._table[disc] = original
+        for name, pa, edit, check, T in [
+                ("cor_i_D52_at_11", (5, 2), raise_at([11]), R.check_cor_i, 300),
+                ("cor_ii_D72_at_17", (7, 2), raise_at([17]), R.check_cor_ii, 500),
+                ("cor_i_D52_class1", (5, 2), raise_at(range(1, 301, 5)),
+                 R.check_cor_i, 300),
+                ("cor_i_D52_favours_4", (5, 2), favour_4, R.check_cor_i, 300)]:
+            with monkeypatch.context() as m:
+                m.setattr(R, "residue_class_sieve", edited(pa, edit))
+                got[name] = report(check(T))
+        assert got == golden
+
     def test_prop72(self):
         rep = R.check_prop72(150)
         # one index per n, residue a mod p and nu in (0, 1), p in (5, 7)
@@ -282,26 +384,26 @@ class TestQuasiModular:
         # Lambda^{(p,a)}_nu raised by q^{4n} at n = 36, 121, 180 for every
         # p, a, nu: the expected list, rhs values included, was recorded
         # from the trial-division D^{(p,a)}_k of commit d443076
-        lambda_pa = R.holproj.lambda_pa
+        lambda_pa = holproj.lambda_pa
 
         def perturbed(p, a, nu, T):
             bump = {4 * n: 1 for n in (36, 121, 180) if 4 * n <= T}
             return lambda_pa(p, a, nu, T) + QSeries(bump, T)
 
-        monkeypatch.setattr(R.holproj, "lambda_pa", perturbed)
+        monkeypatch.setattr(holproj, "lambda_pa", perturbed)
         rep = R.check_prop72(200)
         assert rep.failures == golden_failures("prop72_perturbed_lambda_pa.json")
 
     def test_class_set_checked_for_both_residues(self, monkeypatch):
         # Lambda^{(5,a)} raised by q^28 for the class set {2, 3} alone must
         # fail at n = 7 for a = 2 and for a = 3, at each nu, and nowhere else
-        lambda_pa = R.holproj.lambda_pa
+        lambda_pa = holproj.lambda_pa
 
         def perturbed(p, a, nu, T):
             bump = QSeries({28: 1} if (p, min(a, p - a)) == (5, 2) else {}, T)
             return lambda_pa(p, a, nu, T) + bump
 
-        monkeypatch.setattr(R.holproj, "lambda_pa", perturbed)
+        monkeypatch.setattr(holproj, "lambda_pa", perturbed)
         rep = R.check_prop72(20)
         assert rep.checked == 2 * (5 + 7) * 20
         assert [n for n, _, _ in rep.failures] == [7] * 4
@@ -323,15 +425,15 @@ class TestQuasiModular:
         assert {n: v for n, v in enumerate(w) if v} == oracles.w_term(p, a % p, e, T)
 
     def test_sides_compared_as_ints(self, monkeypatch):
-        # both sides reach record_scaled as ints over the scale 1
+        # both sides reach record_lists as lists of ints over the scale 1
         seen = set()
-        record_scaled = R.RelationReport.record_scaled
+        record_lists = R.RelationReport.record_lists
 
-        def spy(self, n, lhs, rhs, scale):
-            seen.add((type(lhs), type(rhs), scale))
-            record_scaled(self, n, lhs, rhs, scale)
+        def spy(self, ns, lhs, rhs, scale):
+            seen.update((type(l), type(r), scale) for l, r in zip(lhs, rhs))
+            record_lists(self, ns, lhs, rhs, scale)
 
-        monkeypatch.setattr(R.RelationReport, "record_scaled", spy)
+        monkeypatch.setattr(R.RelationReport, "record_lists", spy)
         assert R.check_prop72(60).ok
         assert seen == {(int, int, 1)}
 
@@ -346,7 +448,7 @@ class TestIdentities:
         # Y^4 of P_{6,b} off by one: both rewrites fail for each of the
         # five b (ids 60..64), and so do both closed sums at nu = 2, whose
         # P has a = 2nu + 2 = 6 (ids 300002, 400002)
-        p_poly = R.holproj.p_poly
+        p_poly = holproj.p_poly
 
         def perturbed(a, b):
             P = p_poly(a, b)
@@ -354,7 +456,7 @@ class TestIdentities:
                 P[0] += 1
             return P
 
-        monkeypatch.setattr(R.holproj, "p_poly", perturbed)
+        monkeypatch.setattr(holproj, "p_poly", perturbed)
         rep = R.check_identities()
         assert rep.failures == [(i, Fraction(0), Fraction(1)) for i in
                                 (60, 61, 62, 63, 64, 300002, 400002)]
@@ -405,20 +507,20 @@ class TestIdentities:
         for identity, oracle in ((R._closed_sum_even, oracles.closed_sum_even),
                                  (R._closed_sum_odd, oracles.closed_sum_odd)):
             got = identity(8)
-            assert got == oracle(8, binom=perturbed, poly=R.holproj.p_poly)
+            assert got == oracle(8, binom=perturbed, poly=holproj.p_poly)
             assert [nu for nu, _, _ in got] == [8]
 
     def test_perturbed_gamma_half_fails(self, monkeypatch):
         # Gamma(7/2) raised by sqrt(pi)/7 moves kappa(3/2, 1/2, nu) at
         # nu = 2 and 3 only; the expected list, values included, was
         # recorded from the Fraction-loop kernels of commit 3b191ef
-        gamma_half = R.holproj.gamma_half
+        gamma_half = holproj.gamma_half
 
         def perturbed(h):
             g = gamma_half(h)
             return g + PiScalar(Fraction(1, 7), 1) if h == Fraction(7, 2) else g
 
-        monkeypatch.setattr(R.holproj, "gamma_half", perturbed)
+        monkeypatch.setattr(holproj, "gamma_half", perturbed)
         rep = R.check_identities()
         assert rep.failures == golden_failures(
             "identities_gamma_half_perturbed.json")

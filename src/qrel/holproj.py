@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .arith import (DirichletCharacter, kronecker_character, pair_sieve,
                     residue_class_sieve)
 from .qseries import QSeries, _check_trunc
-from .scalars import (PiScalar, QuadExt, as_half_integer, factorial,
-                      falling_gamma_ratio, gamma_half, gen_binom, is_square,
-                      squarefree_split)
+from .scalars import (PiScalar, QuadExt, as_half_integer, binom_parts,
+                      factorial, gamma_half, gamma_half_parts, gen_binom,
+                      is_square, squarefree_split)
 
 
 class BracketSpec:
@@ -90,23 +90,27 @@ def poly_eval(p: list, x, y):
     return total
 
 
-def p_poly(a: int, b) -> list:
-    """P_{a,b}(X, Y) = sum_{j=0}^{a-2} C(j+b-2, j) X^j (X+Y)^{a-j-2}, expanded:
-    the term of j is the binomial row of (X+Y)^{a-j-2} shifted up by j, summed
-    in integers over D = q^(a-2) (a-2)! for b = p/q."""
+def p_poly_ints(a: int, p: int, q: int = 1) -> tuple[list[int], int]:
+    """P_{a,b}(X, Y) = sum_{j=0}^{d} C(j+b-2, j) X^j (X+Y)^{d-j}, d = a - 2,
+    for b = p/q, as (integer list, D) with P = list / D and D = q^d d!.
+    Horner in X + Y: h <- h (X+Y) + C(j+b-2, j) D X^j for j = 0..d."""
     if a < 2:
         raise ValueError("degree parameter a must be at least 2")
-    b = Fraction(b)
-    p, q, d = b.numerator, b.denominator, a - 2
+    d = a - 2
     c = D = q ** d * factorial(d)      # c = C(j+b-2, j) D, an integer
-    out = [0] * (d + 1)
-    for j in range(d + 1):
-        if j:
-            c = c * (p + (j - 2) * q) // (j * q)
-        e = d - j
-        for i in range(e + 1):
-            out[j + i] += c * comb(e, i)
-    return [Fraction(v, D) for v in out]
+    h = [c]
+    for j in range(1, d + 1):
+        c = c * (p + (j - 2) * q) // (j * q)
+        h = [u + v for u, v in zip(h + [0], [0] + h)]
+        h[j] += c
+    return h, D
+
+
+def p_poly(a: int, b) -> list:
+    """P_{a,b} as a list of Fractions: the view of p_poly_ints."""
+    b = Fraction(b)
+    P, D = p_poly_ints(a, b.numerator, b.denominator)
+    return [Fraction(v, D) for v in P]
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +129,21 @@ def kappa(spec: BracketSpec) -> PiScalar:
     w = spec.total_weight
     if w.denominator != 1 or w < 2:
         raise ValueError(f"total weight {w} must be an integer >= 2")
-    total = PiScalar(0)
+    # The mu-terms Gamma(2-k)/Gamma(2-k-mu) C(k+nu-1, nu-mu) C(l+nu-1, mu)
+    # Gamma(l+2nu-mu), the first as mu! C(1-k, mu), as pairs over one lcm.
+    kp, kq, lp, lq = k.numerator, k.denominator, l.numerator, l.denominator
+    terms = []
     for mu in range(nu + 1):
-        coeff = (falling_gamma_ratio(2 - k, mu)
-                 * gen_binom(k + nu - 1, nu - mu)
-                 * gen_binom(l + nu - 1, mu))
-        if coeff:
-            total = total + gamma_half(l + 2 * nu - mu) * coeff
-    return total * Fraction(1, factorial(int(w) - 2)) / (k - 1)
+        (f, df), (b, db), (c, dc) = (binom_parts(kq - kp, kq, mu),
+                                     binom_parts(kp + (nu - 1) * kq, kq, nu - mu),
+                                     binom_parts(lp + (nu - 1) * lq, lq, mu))
+        if f * b * c:
+            g, dg, _ = gamma_half_parts(2 * lp // lq + 2 * (2 * nu - mu))
+            terms.append((factorial(mu) * f * b * c * g, df * db * dc * dg))
+    L = lcm(*(den for _, den in terms))
+    total = sum(num * (L // den) for num, den in terms)
+    return PiScalar(Fraction(total * kq, L * factorial(int(w) - 2) * (kp - kq)),
+                    lq - 1)
 
 
 def half_power(base: int, e) -> Fraction | QuadExt:

@@ -9,7 +9,9 @@ truncation is ever reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import isqrt, lcm
+from operator import mul
 
 from .scalars import QuadExt
 
@@ -377,6 +379,7 @@ def eta_product(factors, T: int) -> QSeries:
     (J^(e // 3) E^(e % 3))|V(d) to T // d, with the sparse J = E^3 of
     Jacobi's identity and Euler function E: Delta = q J^8 takes three
     squarings, and eta(2 tau)^12 = q (J^4)|V(2) two at half the length.
+    The first power and q^lead are exponent shifts, not products.
     """
     lead = Fraction(sum(d * e for d, e in factors), 24)
     if lead.denominator != 1 or lead < 0:
@@ -385,14 +388,17 @@ def eta_product(factors, T: int) -> QSeries:
         raise ValueError(f"negative exponents are not supported: {factors}")
     if any(d < 1 for d, _ in factors):
         raise ValueError(f"every d must be positive: {factors}")
-    result = QSeries({int(lead): 1}, T)
-    for d, e in factors:
-        factor = QSeries.one(T // d)
-        for base, m in ((_jacobi_cube, e // 3), (_euler_function, e % 3)):
-            if m:
-                factor = factor * base(1, T // d) ** m
-        result = result * QSeries({d * n: c for n, c in factor.coeffs.items()}, T)
-    return result
+    _check_trunc(T)
+    t = T - int(lead)                      # the factors are needed to q^t
+    lifted = []
+    for d, e in factors if t >= 0 else ():
+        powers = [base(1, t // d) ** m for base, m in
+                  ((_jacobi_cube, e // 3), (_euler_function, e % 3)) if m]
+        if powers:
+            lifted.append(QSeries({d * n: c for n, c in
+                                   reduce(mul, powers).coeffs.items()}, t))
+    coeffs = reduce(mul, lifted).coeffs if lifted else {0: 1} if t >= 0 else {}
+    return QSeries({n + int(lead): c for n, c in coeffs.items()}, T)
 
 
 def _jacobi_cube(d: int, T: int) -> QSeries:

@@ -30,11 +30,12 @@ import json
 import time
 from fractions import Fraction
 from math import comb, isqrt, lcm
+from operator import mul
 
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     kronecker_character, pair_sieve, residue_class_sieve)
 from .qseries import theta_moments
-from .scalars import PiScalar, factorial, format_scalar, gen_binom
+from .scalars import binom_parts, factorial, format_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +333,14 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
 
     The sieve residue r on the D_1^{(5,2)} term circulates both as 4 and
     as 1; both are tested and the report records which closes the
-    identity.  The twist expression "G_2 (x) chi_5(1 - chi_5)" has two
-    readings (twist by n -> chi_5(n) - chi_5(n)^2, versus the difference
-    of the two twisted series); they are pointwise identical, which the
-    checker also confirms.
+    identity.  The twist G_2 (x) chi_5 - G_2 (x) chi_5^2 is read as the
+    twist by n -> chi_5(n) - chi_5(n)^2, which is the same series.
     """
     rep = RelationReport("cor_i", 0, max_n, "all n")
     with _Timer(rep):
-        # times 48; G_2 has no zero coefficient, so the twist readings agree
-        # up to T when their weights agree on the residues mod 5 of 0..T
+        # times 48
         T = max_n
-        chi5 = kronecker_character(5).values
-        diff = [c - c * c for c in chi5][:T + 1]
-        readings_agree = diff == [c * (1 - c) for c in chi5][:T + 1]
+        diff = [c - c * c for c in kronecker_character(5).values][:T + 1]
         sigma, _ = divisor_sieve(T, 1)
         g24 = [-1] + [24 * v for v in sigma[1:]]           # 24 G_2
         rhs = g24[:]
@@ -361,10 +357,7 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
                   for r, lhs in variants.items()}
         best = min(misses, key=lambda r: (misses[r], r))
         rep.record_lists(range(T + 1), variants[best], rhs, 48)
-        rep.notes = (f"sieve residue on D_1^(5,2): {best}; "
-                     f"twist readings pointwise equal: {readings_agree}")
-        if not readings_agree and rep.ok:
-            rep.record(0, Fraction(0), Fraction(1))
+        rep.notes = f"sieve residue on D_1^(5,2): {best}"
     return rep
 
 
@@ -458,93 +451,81 @@ def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
 # Exact combinatorial and polynomial identity suite
 
 
-def _binomial_identity_even(nu_max: int) -> list[tuple[int, object, object]]:
-    """sum_mu (-1)^mu/(mu - j + 1/2) * (4nu-2mu-1)! / ((2(nu-mu))! (2nu-mu-1)! mu!)
-    = 2^{4nu} (-1)^j (2nu-j)! j! / ((2j)! (2(nu-j)+1)!), for nu > 0.  This
-    and the odd identity sum, over the lcm of the denominators, integer
-    multinomials built once per nu."""
-    bad = []
-    for nu in range(1, nu_max + 1):
-        mult = [(-1) ** mu * 2 * comb(4 * nu - 2 * mu - 1, 2 * nu - 2 * mu)
-                * comb(2 * nu - 1, mu) for mu in range(nu + 1)]
-        for j in range(nu + 1):
-            dens = [2 * (mu - j) + 1 for mu in range(nu + 1)]
-            L = lcm(*dens)
-            lhs = Fraction(sum(m * (L // den) for m, den in zip(mult, dens)), L)
-            rhs = Fraction(2 ** (4 * nu) * (-1) ** j
-                           * factorial(2 * nu - j) * factorial(j),
-                           factorial(2 * j) * factorial(2 * (nu - j) + 1))
-            if lhs != rhs:
-                bad.append((100 * nu + j, lhs, rhs))
-    return bad
-
-
-def _binomial_identity_odd(nu_max: int) -> list[tuple[int, object, object]]:
-    """sum_mu (-1)^mu/(2(j-mu)+1) * (4nu-2mu+1)! / ((2(nu-mu)+1)! (2nu-mu)! mu!)
-    = (-1)^j 2^{4nu} (2nu-j)! j! / ((2(nu-j))! (2j+1)!)."""
-    bad = []
+def _binomial_sums(nu_max: int) -> tuple[list, list]:
+    """The failures of the even and the odd binomial identity, for j <= nu:
+    sum_mu (-1)^mu/(mu - j + 1/2) * (4nu-2mu-1)! / ((2(nu-mu))! (2nu-mu-1)! mu!)
+    = 2^{4nu} (-1)^j (2nu-j)! j! / ((2j)! (2(nu-j)+1)!), for nu > 0;
+    sum_mu (-1)^mu/(2(j-mu)+1) * (4nu-2mu+1)! / ((2(nu-mu)+1)! (2nu-mu)! mu!)
+    = (-1)^j 2^{4nu} (2nu-j)! j! / ((2(nu-j))! (2j+1)!).
+    With one denominator L = lcm(1, 3, ..., 2nu+1) per nu, each left side
+    times L is the sum of the integer multinomials times one slice of the
+    quotients L // k, k odd from 1-2nu to 2nu+1; the even side at j = nu - s
+    and the odd side at j = s read the slice at s.  So the multinomials are
+    packed as even + (odd << K) with |even sum| < 2^(K-1), one sum gives
+    both sides, and each is cross-multiplied with its right side."""
+    fact = [factorial(n) for n in range(2 * nu_max + 2)]
+    bad = ([], [])
     for nu in range(nu_max + 1):
-        mult = [(-1) ** mu * comb(4 * nu - 2 * mu + 1, 2 * nu - 2 * mu + 1)
-                * comb(2 * nu, mu) for mu in range(nu + 1)]
-        for j in range(nu + 1):
-            dens = [2 * (j - mu) + 1 for mu in range(nu + 1)]
-            L = lcm(*dens)
-            lhs = Fraction(sum(m * (L // den) for m, den in zip(mult, dens)), L)
-            rhs = Fraction((-1) ** j * 2 ** (4 * nu)
-                           * factorial(2 * nu - j) * factorial(j),
-                           factorial(2 * (nu - j)) * factorial(2 * j + 1))
-            if lhs != rhs:
-                bad.append((100 * nu + j, lhs, rhs))
+        L = lcm(*range(1, 2 * nu + 2, 2))
+        quot = [L // k for k in range(1 - 2 * nu, 2 * nu + 2, 2)]
+        m_even = [(-1) ** mu * 2 * comb(4 * nu - 2 * mu - 1, 2 * nu - 2 * mu)
+                  * comb(2 * nu - 1, mu) for mu in range(nu + 1)] if nu else [0]
+        m_odd = [(-1) ** mu * comb(4 * nu - 2 * mu + 1, 2 * nu - 2 * mu + 1)
+                 * comb(2 * nu, mu) for mu in range(nu, -1, -1)]
+        K = (sum(map(abs, m_even)) * L).bit_length() + 1
+        both, half = [e + (o << K) for e, o in zip(m_even, m_odd)], 1 << K - 1
+        sums = []
+        for s in range(nu + 1):
+            S = sum(map(mul, both, quot[s:s + nu + 1]))
+            lo = ((S + half) & (2 * half - 1)) - half
+            sums.append((lo, (S - lo) >> K))
+        for odd in (0, 1) if nu else (1,):
+            for j in range(nu + 1):
+                s = j if odd else nu - j
+                num = (-1) ** j * fact[2 * nu - j] * fact[j] << 4 * nu
+                den = fact[2 * (nu - s)] * fact[2 * s + 1]
+                if sums[s][odd] * den != num * L:
+                    bad[odd].append((100 * nu + j, Fraction(sums[s][odd], L),
+                                     Fraction(num, den)))
     return bad
-
-
-def _cleared(fracs: list) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
-    D = lcm(*(c.denominator for c in fracs))
-    return [c.numerator * (D // c.denominator) for c in fracs], D
 
 
 def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
     """The two closed rewrites of P_{a,b}: as sum_j C(a+b-3,j) X^j Y^{a-2-j}
     and as sum_j C(a+b-3,a-2-j) C(j+b-2,j) (X+Y)^{a-2-j} (-Y)^j, for
-    half-integer b not in {1, 2}.  Polynomials are coefficient lists
-    indexed by the power of X, as holproj.p_poly returns them."""
+    half-integer b = p/2 not in {1, 2}.  Both are integer lists over
+    L = 2^d d!, d = a - 2, cross-multiplied with holproj.p_poly_ints."""
     from . import holproj
     bad = []
-    bs = (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2),
-          Fraction(5, 2), Fraction(7, 2))
     for a in range(2, a_max + 1):
-        for bi, b in enumerate(bs):
-            P = holproj.p_poly(a, b)
-            alt1 = [gen_binom(a + b - 3, j) for j in range(a - 1)]
-            cs, L = _cleared([gen_binom(a + b - 3, a - 2 - j)
-                              * gen_binom(j + b - 2, j) * (-1) ** j
-                              for j in range(a - 1)])
-            alt2 = [0] * (a - 1)
-            for j, c in enumerate(cs):
-                e = a - 2 - j
+        d = a - 2
+        L = 2 ** d * factorial(d)
+        for bi, p in enumerate((-3, -1, 1, 5, 7)):
+            P, D = holproj.p_poly_ints(a, p, 2)
+            top = [binom_parts(p + 2 * (a - 3), 2, j) for j in range(d + 1)]
+            alt1 = [num * (L // den) for num, den in top]
+            alt2 = [0] * (d + 1)
+            for j in range(d + 1):
+                (n1, d1), (n2, d2) = top[d - j], binom_parts(p + 2 * (j - 2), 2, j)
+                c = (-1) ** j * n1 * n2 * (L // (d1 * d2))
+                e = d - j
                 for i in range(e + 1):
                     alt2[i] += c * comb(e, i)
-            if P != alt1 or P != [Fraction(v, L) for v in alt2]:
+            if alt1 != alt2 or [v * L for v in P] != [v * D for v in alt1]:
                 bad.append((10 * a + bi, Fraction(0), Fraction(1)))
     return bad
 
 
 def _subst_squares(P: list[int]) -> list[int]:
     """P(x^2 - y^2, y^2) for P homogeneous of degree d, as the list of its
-    2d + 1 coefficients indexed by the power of x: the term P[i] X^i Y^(d-i)
-    is P[i] times the row of (x^2 - y^2)^i, on the even powers of x."""
-    d = len(P) - 1
-    out = [0] * (2 * d + 1)
-    for i, c in enumerate(P):
-        for k in range(i + 1):
-            out[2 * k] += c * comb(i, k) * (-1) ** (i - k)
+    2d + 1 coefficients indexed by the power of x, by Horner in x^2 - y^2:
+    h <- h (x^2 - y^2) + P[i] y^(2(d-i)) for i = d..0, on the even powers."""
+    h = []
+    for c in reversed(P):
+        h = [u - v for u, v in zip([c] + h, h + [0])]
+    out = [0] * (2 * len(P) - 1)
+    out[::2] = h
     return out
-
-
-def _x_minus_y_row(e: int, c) -> list:
-    """c (x - y)^e, as coefficients indexed by the power of x."""
-    return [c * comb(e, i) * (-1) ** (e - i) for i in range(e + 1)]
 
 
 def _closed_sum_holds(nu: int, odd: int) -> bool:
@@ -553,25 +534,27 @@ def _closed_sum_holds(nu: int, odd: int) -> bool:
     sum_mu c_mu (P_{2nu+2,1/2+odd-mu}(x^2-y^2, y^2) y^odd - x^{4nu-2mu-1+2odd})
     = (-1)^odd 4^{-nu} C(2nu,nu) x^{2nu-1+odd} (x-y)^{2nu+1}, with
     c_mu = C(nu+1/2-odd, nu-mu) C(nu-1/2+odd, mu).  Each mu-term is an
-    integer list over its own denominator; all are scaled to their lcm L."""
+    integer list over its own denominator; all are scaled to their lcm L,
+    summed, and substituted once."""
     from . import holproj
     terms = []
     for mu in range(nu + 1):
-        c = (gen_binom(Fraction(2 * nu + 1 - 2 * odd, 2), nu - mu)
-             * gen_binom(Fraction(2 * nu - 1 + 2 * odd, 2), mu))
-        P, D = _cleared(holproj.p_poly(2 * nu + 2, Fraction(1 + 2 * odd - 2 * mu, 2)))
-        # times y^odd: one more entry, as the list is indexed by the power of x
-        S = _subst_squares(P) + [0] * odd
-        S[4 * nu - 2 * mu - 1 + 2 * odd] -= D
-        terms.append((c.numerator, c.denominator * D, S))
-    L = lcm(4 ** nu, *(den for _, den, _ in terms))
-    lhs = [0] * (4 * nu + 1 + odd)
-    for num, den, S in terms:
+        n1, d1 = binom_parts(2 * nu + 1 - 2 * odd, 2, nu - mu)
+        n2, d2 = binom_parts(2 * nu - 1 + 2 * odd, 2, mu)
+        P, D = holproj.p_poly_ints(2 * nu + 2, 1 + 2 * odd - 2 * mu, 2)
+        terms.append((n1 * n2, d1 * d2 * D, P, D))
+    L = lcm(4 ** nu, *(den for _, den, _, _ in terms))
+    P_sum = [0] * (2 * nu + 1)
+    monomials = [0] * (4 * nu + 1 + odd)
+    for mu, (num, den, P, D) in enumerate(terms):
         f = num * (L // den)
-        lhs = [u + f * v for u, v in zip(lhs, S)]
-    rhs = [0] * (2 * nu - 1 + odd) + _x_minus_y_row(
-        2 * nu + 1, (-1) ** odd * comb(2 * nu, nu) * (L >> 2 * nu))
-    return lhs == rhs
+        P_sum = [u + f * v for u, v in zip(P_sum, P)]
+        monomials[4 * nu - 2 * mu - 1 + 2 * odd] += f * D
+    # times y^odd: one more entry, as the list is indexed by the power of x
+    lhs = [u - v for u, v in zip(_subst_squares(P_sum) + [0] * odd, monomials)]
+    c, e = (-1) ** odd * comb(2 * nu, nu) * (L >> 2 * nu), 2 * nu + 1
+    return lhs == [0] * (e - 2 + odd) + [c * comb(e, i) * (-1) ** (e - i)
+                                         for i in range(e + 1)]
 
 
 def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
@@ -582,12 +565,12 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
     the nu = 0 case is checked pointwise since that factor is 1/x)."""
     from . import holproj
     bad = []
-    P = holproj.p_poly(2, Fraction(1, 2))
+    P, D = holproj.p_poly_ints(2, 1, 2)
     for x in (2, 3, 5, 7):
         for y in (1, 2, 3, 4):
-            got = Fraction(x * holproj.poly_eval(P, x * x - y * y, y * y) - y)
-            if got != Fraction(x - y):
-                bad.append((x * 10 + y, got, Fraction(x - y)))
+            got = x * holproj.poly_eval(P, x * x - y * y, y * y) - y * D
+            if got != (x - y) * D:
+                bad.append((x * 10 + y, Fraction(got, D), Fraction(x - y)))
     return bad + [(nu, Fraction(0), Fraction(1)) for nu in range(1, nu_max + 1)
                   if not _closed_sum_holds(nu, 0)]
 
@@ -608,9 +591,9 @@ def _kappa_closed_form(nu_max: int) -> list[tuple[int, object, object]]:
     bad = []
     for nu in range(nu_max + 1):
         got = holproj.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu))
-        want = PiScalar(Fraction(2) ** (1 - 2 * nu) * gen_binom(2 * nu, nu), 1)
-        if got != want:
-            bad.append((nu, got.r, want.r))
+        want = 2 * comb(2 * nu, nu)
+        if got.e != 1 or got.r.numerator << 2 * nu != want * got.r.denominator:
+            bad.append((nu, got.r, Fraction(want, 4 ** nu)))
     return bad
 
 
@@ -623,10 +606,11 @@ def check_identities() -> RelationReport:
                          "p_poly a<=12; binomial nu<=40; closed sums nu<=8; "
                          "kappa nu<=20")
     with _Timer(rep):
+        even, odd = _binomial_sums(40)
         suites = [
             ("p_poly_rewrites", _p_poly_rewrites(12)),
-            ("binomial_even", _binomial_identity_even(40)),
-            ("binomial_odd", _binomial_identity_odd(40)),
+            ("binomial_even", even),
+            ("binomial_odd", odd),
             ("closed_sum_even", _closed_sum_even(8)),
             ("closed_sum_odd", _closed_sum_odd(8)),
             ("kappa_closed_form", _kappa_closed_form(20)),

@@ -318,14 +318,18 @@ def as_half_integer(h) -> Fraction:
     return h
 
 
-def gen_binom(x, m: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for rational
-    x = p/q: the product of the p - jq over q^m m!."""
+def binom_parts(p: int, q: int, m: int) -> tuple[int, int]:
+    """The generalized binomial coefficient C(p/q, m), q > 0, as the
+    unreduced pair (product of the p - jq for j < m, q^m m!)."""
     if m < 0:
         raise ValueError("lower index must be nonnegative")
+    return prod(range(p, p - m * q, -q)), q ** m * factorial(m)
+
+
+def gen_binom(x, m: int) -> Fraction:
+    """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for rational x."""
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    return Fraction(prod(p - j * q for j in range(m)), q ** m * factorial(m))
+    return Fraction(*binom_parts(x.numerator, x.denominator, m))
 
 
 @cache
@@ -334,33 +338,28 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def gamma_half(h) -> PiScalar:
-    """Gamma(h) for a half-integer h that is not a pole (not in -N_0),
-    exactly.
-
-    Integer h gives (h-1)! with no pi; h = n + 1/2 gives the closed forms
-    Gamma(n+1/2) = (2n)!/(4^n n!) sqrt(pi) and
-    Gamma(1/2-n) = (-4)^n n!/(2n)! sqrt(pi).
-    """
-    h = as_half_integer(h)
-    if h.denominator == 1:
-        if h <= 0:
-            raise ValueError(f"Gamma pole at {h}")
-        return PiScalar(factorial(int(h) - 1), 0)
-    n = h.numerator // 2            # h = n + 1/2
+def gamma_half_parts(m: int) -> tuple[int, int, int]:
+    """Gamma(m/2) = (num/den) pi^(e/2) as (num, den, e), for an integer m
+    that is not a pole (not in -2N_0): (m/2-1)! for even m, and for m/2 =
+    n + 1/2 the closed forms Gamma(n+1/2) = (2n)!/(4^n n!) sqrt(pi) and
+    Gamma(1/2-n) = (-4)^n n!/(2n)! sqrt(pi)."""
+    if m % 2 == 0:
+        if m <= 0:
+            raise ValueError(f"Gamma pole at {m // 2}")
+        return factorial(m // 2 - 1), 1, 0
+    n = m // 2                      # m/2 = n + 1/2
     if n >= 0:
-        return PiScalar(Fraction(factorial(2 * n), 4 ** n * factorial(n)), 1)
-    return PiScalar(Fraction((-4) ** -n * factorial(-n), factorial(-2 * n)), 1)
+        return factorial(2 * n), 4 ** n * factorial(n), 1
+    return (-4) ** -n * factorial(-n), factorial(-2 * n), 1
+
+
+def gamma_half(h) -> PiScalar:
+    """Gamma(h) for a half-integer h that is not a pole, exactly."""
+    num, den, e = gamma_half_parts(int(2 * as_half_integer(h)))
+    return PiScalar(Fraction(num, den), e)
 
 
 def falling_gamma_ratio(x, mu: int) -> Fraction:
-    """Gamma(x)/Gamma(x-mu) as the falling factorial (x-1)(x-2)...(x-mu):
-    for x = p/q, the product of the p - jq over q^mu.
-
-    Pole-free: valid even where the individual Gamma values blow up.
-    """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    return Fraction(prod(p - j * q for j in range(1, mu + 1)), q ** mu)
+    """Gamma(x)/Gamma(x-mu) = (x-1)(x-2)...(x-mu) = mu! C(x-1, mu), which is
+    pole-free: valid even where the individual Gamma values blow up."""
+    return gen_binom(Fraction(x) - 1, mu) * factorial(mu)

@@ -204,14 +204,13 @@ def theta_base(p: int, T: int) -> QSeries:
     return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums)}, T)
 
 
-def cor_i_sides(T: int) -> tuple[dict, QSeries, bool]:
+def cor_i_sides(T: int) -> tuple[dict, QSeries]:
     """The two variants (sieve residue r = 4 or 1) of the left side of
-    qrel.relations.check_cor_i, its right side, and whether the two twist
-    readings agree, as Fraction series built by the QSeries operators."""
+    qrel.relations.check_cor_i and its right side, as Fraction series
+    built by the QSeries operators."""
     chi5 = kronecker_character(5)
     g2 = forms.eisenstein_g2(T)
     twist_diff = g2.twist(chi5) - g2.twist(lambda n: chi5(n) ** 2)
-    twist_fn = g2.twist(lambda n: chi5(n) * (1 - chi5(n)))
     rhs = (g2.scale(Fraction(1, 2))
            + twist_diff.scale(Fraction(1, 12))
            - g2.v_op(5).truncate(T)
@@ -221,22 +220,19 @@ def cor_i_sides(T: int) -> tuple[dict, QSeries, bool]:
               + holproj.d_pa_series(5, 1, 1, T).sieve(5, 4).scale(2))
     d52 = holproj.d_pa_series(5, 2, 1, T)
     variants = {r: common + d52.sieve(5, r).scale(2) for r in (4, 1)}
-    return variants, rhs, twist_diff == twist_fn
+    return variants, rhs
 
 
 def check_cor_i(max_n: int):
     """qrel.relations.check_cor_i one Fraction coefficient at a time."""
     rep = RelationReport("cor_i", 0, max_n, "all n")
-    variants, rhs, readings_agree = cor_i_sides(max_n)
+    variants, rhs = cor_i_sides(max_n)
     misses = {r: sum(lhs.coeff(n) != rhs.coeff(n) for n in range(max_n + 1))
               for r, lhs in variants.items()}
     best = min(misses, key=lambda r: (misses[r], r))
     for n in range(max_n + 1):
         rep.record(n, variants[best].coeff(n), rhs.coeff(n))
-    rep.notes = (f"sieve residue on D_1^(5,2): {best}; "
-                 f"twist readings pointwise equal: {readings_agree}")
-    if not readings_agree and rep.ok:
-        rep.record(0, Fraction(0), Fraction(1))
+    rep.notes = f"sieve residue on D_1^(5,2): {best}"
     return rep
 
 
@@ -307,6 +303,43 @@ def gamma_half(h) -> PiScalar:
     return PiScalar(r, 1)
 
 
+def kappa(spec: holproj.BracketSpec) -> PiScalar:
+    """qrel.holproj.kappa as a sum of PiScalar terms, each a product of
+    the Fraction loops above."""
+    k, l, nu = spec.k, spec.l, spec.nu
+    if k == 1:
+        raise ValueError("kappa is undefined at k = 1")
+    w = spec.total_weight
+    if w.denominator != 1 or w < 2:
+        raise ValueError(f"total weight {w} must be an integer >= 2")
+    total = PiScalar(0)
+    for mu in range(nu + 1):
+        coeff = (falling_gamma_ratio(2 - k, mu)
+                 * gen_binom(k + nu - 1, nu - mu)
+                 * gen_binom(l + nu - 1, mu))
+        if coeff:
+            total = total + gamma_half(l + 2 * nu - mu) * coeff
+    return total * Fraction(1, factorial(int(w) - 2)) / (k - 1)
+
+
+def binomial_odd(nu_max: int, binom=comb) -> list:
+    """The odd binomial identity of qrel.relations, summed one Fraction
+    term at a time; binom stands in for math.comb in the multinomials."""
+    bad = []
+    for nu in range(nu_max + 1):
+        for j in range(nu + 1):
+            lhs = sum(Fraction((-1) ** mu * binom(4 * nu - 2 * mu + 1,
+                                                  2 * nu - 2 * mu + 1)
+                               * binom(2 * nu, mu), 2 * (j - mu) + 1)
+                      for mu in range(nu + 1))
+            rhs = Fraction((-1) ** j * 2 ** (4 * nu)
+                           * factorial(2 * nu - j) * factorial(j),
+                           factorial(2 * (nu - j)) * factorial(2 * j + 1))
+            if lhs != rhs:
+                bad.append((100 * nu + j, lhs, rhs))
+    return bad
+
+
 def p_poly(a: int, b) -> list:
     """P_{a,b} as a coefficient list, summed row by row in Fractions."""
     if a < 2:
@@ -333,6 +366,25 @@ def subst_squares(P: list) -> list:
 
 def _x_minus_y_row(e: int, c) -> list:
     return [c * comb(e, i) * (-1) ** (e - i) for i in range(e + 1)]
+
+
+def p_poly_rewrites(a_max: int, binom=gen_binom, poly=p_poly) -> list:
+    """The two P_{a,b} rewrites of qrel.relations in Fractions; binom and
+    poly stand in for gen_binom and holproj.p_poly."""
+    bad = []
+    for a in range(2, a_max + 1):
+        for bi, h in enumerate((-3, -1, 1, 5, 7)):
+            b = Fraction(h, 2)
+            P = poly(a, b)
+            alt1 = [binom(a + b - 3, j) for j in range(a - 1)]
+            alt2 = [Fraction(0)] * (a - 1)
+            for j in range(a - 1):
+                c = binom(a + b - 3, a - 2 - j) * binom(j + b - 2, j) * (-1) ** j
+                for i in range(a - 1 - j):
+                    alt2[i] += c * comb(a - 2 - j, i)
+            if P != alt1 or P != alt2:
+                bad.append((10 * a + bi, Fraction(0), Fraction(1)))
+    return bad
 
 
 def closed_sum_even(nu_max: int, binom=gen_binom, poly=p_poly) -> list:

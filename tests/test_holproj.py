@@ -4,7 +4,7 @@ and the indefinite theta series with their Pell-orbit evaluation."""
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +143,17 @@ class TestPPoly:
         for fn in (hp.p_poly, oracles.p_poly):
             with pytest.raises(ValueError, match="at least 2"):
                 fn(a, Fraction(1, 2))
+        with pytest.raises(ValueError, match="at least 2"):
+            hp.p_poly_ints(a, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 18), st.integers(-41, 41), st.integers(1, 6))
+    def test_integer_kernel_matches_fraction_oracle(self, a, p, q):
+        # p/q need not be reduced: the kernel's list over D = q^(a-2) (a-2)!
+        P, D = hp.p_poly_ints(a, p, q)
+        assert D == q ** (a - 2) * factorial(a - 2)
+        assert all(type(v) is int for v in P)
+        assert [Fraction(v, D) for v in P] == oracles.p_poly(a, Fraction(p, q))
 
 
 class TestKappa:
@@ -157,6 +168,44 @@ class TestKappa:
     def test_rejects_weight_one(self):
         with pytest.raises(ValueError):
             hp.kappa(hp.BracketSpec(1, 1, 0))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(-24, 24), st.integers(-24, 24), st.integers(0, 12))
+    def test_matches_fraction_oracle(self, hk, hl, nu):
+        # k = hk/2 and l = hl/2 over half-integers and integers: integer
+        # k >= 2 has Gamma(2-k)/Gamma(2-k-mu) across cancelling poles, and
+        # integer l <= 0 reaches Gamma poles that only zero terms may skip.
+        # Both must give the same value or the same ValueError.
+        spec = hp.BracketSpec(Fraction(hk, 2), Fraction(hl, 2), nu)
+        outcomes = []
+        for fn in (hp.kappa, oracles.kappa):
+            try:
+                got = fn(spec)
+                outcomes.append((got.r, got.e))
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("k, l, nu, match", [
+        (1, 1, 0, "undefined at k = 1"),
+        (1, 3, 2, "undefined at k = 1"),
+        (Fraction(3, 2), 0, 1, "must be an integer"),
+        (Fraction(1, 2), Fraction(-1, 2), 0, "must be an integer"),
+        (4, -2, 0, "Gamma pole at -2"),
+        (5, -6, 2, "Gamma pole at"),
+    ])
+    def test_errors_like_oracle(self, k, l, nu, match):
+        spec = hp.BracketSpec(k, l, nu)
+        for fn in (hp.kappa, oracles.kappa):
+            with pytest.raises(ValueError, match=match):
+                fn(spec)
+
+    def test_cancelling_poles(self):
+        # k = 3: Gamma(-1)/Gamma(-1-mu) = (-2)(-3)...(-1-mu) is finite
+        for l, nu in ((1, 0), (1, 2), (3, 4), (-1, 3)):
+            spec = hp.BracketSpec(3, l, nu)
+            got, want = hp.kappa(spec), oracles.kappa(spec)
+            assert got.r and (got.r, got.e) == (want.r, want.e)
 
 
 class TestCorrectionB:

@@ -46,6 +46,23 @@ def binomial_odd_lhs(nu: int, j: int) -> Fraction:
                for mu in range(nu + 1))
 
 
+def perturb_binom_parts(monkeypatch, at: tuple[int, int, int]):
+    """Raise C(p/q, m) by one at (p, q, m) = at in relations.binom_parts,
+    and return the same change as a Fraction binomial for the oracles."""
+    binom_parts = R.binom_parts
+
+    def perturbed(p, q, m):
+        num, den = binom_parts(p, q, m)
+        return (num + den, den) if (p, q, m) == at else (num, den)
+
+    def binom(x, m):
+        x = Fraction(x)
+        return Fraction(*perturbed(x.numerator, x.denominator, m))
+
+    monkeypatch.setattr(R, "binom_parts", perturbed)
+    return binom
+
+
 class TestReports:
     def test_record_and_status(self):
         rep = R.RelationReport("demo", 1, 10, "all n")
@@ -291,8 +308,7 @@ class TestQuasiModular:
     def test_cor_i(self):
         rep = R.check_cor_i(300)
         assert rep.ok
-        assert "sieve residue on D_1^(5,2): 1" in rep.notes
-        assert "twist readings pointwise equal: True" in rep.notes
+        assert rep.notes == "sieve residue on D_1^(5,2): 1"
 
     def test_cor_ii(self):
         assert R.check_cor_ii(200).ok
@@ -309,13 +325,12 @@ class TestQuasiModular:
 
     def test_cor_i_sides_match_fraction_oracle(self):
         T = 1000
-        variants, rhs, readings_agree = oracles.cor_i_sides(T)
+        variants, rhs = oracles.cor_i_sides(T)
         common = R._theta_d_side(5, T, 48, 5, [(1, 4)])
         d52 = R.residue_class_sieve(T, 1, 5, 2)
         for r, lhs in variants.items():
             assert [v + 96 * d52[n] * (n % 5 == r) for n, v in enumerate(common)] \
                 == [48 * lhs.coeff(n) for n in range(T + 1)]
-        assert readings_agree
 
     def test_perturbed_reports_match_golden(self, monkeypatch):
         # Reports under six perturbations, recorded from the Fraction-series
@@ -447,16 +462,17 @@ class TestIdentities:
     def test_perturbed_p_poly_fails(self, monkeypatch):
         # Y^4 of P_{6,b} off by one: both rewrites fail for each of the
         # five b (ids 60..64), and so do both closed sums at nu = 2, whose
-        # P has a = 2nu + 2 = 6 (ids 300002, 400002)
-        p_poly = holproj.p_poly
+        # P has a = 2nu + 2 = 6 (ids 300002, 400002).  The integer kernel
+        # computes P as (list, D), so the one is D on its list.
+        p_poly_ints = holproj.p_poly_ints
 
-        def perturbed(a, b):
-            P = p_poly(a, b)
+        def perturbed(a, p, q=1):
+            P, D = p_poly_ints(a, p, q)
             if a == 6:
-                P[0] += 1
-            return P
+                P[0] += D
+            return P, D
 
-        monkeypatch.setattr(holproj, "p_poly", perturbed)
+        monkeypatch.setattr(holproj, "p_poly_ints", perturbed)
         rep = R.check_identities()
         assert rep.failures == [(i, Fraction(0), Fraction(1)) for i in
                                 (60, 61, 62, 63, 64, 300002, 400002)]
@@ -475,6 +491,22 @@ class TestIdentities:
         rep = R.check_identities()
         assert rep.failures == golden_failures("identities_multinomial_plus1.json")
 
+    def test_odd_multinomial_plus_one_fails_like_oracle(self, monkeypatch):
+        # C(81, 41) is the first factor of the odd identity's multinomial
+        # at (nu, mu) = (20, 0), and no other comb call of the suite takes
+        # (81, 41).  Raised by one, the integer sums over L_20 must fail
+        # exactly where the one-Fraction-per-term oracle fails: every j of
+        # nu = 20, with the same values.
+        def perturbed(n, k):
+            return comb(n, k) + ((n, k) == (81, 41))
+
+        monkeypatch.setattr(R, "comb", perturbed)
+        got = R._binomial_sums(40)[1]
+        assert got == oracles.binomial_odd(40, binom=perturbed)
+        assert [idx for idx, _, _ in got] == [2000 + j for j in range(21)]
+        rep = R.check_identities()
+        assert rep.failures == [(200000 + idx, l, r) for idx, l, r in got]
+
     def test_integer_binomial_sums_match_fraction_oracle(self, monkeypatch):
         # Each factorial n! of the right sides times the n-th prime: every
         # right side gains a product of two primes over a product of two
@@ -482,10 +514,10 @@ class TestIdentities:
         primes = [q for q in range(2, 500)
                   if all(q % d for d in range(2, isqrt(q) + 1))]
         monkeypatch.setattr(R, "factorial", lambda n: factorial(n) * primes[n])
-        for identity, oracle, nus in (
-                (R._binomial_identity_even, binomial_even_lhs, range(1, 41)),
-                (R._binomial_identity_odd, binomial_odd_lhs, range(41))):
-            got = {idx: lhs for idx, lhs, _ in identity(40)}
+        even, odd = R._binomial_sums(40)
+        for bad, oracle, nus in ((even, binomial_even_lhs, range(1, 41)),
+                                 (odd, binomial_odd_lhs, range(41))):
+            got = {idx: lhs for idx, lhs, _ in bad}
             assert got == {100 * nu + j: oracle(nu, j)
                            for nu in nus for j in range(nu + 1)}
 
@@ -497,36 +529,68 @@ class TestIdentities:
             self, monkeypatch):
         # C(17/2, 1) raised by one: among nu <= 8 it is a factor of c_mu only
         # at nu = 8, mu = 7 (even sum) and mu = 1 (odd sum); the integer
-        # forms must fail exactly where the Fraction oracles fail
-        gen_binom = R.gen_binom
-
-        def perturbed(x, m):
-            return gen_binom(x, m) + ((Fraction(x), m) == (Fraction(17, 2), 1))
-
-        monkeypatch.setattr(R, "gen_binom", perturbed)
+        # forms, which read C(p/q, m) from binom_parts as an unreduced
+        # pair, must fail exactly where the Fraction oracles fail
+        binom = perturb_binom_parts(monkeypatch, (17, 2, 1))
         for identity, oracle in ((R._closed_sum_even, oracles.closed_sum_even),
                                  (R._closed_sum_odd, oracles.closed_sum_odd)):
             got = identity(8)
-            assert got == oracle(8, binom=perturbed, poly=holproj.p_poly)
+            assert got == oracle(8, binom=binom, poly=holproj.p_poly)
             assert [nu for nu, _, _ in got] == [8]
+
+    def test_p_poly_rewrites_fail_like_oracle_under_perturbed_binomial(
+            self, monkeypatch):
+        # C(9/2, 3) raised by one: it is the factor C(j+b-2, j) of the
+        # second rewrite at b = 7/2, j = 3 for every a >= 5 (ids 10a + 4),
+        # where the first rewrite still holds, and C(a+b-3, 3) in both
+        # rewrites where a + b - 3 = 9/2 (ids 53, 72, 81, 90); the integer
+        # forms must fail where the Fraction oracle fails
+        binom = perturb_binom_parts(monkeypatch, (9, 2, 3))
+        got = R._p_poly_rewrites(12)
+        assert got == oracles.p_poly_rewrites(12, binom=binom,
+                                               poly=holproj.p_poly)
+        assert [i for i, _, _ in got] == [53, 54, 64, 72, 74, 81, 84, 90, 94,
+                                          104, 114, 124]
+
+    def test_kappa_checked_at_nu_max(self, monkeypatch):
+        # Gamma(81/2) enters kappa(3/2, 1/2, nu) only at nu = 20, mu = 0:
+        # raised by sqrt(pi)/7 there, the suite fails at nu = 20 alone, with
+        # the value of the Fraction-loop kappa under the same change
+        gamma_half_parts, gamma_half = holproj.gamma_half_parts, oracles.gamma_half
+
+        def parts(m):
+            g, den, e = gamma_half_parts(m)
+            return (7 * g + den, 7 * den, e) if m == 81 else (g, den, e)
+
+        def gamma(h):
+            bump = PiScalar(Fraction(1, 7), 1) if h == Fraction(81, 2) else 0
+            return gamma_half(h) + bump
+
+        monkeypatch.setattr(holproj, "gamma_half_parts", parts)
+        monkeypatch.setattr(oracles, "gamma_half", gamma)
+        want = oracles.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), 20))
+        assert R._kappa_closed_form(20) == [
+            (20, want.r, Fraction(2 * comb(40, 20), 4 ** 20))]
 
     def test_perturbed_gamma_half_fails(self, monkeypatch):
         # Gamma(7/2) raised by sqrt(pi)/7 moves kappa(3/2, 1/2, nu) at
         # nu = 2 and 3 only; the expected list, values included, was
-        # recorded from the Fraction-loop kernels of commit 3b191ef
-        gamma_half = holproj.gamma_half
+        # recorded from the Fraction-loop kernels of commit 3b191ef.  kappa
+        # reads Gamma(m/2) from the integer kernel as (num, den, e), so the
+        # patch raises num/den by 1/7 at m = 7.
+        gamma_half_parts = holproj.gamma_half_parts
 
-        def perturbed(h):
-            g = gamma_half(h)
-            return g + PiScalar(Fraction(1, 7), 1) if h == Fraction(7, 2) else g
+        def perturbed(m):
+            g, den, e = gamma_half_parts(m)
+            return (7 * g + den, 7 * den, e) if m == 7 else (g, den, e)
 
-        monkeypatch.setattr(holproj, "gamma_half", perturbed)
+        monkeypatch.setattr(holproj, "gamma_half_parts", perturbed)
         rep = R.check_identities()
         assert rep.failures == golden_failures(
             "identities_gamma_half_perturbed.json")
 
     def test_binomial_even_spot(self):
-        assert R._binomial_identity_even(2) == []
+        assert R._binomial_sums(2)[0] == []
 
     def test_binomial_odd_spot(self):
-        assert R._binomial_identity_odd(2) == []
+        assert R._binomial_sums(2)[1] == []

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from qrel.scalars import (PiScalar, QuadExt, as_half_integer,
-                          falling_gamma_ratio, factorial, gamma_half,
-                          gen_binom, is_square, squarefree_split)
+                          binom_parts, falling_gamma_ratio, factorial,
+                          gamma_half, gamma_half_parts, gen_binom, is_square,
+                          squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=12))
@@ -194,6 +195,20 @@ class TestIntegerKernels:
     def test_gamma_half_matches_oracle(self, h):
         got, want = gamma_half(h), oracles.gamma_half(h)
         assert (got.r, got.e) == (want.r, want.e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-41, 41).filter(lambda m: m % 2 or m > 0))
+    def test_gamma_half_parts_matches_oracle(self, m):
+        num, den, e = gamma_half_parts(m)
+        want = oracles.gamma_half(frac(m, 2))
+        assert (frac(num, den), e) == (want.r, want.e)
+
+    def test_binom_parts_unreduced(self):
+        # C(1/2, 2) = (1/2)(-1/2)/2 as (1 * -1, 2^2 2!)
+        assert binom_parts(1, 2, 2) == (-1, 8)
+        assert binom_parts(6, 3, 0) == (1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            binom_parts(1, 2, -1)
 
     def test_m_zero(self):
         for x in (frac(-41, 2), frac(0), frac(7, 3), frac(41, 2)):

@@ -1,6 +1,5 @@
 """Number-theoretic primitives: divisor sums, Hurwitz class numbers with a
-CSV export, real Dirichlet characters, and elliptic-curve point counting
-over prime fields.
+CSV export, and real Dirichlet characters.
 """
 
 from __future__ import annotations
@@ -90,6 +89,17 @@ def _is_odd_prime_or_one(p: int) -> bool:
     if p < 3 or p % 2 == 0:
         return False
     return all(p % q for q in range(3, isqrt(p) + 1, 2))
+
+
+def _primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    return [p for p in range(n + 1) if sieve[p]]
 
 
 # ---------------------------------------------------------------------------
@@ -269,38 +279,3 @@ def kronecker_character(d: int) -> DirichletCharacter:
     if d > 2 and _is_odd_prime_or_one(d):
         return DirichletCharacter(d, [jacobi_symbol(n, d) for n in range(d)])
     raise ValueError(f"unsupported character specifier {d}")
-
-
-# ---------------------------------------------------------------------------
-# Elliptic curves over F_p
-
-
-def ec_ap(a4: int, a6: int, p: int) -> int:
-    """Trace of Frobenius a_p of y^2 = x^3 + a4 x + a6, from one table of
-    the squares mod p: a_p = p + 1 - #E(F_p) = -sum_x (x^3 + a4 x + a6 | p).
-
-    Only valid for p >= 5 with good reduction (short Weierstrass form breaks
-    in characteristic 2 and 3).
-    """
-    if p < 5 or not _is_odd_prime_or_one(p) or p == 1:
-        raise ValueError(f"need a prime p >= 5, got {p}")
-    disc = -16 * (4 * a4 ** 3 + 27 * a6 ** 2)
-    if disc % p == 0:
-        raise ValueError(f"bad reduction at {p}")
-    square = bytearray(p)
-    for y in range(1, (p + 1) // 2):
-        square[y * y % p] = 1
-    values = [(x * x * x + a4 * x + a6) % p for x in range(p)]
-    # (v | p) is 2 square[v] - 1 for v != 0 and 0 for v = 0
-    return p - values.count(0) - 2 * sum(map(square.__getitem__, values))
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
-    return [p for p in range(n + 1) if sieve[p]]

@@ -9,12 +9,9 @@ from fractions import Fraction
 from functools import cache
 
 from . import arith
-from .arith import DirichletCharacter, ec_ap, _primes_upto
+from .arith import DirichletCharacter
 from .qseries import QSeries, eta_product, id_fields
 
-# Cremona 49a1: y^2 = x^3 - 2835 x - 71442, the curve of g7 (level 49)
-G7_A4 = -2835
-G7_A6 = -71442
 G7_BAD_PRIMES = (2, 3, 7)
 
 
@@ -94,7 +91,9 @@ class PartialSeries:
 
     Querying an undefined index raises instead of returning 0; used for the
     weight 2 newform of level 49, whose coefficients at 2, 3, 7 we refuse to
-    guess (point counting is invalid there).
+    guess: point counting on the curve's short Weierstrass model is invalid
+    there, and the theta series of g7 sums over Z[sqrt(-7)], which misses
+    the newform at 2 (its a(2) reads 0, not 1).
     """
 
     def __init__(self, coeffs: dict[int, int], defined: set[int], trunc: int):
@@ -123,48 +122,25 @@ def g7_support(max_n: int) -> list[int]:
             if all(n % p for p in G7_BAD_PRIMES)]
 
 
-def hecke_extend(ap: dict[int, int], T: int) -> QSeries:
-    """Extend weight-2 prime eigenvalues a(p) to all n <= T by Hecke
-    multiplicativity: a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and
-    a(p^{j+1}) = a(p) a(p^j) - p a(p^{j-1}).
-
-    The result is defined only on the multiplicative span of the primes
-    in ap; it is 0 elsewhere.
-    """
-    coeffs = {1: 1}
-    for p in sorted(ap):
-        if p > T:
-            continue
-        powers = {0: 1, 1: ap[p]}
-        j = 1
-        while p ** (j + 1) <= T:
-            powers[j + 1] = ap[p] * powers[j] - p * powers[j - 1]
-            j += 1
-        new = dict(coeffs)
-        for n, c in coeffs.items():
-            for e in range(1, j + 1):
-                m = n * p ** e
-                if m <= T:
-                    new[m] = c * powers[e]
-        coeffs = new
-    return QSeries(coeffs, T)
-
-
 @cache
 def g7(T: int) -> PartialSeries:
-    """Coefficients of the level 49 weight 2 newform, from point counting.
+    """Coefficients of the level 49 weight 2 newform, the newform of the
+    CM curve 49a1 (y^2 = x^3 - 2835 x - 71442).
 
-    Defined only on indices supported on good primes (>= 5, != 7); built
-    solely from point counts, each from a table of squares mod p (ec_ap),
-    plus the Hecke recursion.
+    The curve has CM by Q(sqrt(-7)), so its newform is Hecke's theta series
+    with a Groessencharacter (Deuring; Ono, The Web of Modularity, Thm. 1.31):
+    1/2 sum over a, b in Z of (a|7) a q^{a^2 + 7 b^2}, the product of
+    theta_{3/2}(chi_7) and theta|V(7), halved.  Every coefficient of that
+    product is even.  Defined only on indices supported on primes >= 5,
+    != 7 (see PartialSeries); no class number is read.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    ap = {p: ec_ap(G7_A4, G7_A6, p)
-          for p in _primes_upto(T) if p >= 5 and p != 7}
-    series = hecke_extend(ap, T)
+    product = (theta_three_half(1, arith.kronecker_character(7), T)
+               * theta_classical(-(-T // 7)).v_op(7).truncate(T))
     defined = set(g7_support(T))
-    return PartialSeries(dict(series.coeffs), defined, T)
+    return PartialSeries({n: c // 2 for n, c in product.coeffs.items() if n in defined},
+                         defined, T)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .arith import (DirichletCharacter, kronecker_character, pair_sieve,
-                    residue_class_sieve)
+from .arith import DirichletCharacter, kronecker_character, pair_sieve
 from .qseries import QSeries, _check_trunc
 from .scalars import (PiScalar, QuadExt, as_half_integer, binom_parts,
                       factorial, gamma_half, gamma_half_parts, gen_binom,
@@ -503,8 +502,3 @@ def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
     # the class weight as a periodic value table: the sieve reads its period
     weight = DirichletCharacter(p, [m in (a, p - a) for m in range(p)])
     return _indef_series(1, 1, weight, kronecker_character(1), nu, T)
-
-
-def d_pa_series(p: int, a: int, k: int, T: int) -> QSeries:
-    """D^{(p,a)}_k = sum_n lambda_k^{(p,a)}(n) q^n."""
-    return QSeries(dict(enumerate(residue_class_sieve(T, k, p, a))), T)

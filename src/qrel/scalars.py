@@ -357,9 +357,3 @@ def gamma_half(h) -> PiScalar:
     """Gamma(h) for a half-integer h that is not a pole, exactly."""
     num, den, e = gamma_half_parts(int(2 * as_half_integer(h)))
     return PiScalar(Fraction(num, den), e)
-
-
-def falling_gamma_ratio(x, mu: int) -> Fraction:
-    """Gamma(x)/Gamma(x-mu) = (x-1)(x-2)...(x-mu) = mu! C(x-1, mu), which is
-    pole-free: valid even where the individual Gamma values blow up."""
-    return gen_binom(Fraction(x) - 1, mu) * factorial(mu)

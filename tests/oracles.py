@@ -5,8 +5,9 @@ the package."""
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
-from qrel import forms, holproj
-from qrel.arith import H0, hurwitz_cache, jacobi_symbol, kronecker_character
+from qrel import arith, forms, holproj
+from qrel.arith import (H0, _primes_upto, hurwitz_cache, jacobi_symbol,
+                        kronecker_character)
 from qrel.qseries import QSeries, _euler_function
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
@@ -107,7 +108,7 @@ def eta_product(factors, T: int) -> QSeries:
 
 # ---------------------------------------------------------------------------
 # The divisor-pair sums of qrel.arith.pair_sieve's callers, one pair at a
-# time, and the point counts of qrel.arith.ec_ap, one Jacobi symbol at a time
+# time
 
 
 def square_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int) -> dict:
@@ -157,10 +158,59 @@ def w_term(p: int, a: int, e: int, T: int) -> dict:
     return coeffs
 
 
+# ---------------------------------------------------------------------------
+# The newform of Cremona 49a1 from point counts and the Hecke recursion;
+# qrel.forms.g7 builds it as the curve's CM theta series
+
+# y^2 = x^3 - 2835 x - 71442: conductor 49, CM by Q(sqrt(-7))
+G7_A4, G7_A6 = -2835, -71442
+
+
 def ec_ap(a4: int, a6: int, p: int) -> int:
     """a_p of y^2 = x^3 + a4 x + a6 at a good prime p >= 5, as minus the
-    sum of the Legendre symbols of x^3 + a4 x + a6 (jacobi_symbol)."""
+    sum of the Legendre symbols of x^3 + a4 x + a6 (jacobi_symbol).  A
+    short Weierstrass model says nothing in characteristic 2 and 3, so
+    smaller p, composite p and primes of bad reduction are refused."""
+    if p < 5 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"need a prime p >= 5, got {p}")
+    if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+        raise ValueError(f"bad reduction at {p}")
     return -sum(jacobi_symbol(x * x * x + a4 * x + a6, p) for x in range(p))
+
+
+def hecke_extend(ap: dict[int, int], T: int) -> QSeries:
+    """Extend weight-2 prime eigenvalues a(p) to all n <= T by Hecke
+    multiplicativity: a(1) = 1, a(mn) = a(m)a(n) for coprime m, n, and
+    a(p^{j+1}) = a(p) a(p^j) - p a(p^{j-1}).
+
+    The result is defined only on the multiplicative span of the primes
+    in ap; it is 0 elsewhere.
+    """
+    coeffs = {1: 1}
+    for p in sorted(ap):
+        if p > T:
+            continue
+        powers = {0: 1, 1: ap[p]}
+        j = 1
+        while p ** (j + 1) <= T:
+            powers[j + 1] = ap[p] * powers[j] - p * powers[j - 1]
+            j += 1
+        new = dict(coeffs)
+        for n, c in coeffs.items():
+            for e in range(1, j + 1):
+                m = n * p ** e
+                if m <= T:
+                    new[m] = c * powers[e]
+        coeffs = new
+    return QSeries(coeffs, T)
+
+
+def g7_point_counts(T: int) -> forms.PartialSeries:
+    """qrel.forms.g7 from a point count at every good prime p <= T
+    (p >= 5, != 7), extended by hecke_extend."""
+    ap = {p: ec_ap(G7_A4, G7_A6, p) for p in _primes_upto(T) if p >= 5 and p != 7}
+    return forms.PartialSeries(dict(hecke_extend(ap, T).coeffs),
+                               set(forms.g7_support(T)), T)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +254,12 @@ def theta_base(p: int, T: int) -> QSeries:
     return QSeries({n: Fraction(a, 12) for n, a in enumerate(sums)}, T)
 
 
+def d_pa_series(p: int, a: int, k: int, T: int) -> QSeries:
+    """D^{(p,a)}_k = sum_n lambda_k^{(p,a)}(n) q^n, read from
+    qrel.arith.residue_class_sieve."""
+    return QSeries(dict(enumerate(arith.residue_class_sieve(T, k, p, a))), T)
+
+
 def cor_i_sides(T: int) -> tuple[dict, QSeries]:
     """The two variants (sieve residue r = 4 or 1) of the left side of
     qrel.relations.check_cor_i and its right side, as Fraction series
@@ -215,10 +271,10 @@ def cor_i_sides(T: int) -> tuple[dict, QSeries]:
            + twist_diff.scale(Fraction(1, 12))
            - g2.v_op(5).truncate(T)
            + g2.v_op(25).truncate(T).scale(Fraction(5, 2)))
-    d10 = holproj.d_pa_series(1, 0, 1, -(-T // 25)).v_op(25).scale(5).truncate(T)
+    d10 = d_pa_series(1, 0, 1, -(-T // 25)).v_op(25).scale(5).truncate(T)
     common = (theta_base(5, T) + d10
-              + holproj.d_pa_series(5, 1, 1, T).sieve(5, 4).scale(2))
-    d52 = holproj.d_pa_series(5, 2, 1, T)
+              + d_pa_series(5, 1, 1, T).sieve(5, 4).scale(2))
+    d52 = d_pa_series(5, 2, 1, T)
     variants = {r: common + d52.sieve(5, r).scale(2) for r in (4, 1)}
     return variants, rhs
 
@@ -243,10 +299,10 @@ def check_cor_ii(max_n: int):
     T = max_n
     chi7 = kronecker_character(7)
     lhs = (theta_base(7, T)
-           + holproj.d_pa_series(1, 0, 1, -(-T // 49)).v_op(49).scale(7).truncate(T)
-           + holproj.d_pa_series(7, 2, 1, T).sieve(7, 3).scale(2)
-           + holproj.d_pa_series(7, 4, 1, T).sieve(7, 5).scale(2)
-           + holproj.d_pa_series(7, 1, 1, T).sieve(7, 6).scale(2))
+           + d_pa_series(1, 0, 1, -(-T // 49)).v_op(49).scale(7).truncate(T)
+           + d_pa_series(7, 2, 1, T).sieve(7, 3).scale(2)
+           + d_pa_series(7, 4, 1, T).sieve(7, 5).scale(2)
+           + d_pa_series(7, 1, 1, T).sieve(7, 6).scale(2))
     g2 = forms.eisenstein_g2(T)
     g7 = forms.g7(T)
     for n in forms.g7_support(T):

@@ -244,6 +244,26 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "eichler")
         assert code == 2 and "fail" in out
 
+    def test_perturbed_g7_fails_like_golden(self, capsys, monkeypatch):
+        # a(11) of g7 raised by 1: cor_ii must fail at n = 11 alone, as the
+        # point-count g7 of commit 0c5a295 did (its report is the golden,
+        # "elapsed_ms" line dropped), which shows that cor_ii reads g7
+        from qrel import forms
+        g7 = forms.g7
+
+        def perturbed(T):
+            g = g7(T)
+            return forms.PartialSeries({**g.coeffs, 11: g.coeffs.get(11, 0) + 1},
+                                       g.defined, g.trunc)
+
+        monkeypatch.setattr(forms, "g7", perturbed)
+        code, out, _ = run(capsys, "verify", "cor_ii", "--max", "500", "--json")
+        assert code == 2
+        out = re.sub(r'(?m)^ *"elapsed_ms": \d+,\n', "", out)
+        with open(os.path.join(GOLDEN, "verify_cor_ii_max500_g7_a11_plus1.json"),
+                  encoding="utf-8") as f:
+            assert out == f.read()
+
     @pytest.mark.parametrize("argv", [["verify", "eichler", "--max", "0"],
                                       ["verify", "eichler", "--max", "-5"],
                                       ["verify-all", "--max", "0"]])

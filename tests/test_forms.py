@@ -1,12 +1,13 @@
 """The concrete q-expansions: theta series, Eisenstein series, eta
 products, the class number generating series, and the weight-2 newform
-built from point counts."""
+of level 49 as a CM theta series."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import oracles
 from qrel import forms
 from qrel.arith import hurwitz, kronecker_character
 
@@ -123,6 +124,24 @@ class TestG7:
             g.coeff(2)
         with pytest.raises(KeyError):
             g.coeff(7)
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            forms.g7(0)
+
+    @pytest.mark.parametrize("T", [1, 2, 130, 3000])
+    def test_matches_point_counts(self, T):
+        # the CM theta series against point counts plus the Hecke recursion
+        got, want = forms.g7(T), oracles.g7_point_counts(T)
+        assert (got.coeffs, got.defined, got.trunc) == \
+            (want.coeffs, want.defined, want.trunc)
+
+    def test_theta_product_is_even(self):
+        # g7 halves theta_{3/2}(chi_7) theta|V(7) with no remainder
+        T = 3000
+        product = (forms.theta_three_half(1, kronecker_character(7), T)
+                   * forms.theta_classical(-(-T // 7)).v_op(7).truncate(T))
+        assert product.coeffs and all(c % 2 == 0 for c in product.coeffs.values())
 
 
 class TestCatalog:

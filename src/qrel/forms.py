@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import arith
 from .arith import DirichletCharacter
 from .qseries import QSeries, eta_product, id_fields
-
-G7_BAD_PRIMES = (2, 3, 7)
 
 
 @cache
@@ -117,9 +116,8 @@ class PartialSeries:
 
 
 def g7_support(max_n: int) -> list[int]:
-    """Indices <= max_n supported on primes >= 5 and != 7."""
-    return [n for n in range(1, max_n + 1)
-            if all(n % p for p in G7_BAD_PRIMES)]
+    """Indices <= max_n prime to 42: supported on primes >= 5 and != 7."""
+    return [n for n in range(1, max_n + 1) if gcd(n, 42) == 1]
 
 
 @cache

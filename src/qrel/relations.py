@@ -12,12 +12,13 @@ Each class number sum is a coefficient of a product of the class number
 series with a theta series, the holomorphic projection of a Rankin-Cohen
 bracket [H, theta]_nu.  The weight g_nu(s, n) is a polynomial in s^2 with
 n-dependent coefficients (``g_poly``), so ``eichler``, ``cohen``,
-``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*`` each combine, per n
-and in integers, the nu + 1 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2)
-that :func:`~qrel.qseries.theta_moments` computes from one packed copy of
-the live table.  The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii``
-is the moment A_0 over s = 0 (mod p) at m = 4n; both checks build each
-side as one integer list times a common scale.
+``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*`` each combine, by
+Horner in n, the nu + 1 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2) that
+:func:`~qrel.qseries.theta_moments` computes from the live table by residue
+mod 4, skipping the zero classes m = 1, 2 (mod 4) of Kohnen's plus space.
+The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii`` is the moment A_0
+over s = 0 (mod p) at m = 4n; both checks build each side as one integer
+list times a common scale.
 
 Where a widely printed form of an identity disagrees with direct
 evaluation, the checker tests the candidate variants and records in the
@@ -141,11 +142,13 @@ def g_poly(nu: int, double_s: bool) -> list[int]:
 def _g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
     """sum over s in Z, s^2 <= m, of g_nu(s, n) 12 H(m - s^2), for each pair
     (n, m) of ns and ms, from the moments A_k(m) of the live 12 H table:
-    sum_j c_j n^j A_(nu-j)(m)."""
+    sum_j c_j n^j A_(nu-j)(m), by Horner in n, one list pass per j."""
     moments = theta_moments(hurwitz_cache().scaled_table(ms[-1]), ms, nu)
     c = g_poly(nu, double_s)
-    return [sum(cj * n ** j * a[nu - j] for j, cj in enumerate(c))
-            for n, *a in zip(ns, *moments)]
+    out = [c[nu] * a for a in moments[0]]
+    for j in range(nu - 1, -1, -1):
+        out = [o * n + c[j] * a for o, n, a in zip(out, ns, moments[nu - j])]
+    return out
 
 
 def check_eichler(max_n: int = 2000) -> RelationReport:
@@ -381,7 +384,7 @@ def check_cor_ii(max_n: int = 500) -> RelationReport:
         lhs = _theta_d_side(7, T, 24, 7, [(2, 3), (4, 5), (1, 6)])
         sigma, _ = divisor_sieve(T, 1)
         g7 = forms.g7(T)
-        ns = forms.g7_support(T)
+        ns = sorted(g7.defined)
         rep.record_lists(ns, [lhs[n] for n in ns],
                          [(6 - chi7(n) + chi7(n) ** 2) * sigma[n] + 6 * g7.coeff(n)
                           for n in ns], 24)

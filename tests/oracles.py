@@ -8,7 +8,7 @@ from math import comb, factorial, gcd, isqrt, lcm
 from qrel import arith, forms, holproj
 from qrel.arith import (H0, _primes_upto, hurwitz_cache, jacobi_symbol,
                         kronecker_character)
-from qrel.qseries import QSeries, _euler_function
+from qrel.qseries import QSeries, _euler_function, theta_moments
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 
@@ -243,6 +243,17 @@ def g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
     tab = hurwitz_cache().scaled_table(ms[-1])
     return [symmetric_sum(tab, m, lambda s: g_coeff(s, n, nu, double_s=double_s))
             for n, m in zip(ns, ms)]
+
+
+def g_sums_per_n(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
+    """relations._g_sums with its moments combined one n at a time by the
+    formula sum_j c_j n^j A_(nu-j)(m), c_j = (-1)^j C(2nu-j, j) 4^(nu-j)
+    when double_s else (-1)^j C(2nu-j, j)."""
+    moments = theta_moments(hurwitz_cache().scaled_table(ms[-1]), ms, nu)
+    c = [(-1) ** j * comb(2 * nu - j, j) * (4 ** (nu - j) if double_s else 1)
+         for j in range(nu + 1)]
+    return [sum(cj * n ** j * a[nu - j] for j, cj in enumerate(c))
+            for n, *a in zip(ns, *moments)]
 
 
 def theta_base(p: int, T: int) -> QSeries:

@@ -110,6 +110,10 @@ class TestG7:
         # indices supported on primes >= 5 and != 7
         sup = forms.g7_support(30)
         assert sup == [1, 5, 11, 13, 17, 19, 23, 25, 29]
+        # the per-prime definition it replaces
+        for T in (1, 2, 41, 42, 43, 3000):
+            assert forms.g7_support(T) == \
+                [n for n in range(1, T + 1) if all(n % p for p in (2, 3, 7))]
 
     def test_values(self):
         g = forms.g7(130)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from oracles import series_from_csv_lines, symmetric_sum
 from qrel import forms, qseries
-from qrel.arith import kronecker_character
+from qrel.arith import hurwitz_cache, kronecker_character
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
                           _euler_function, _jacobi_cube, _kronecker_mul,
-                          eta_product, theta_moments)
+                          _Slots, eta_product, theta_moments)
 from qrel.scalars import QuadExt
 
 small_series = st.builds(
@@ -219,9 +219,17 @@ def moments_oracle(table, index, k_max, step, double_s):
     return out
 
 
+INDEX_KINDS = ["odd", "four", "all", "single", "four_from_4", "three_mod_4",
+               "two_mod_6", "two_mod_3"]
+
+
 def index_set(kind: str, M: int) -> range:
+    # the offset progressions are the index sets the checks use: 4n, and
+    # odd m split by residue, plus steps that do not divide 4
     return {"odd": range(1, M + 1, 2), "four": range(0, M + 1, 4),
-            "all": range(M + 1), "single": range(M, M + 1)}[kind]
+            "all": range(M + 1), "single": range(M, M + 1),
+            "four_from_4": range(4, M + 1, 4), "three_mod_4": range(3, M + 1, 4),
+            "two_mod_6": range(2, M + 1, 6), "two_mod_3": range(5, M + 1, 3)}[kind]
 
 
 # 12 H-like tables: -1 at index 0, signed entries up to the slot-width edge
@@ -236,7 +244,7 @@ class TestThetaMoments:
     """theta_moments against the per-index sum it replaces."""
 
     @given(st.lists(table_entries, max_size=130), st.integers(0, 5),
-           st.sampled_from(["odd", "four", "all", "single"]),
+           st.sampled_from(INDEX_KINDS),
            st.sampled_from([1, 1, 2, 5, 7]), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_symmetric_sum(self, entries, k_max, kind, step,
@@ -248,7 +256,7 @@ class TestThetaMoments:
             moments_oracle(table, index, k_max, step, double_s)
 
     @pytest.mark.parametrize("M", [0, 1, 2, 3, 4, 49, 50, 100, 121])
-    @pytest.mark.parametrize("kind", ["odd", "four", "all", "single"])
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
     def test_small_and_square_ranges(self, M, kind):
         table = [-1] + [(-1) ** n * (n % 13) for n in range(1, 130)]
         index = index_set(kind, M)
@@ -266,6 +274,30 @@ class TestThetaMoments:
                 got = theta_moments(table, range(M + 1), k_max)
                 assert got == moments_oracle(table, range(M + 1), k_max, 1, False)
 
+    @pytest.mark.parametrize("zero", [(), (0,), (1,), (2,), (3,), (1, 2),
+                                      (0, 3), (0, 1, 2), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_residue_classes_of_zeros(self, zero, kind):
+        # the classes m = r (mod 4), r in zero, are all zero (a plus-space
+        # table zeroes 1 and 2); every other entry is nonzero
+        table = [0 if n % 4 in zero else (-1) ** n * (n % 11 + 1)
+                 for n in range(150)]
+        for M in (0, 5, 98, 149):
+            index = index_set(kind, M)
+            for k_max, step in ((0, 1), (3, 1), (2, 2), (1, 3), (0, 5)):
+                assert theta_moments(table, index, k_max, step) == \
+                    moments_oracle(table, index, k_max, step, False)
+
+    def test_plus_space_table(self):
+        # the live 12 H table at the index sets of the checks
+        table = hurwitz_cache().scaled_table(2000)
+        for index, k_max, step in ((range(1, 2001, 2), 1, 1),
+                                   (range(4, 2001, 4), 5, 1),
+                                   (range(0, 2001, 4), 0, 5),
+                                   (range(0, 2001, 4), 0, 7)):
+            assert theta_moments(table, index, k_max, step) == \
+                moments_oracle(table, index, k_max, step, False)
+
     def test_reads_only_up_to_the_last_index(self):
         table = [-1, 3, 0, 4, 6, 0, 0, 12]
         assert theta_moments(table + [10 ** 30] * 5, range(1, 8, 2), 2) == \
@@ -273,6 +305,42 @@ class TestThetaMoments:
         with pytest.raises(ValueError, match="table ends at 7"):
             theta_moments(table, range(0, 9, 4), 0)
         assert theta_moments(table, range(0), 2) == [[], [], []]
+
+
+class TestSlots:
+    """The slot codec: every width from 1 byte (the 64-bit word path) to 9
+    and more (one slot at a time), at the edge of its bound."""
+
+    @pytest.mark.parametrize("width", list(range(1, 11)) + [17])
+    def test_round_trip_at_the_bound(self, width):
+        bound = (1 << 8 * width - 1) - 1           # half - 1
+        slots = _Slots(bound)
+        assert slots.width == width
+        assert _Slots(bound + 1).width == width + 1
+        values = [bound, -bound, 0, 1, -1, bound - 1, -bound + 1] * 5
+        packed = slots.pack_dense(values)
+        assert packed == sum(c << 8 * width * n for n, c in enumerate(values))
+        assert packed == slots.pack(dict(enumerate(values)))
+        n = len(values)
+        for index in (range(n), range(3, n), range(1, n, 4), range(7, 30, 3),
+                      range(n - 1, n), range(0, 1), range(5, 5)):
+            assert slots.unpack(packed, index) == [values[i] for i in index]
+        # slots above the last index do not leak into it
+        assert slots.unpack(packed + (-bound << 8 * width * n), range(n)) == values
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, width, data):
+        bound = (1 << 8 * width - 1) - 1
+        values = data.draw(st.lists(st.integers(-bound, bound), min_size=1,
+                                    max_size=40))
+        n = len(values)
+        start = data.draw(st.integers(0, n))
+        step = data.draw(st.integers(1, 5))
+        index = range(start, n, step)
+        slots = _Slots(bound)
+        assert slots.unpack(slots.pack_dense(values), index) == \
+            [values[i] for i in index]
 
 
 class TestOperators:

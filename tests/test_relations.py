@@ -253,6 +253,17 @@ class TestMomentPath:
         assert R._g_sums(nu, double_s, ns, ms) == \
             oracles.g_sums(nu, double_s, ns, ms)
 
+    @pytest.mark.parametrize("nu", range(6))
+    @pytest.mark.parametrize("double_s", [False, True])
+    @pytest.mark.parametrize("ns, ms", [
+        (range(1, 602, 2), range(1, 602, 2)),      # odd n, m = n
+        (range(1, 151), range(4, 601, 4)),          # all n, m = 4n
+    ])
+    def test_horner_matches_per_n_formula(self, nu, double_s, ns, ms):
+        got = R._g_sums(nu, double_s, ns, ms)
+        assert got == oracles.g_sums_per_n(nu, double_s, ns, ms)
+        assert got == oracles.g_sums(nu, double_s, ns, ms)
+
     @pytest.mark.parametrize("p, T", [(5, 3000), (7, 500)])
     def test_theta_base_matches_oracle(self, p, T):
         # the theta base alone: scale 12, no D-series

@@ -38,20 +38,17 @@ def lambda_k(n: int, k: int) -> Fraction:
     return Fraction(sum(min(d, n // d) ** k for d in divisors(n)), 2)
 
 
-def divisor_sieve(max_n: int, k: int) -> tuple[list[int], list[int]]:
-    """sigma_1(n) and 2*lambda_k(n), as two lists indexed by 0 <= n <= max_n
-    (entry 0 is 0), from one sieve over the divisor pairs n = d*m, d <= m."""
+def divisor_sieve(max_n: int) -> list[int]:
+    """sigma_1(n) for 0 <= n <= max_n (entry 0 is 0), from one sieve over the
+    divisor pairs n = d*m, d <= m.  2*lambda_k is residue_class_sieve at
+    p = 1."""
     sigma = [0] * (max_n + 1)
-    lam = [0] * (max_n + 1)
     for d in range(1, isqrt(max_n) + 1):
-        dk = d ** k
         sigma[d * d] += d
-        lam[d * d] += dk
         pairs = slice(d * (d + 1), max_n + 1, d)
         sigma[pairs] = [v + d + m for v, m in
                         zip(sigma[pairs], range(d + 1, max_n // d + 1))]
-        lam[pairs] = [v + 2 * dk for v in lam[pairs]]
-    return sigma, lam
+    return sigma
 
 
 def pair_sieve(hi: int, classes, period: int, lo: int = 0, unit: int = 1) -> list[int]:

@@ -67,7 +67,7 @@ def theta_congruence(p: int, a: int, T: int) -> QSeries:
 @cache
 def eisenstein_g2(T: int) -> QSeries:
     """G_2 = -1/24 + sum sigma_1(n) q^n."""
-    sigma, _ = arith.divisor_sieve(T, 1)
+    sigma = arith.divisor_sieve(T)
     coeffs: dict[int, Fraction | int] = dict(enumerate(sigma))
     coeffs[0] = Fraction(-1, 24)
     return QSeries(coeffs, T)

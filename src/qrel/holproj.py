@@ -376,6 +376,7 @@ def _double_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
     chi(m) psi(n) d^{2nu+1} depends on f modulo lcm(2s mod(chi), 2c mod(psi))."""
     if s < 1 or t < 1 or lo < 1:
         raise ValueError("s, t, r must be positive")
+    _check_degree(nu)
     if not is_square(s * t):
         return _orbit_sums(s, t, chi, psi, nu, lo, hi)
     c, e = isqrt(s * t), 2 * nu + 1
@@ -412,6 +413,12 @@ def _check_positive(s: int, t: int) -> None:
         raise ValueError(f"s and t must be positive, got s={s}, t={t}")
 
 
+def _check_degree(nu: int) -> None:
+    # a negative nu gives the exponent 2nu+1 < 0 and float terms
+    if nu < 0:
+        raise ValueError(f"degree nu must be nonnegative, got {nu}")
+
+
 def lambda_indef(s: int, t: int, chi: DirichletCharacter,
                  psi: DirichletCharacter, nu: int, T: int) -> QSeries:
     """The indefinite theta series Lambda_{s,t}^{chi,psi}(tau; nu).
@@ -443,6 +450,7 @@ def delta_indef(s: int, t: int, chi: DirichletCharacter,
 
 def _indef_series(s: int, t: int, chi, psi, nu: int, T: int) -> QSeries:
     _check_trunc(T)     # before the boundary loop and the sweep
+    _check_degree(nu)
     e = 2 * nu + 1
     boundary = {}
     if psi.modulus == 1:    # boundary terms at r = s rho^2, weighted by psi(0)
@@ -470,6 +478,7 @@ def orbit_tail_split(s: int, t: int, nu: int, r: int, m_bound: int):
     m <= m_bound (scaled by s^{nu+1/2}), tail the exact closed-form remainder
     over m > m_bound.  head + tail equals indefinite_double_sum.
     """
+    _check_degree(nu)
     orbits = pell_orbit(s, t, r)
     st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
     w, alpha = _terms(s, st, D, x, y, nu)

@@ -12,8 +12,9 @@ Each class number sum is a coefficient of a product of the class number
 series with a theta series, the holomorphic projection of a Rankin-Cohen
 bracket [H, theta]_nu.  The weight g_nu(s, n) is a polynomial in s^2 with
 n-dependent coefficients (``g_poly``), so ``eichler``, ``cohen``,
-``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*`` each combine, by
-Horner in n, the nu + 1 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2) that
+``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*``, which share one check
+body (``_class_number_check``), each combine, by Horner in n, the nu + 1
+moments A_k(m) = sum_s s^(2k) 12 H(m - s^2) that
 :func:`~qrel.qseries.theta_moments` computes from the live table by residue
 mod 4, skipping the zero classes m = 1, 2 (mod 4) of Kohnen's plus space.
 The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii`` is the moment A_0
@@ -31,7 +32,7 @@ import json
 import time
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from operator import mul
+from operator import mul, ne
 
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     kronecker_character, pair_sieve, residue_class_sieve)
@@ -73,23 +74,25 @@ class RelationReport:
         if lhs != rhs:
             self.failures.append((n, lhs, rhs))
 
-    def record_scaled(self, n: int, lhs: int, rhs: int, scale: int) -> None:
-        """Record lhs/scale = rhs/scale, compared as integers; a failure
-        holds both sides as exact Fractions, as reports hand them out."""
-        self.checked += 1
-        if lhs != rhs:
-            self.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
-
     def record_lists(self, ns, lhs: list, rhs: list, scale: int) -> None:
-        """record_scaled(n, l, r, scale) for each n of ns and its values l
-        and r, at the same position in lhs and rhs; equal lists are
-        compared at once, and only unequal entries make a failure."""
+        """Record l/scale = r/scale for each n of ns and its integers l and
+        r, at the same position in lhs and rhs.  Equal lists are compared at
+        once; only unequal entries make a failure, which holds both sides as
+        exact Fractions, as reports hand them out."""
         if not len(ns) == len(lhs) == len(rhs):
             raise ValueError("ns, lhs and rhs must have the same length")
         self.checked += len(ns)
         if lhs != rhs:
             self.failures.extend((n, Fraction(l, scale), Fraction(r, scale))
                                  for n, l, r in zip(ns, lhs, rhs) if l != r)
+
+    def record_best(self, ns, variants: dict, rhs: list, scale: int):
+        """record_lists for the left side in variants (key -> list) with the
+        fewest entries unequal to rhs, the first key on a tie; returns that
+        key."""
+        best = min(variants, key=lambda key: sum(map(ne, variants[key], rhs)))
+        self.record_lists(ns, variants[best], rhs, scale)
+        return best
 
     def to_dict(self) -> dict:
         return {
@@ -134,7 +137,8 @@ def g_poly(nu: int, double_s: bool) -> list[int]:
     """The coefficients c_0..c_nu of g_nu(s, n) = sum_j c_j n^j s^(2nu-2j),
     the coefficient of X^(2nu) in 1/(1 - S X + n X^2), with S = 2s when
     double_s else S = s: c_j = (-1)^j C(2nu-j, j) S^(2nu-2j) / s^(2nu-2j).
-    g_0 = 1 is the Eichler weight and -g_1 with S = 2s the Cohen weight."""
+    g_0 = 1 is the Eichler weight and g_1 = 4s^2 - n with S = 2s the Cohen
+    weight."""
     return [(-1) ** j * comb(2 * nu - j, j) * (4 ** (nu - j) if double_s else 1)
             for j in range(nu + 1)]
 
@@ -151,28 +155,44 @@ def _g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
     return out
 
 
+def _class_number_check(name: str, nu: int, level: int, max_n: int,
+                        sign: int = 1, rhs=None, lam_signs=(1,)) -> RelationReport:
+    """sign (sum_s g_nu(s, n) 12 H(m - s^2) + k c 2 lambda_(2nu+1)(n))
+    = r f(n), for n of the policy set and k of lam_signs: on level 4 odd n,
+    m = n, S = 2s, c = 6 and r = 4; on level 1 all n, m = 4n, S = s, c = 12
+    and r = 24.  f is rhs(max_n), a coefficient function, or 0 when rhs is
+    None.  A relation stated for H itself (sign 1) is compared at scale
+    12, a trace formula (sign -1) at scale r.  With two signs k, the one
+    with fewer misses is recorded and named in the notes."""
+    odd = level == 4
+    rep = RelationReport(name, 1, max_n, "odd n" if odd else "all n")
+    with _Timer(rep):
+        step, c, r = (2, 6, 4) if odd else (1, 12, 24)
+        ns = range(1, max_n + 1, step)
+        tots = _g_sums(nu, odd, ns, ns if odd else range(4, 4 * max_n + 1, 4))
+        lam = residue_class_sieve(max_n, 2 * nu + 1, 1, 0)[1::step]
+        f = rhs(max_n) if rhs else lambda n: 0
+        want = [r * f(n) for n in ns]
+        best = rep.record_best(ns, {k: [sign * (t + k * c * v) for t, v in zip(tots, lam)]
+                                    for k in lam_signs}, want, 12 if sign > 0 else r)
+        if len(lam_signs) > 1:
+            rep.notes = ("neither sign variant holds uniformly" if rep.failures else
+                         f"variant that holds: {'+' if best > 0 else '-'}2*lambda_{2 * nu + 1}")
+    return rep
+
+
+def _sigma_1(T: int):
+    return divisor_sieve(T).__getitem__
+
+
 def check_eichler(max_n: int = 2000) -> RelationReport:
     """sum_s H(n - s^2) + lambda_1(n) = sigma_1(n)/3 for odd n."""
-    rep = RelationReport("eichler", 1, max_n, "odd n")
-    with _Timer(rep):
-        # times 12: sum_s 12 H(n - s^2) + 6 (2 lambda_1(n)) = 4 sigma_1(n)
-        odd = range(1, max_n + 1, 2)
-        sigma, lam = divisor_sieve(max_n, 1)
-        for n, tot in zip(odd, _g_sums(0, False, odd, odd)):
-            rep.record_scaled(n, tot + 6 * lam[n], 4 * sigma[n], 12)
-    return rep
+    return _class_number_check("eichler", 0, 4, max_n, rhs=_sigma_1)
 
 
 def check_cohen(max_n: int = 2000) -> RelationReport:
     """sum_s (4s^2 - n) H(n - s^2) + lambda_3(n) = 0 for odd n."""
-    rep = RelationReport("cohen", 1, max_n, "odd n")
-    with _Timer(rep):
-        # times 12: sum_s (4s^2 - n) 12 H(n - s^2) + 6 (2 lambda_3(n)) = 0
-        odd = range(1, max_n + 1, 2)
-        _, lam = divisor_sieve(max_n, 3)
-        for n, tot in zip(odd, _g_sums(1, True, odd, odd)):
-            rep.record_scaled(n, tot + 6 * lam[n], 0, 12)
-    return rep
+    return _class_number_check("cohen", 1, 4, max_n)
 
 
 def check_kronecker_hurwitz(max_n: int = 2000) -> RelationReport:
@@ -182,21 +202,8 @@ def check_kronecker_hurwitz(max_n: int = 2000) -> RelationReport:
     reports which one holds uniformly.  Failures are reported against the
     better variant.
     """
-    rep = RelationReport("kronecker_hurwitz", 1, max_n, "all n")
-    with _Timer(rep):
-        # times 12: sum_s 12 H(4n - s^2) +- 12 (2 lambda_1(n)) = 24 sigma_1(n)
-        ns = range(1, max_n + 1)
-        sigma, lam = divisor_sieve(max_n, 1)
-        tots = _g_sums(0, False, ns, range(4, 4 * max_n + 1, 4))
-        misses = {sign: sum(tot + sign * 12 * lam[n] != 24 * sigma[n]
-                            for n, tot in zip(ns, tots)) for sign in (1, -1)}
-        sign = 1 if misses[1] <= misses[-1] else -1
-        for n, tot in zip(ns, tots):
-            rep.record_scaled(n, tot + sign * 12 * lam[n], 24 * sigma[n], 12)
-        rep.notes = f"variant that holds: {'+' if sign == 1 else '-'}2*lambda_1"
-        if misses[1] and misses[-1]:
-            rep.notes = "neither sign variant holds uniformly"
-    return rep
+    return _class_number_check("kronecker_hurwitz", 0, 1, max_n, rhs=_sigma_1,
+                               lam_signs=(1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +223,10 @@ def check_trace_level1(nu: int, max_n: int | None = None) -> RelationReport:
         raise ValueError(f"no trace oracle for nu={nu}; supported: 1..5")
     if max_n is None:
         max_n = _TRACE1_DEFAULT_MAX[nu]
-    rep = RelationReport(f"trace1_nu{nu}", 1, max_n, "all n")
-    with _Timer(rep):
-        # times 24: -sum_s g 12 H(4n - s^2) - 12 (2 lambda(n)) = 24 tau(n)
-        from . import forms
-        ns = range(1, max_n + 1)
-        _, lam = divisor_sieve(max_n, 2 * nu + 1)
-        tau = forms.delta12(max_n) if nu == 5 else None
-        for n, tot in zip(ns, _g_sums(nu, False, ns, range(4, 4 * max_n + 1, 4))):
-            rhs = 24 * tau.coeff(n) if tau is not None else 0
-            rep.record_scaled(n, -tot - 12 * lam[n], rhs, 24)
-    return rep
+    from . import forms
+    return _class_number_check(
+        f"trace1_nu{nu}", nu, 1, max_n, -1,
+        (lambda T: forms.delta12(T).coeff) if nu == 5 else None)
 
 
 def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
@@ -238,17 +238,10 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
         raise ValueError(f"no trace oracle for nu={nu}; supported: 1, 2")
     if max_n is None:
         max_n = _TRACE4_DEFAULT_MAX[nu]
-    rep = RelationReport(f"trace4_nu{nu}", 1, max_n, "odd n")
-    with _Timer(rep):
-        # times 4: -sum_s g 12 H(n - s^2) - 6 (2 lambda(n)) = 4 eta(n)
-        from . import forms
-        odd = range(1, max_n + 1, 2)
-        _, lam = divisor_sieve(max_n, 2 * nu + 1)
-        eta = forms.eta2_pow12(max_n) if nu == 2 else None
-        for n, tot in zip(odd, _g_sums(nu, True, odd, odd)):
-            rhs = 4 * eta.coeff(n) if eta is not None else 0
-            rep.record_scaled(n, -tot - 6 * lam[n], rhs, 4)
-    return rep
+    from . import forms
+    return _class_number_check(
+        f"trace4_nu{nu}", nu, 4, max_n, -1,
+        (lambda T: forms.eta2_pow12(T).coeff) if nu == 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,7 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
         # times 48
         T = max_n
         diff = [c - c * c for c in kronecker_character(5).values][:T + 1]
-        sigma, _ = divisor_sieve(T, 1)
+        sigma = divisor_sieve(T)
         g24 = [-1] + [24 * v for v in sigma[1:]]           # 24 G_2
         rhs = g24[:]
         for r, w in enumerate(diff):
@@ -353,13 +346,10 @@ def check_cor_i(max_n: int = 1000) -> RelationReport:
         _add(rhs, slice(None, None, 25), 5, g24)
         common = _theta_d_side(5, T, 48, 5, [(1, 4)])
         d52 = residue_class_sieve(T, 1, 5, 2)
-        variants = {r: common[:] for r in (4, 1)}
+        variants = {r: common[:] for r in (1, 4)}
         for r, lhs in variants.items():
             _add(lhs, slice(r, None, 5), 96, d52[r::5])
-        misses = {r: sum(u != v for u, v in zip(lhs, rhs))
-                  for r, lhs in variants.items()}
-        best = min(misses, key=lambda r: (misses[r], r))
-        rep.record_lists(range(T + 1), variants[best], rhs, 48)
+        best = rep.record_best(range(T + 1), variants, rhs, 48)
         rep.notes = f"sieve residue on D_1^(5,2): {best}"
     return rep
 
@@ -371,8 +361,9 @@ def check_cor_ii(max_n: int = 500) -> RelationReport:
           + 2 D_1^{(7,2)}|S_{7,3} + 2 D_1^{(7,4)}|S_{7,5} + 2 D_1^{(7,1)}|S_{7,6}
         = (1/4) G_2 - (1/24) G_2 (x) (chi_7 - chi_7^2) + (1/4) g_7,
 
-    with g_7 the weight-2 newform built from point counts on
-    y^2 = x^3 - 2835 x - 71442 plus the Hecke recursion.
+    with g_7 the weight-2 newform of the curve 49a1
+    (y^2 = x^3 - 2835 x - 71442), built as its CM theta series
+    (forms.g7); point counts plus the Hecke recursion are its test oracle.
     """
     rep = RelationReport("cor_ii", 1, max_n,
                          "n with prime support >= 5 and != 7")
@@ -382,7 +373,7 @@ def check_cor_ii(max_n: int = 500) -> RelationReport:
         T = max_n
         chi7 = kronecker_character(7)
         lhs = _theta_d_side(7, T, 24, 7, [(2, 3), (4, 5), (1, 6)])
-        sigma, _ = divisor_sieve(T, 1)
+        sigma = divisor_sieve(T)
         g7 = forms.g7(T)
         ns = sorted(g7.defined)
         rep.record_lists(ns, [lhs[n] for n in ns],

@@ -217,6 +217,15 @@ def g7_point_counts(T: int) -> forms.PartialSeries:
 # The class number sums of qrel.relations, one index at a time
 
 
+def record_scaled(rep: RelationReport, n: int, lhs: int, rhs: int,
+                  scale: int) -> None:
+    """RelationReport.record_lists one index at a time: lhs/scale =
+    rhs/scale compared as integers, a failure held as exact Fractions."""
+    rep.checked += 1
+    if lhs != rhs:
+        rep.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
+
+
 def symmetric_sum(tab: list[int], m: int, weight=lambda s: 1) -> int:
     """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
     even in s, folding s and -s into one term."""

@@ -123,9 +123,11 @@ class TestDivisorSums:
         with pytest.raises(ValueError):
             residue_class_sieve(10, 1, p, a)
 
-    @pytest.mark.parametrize("k", [1, 3, 11])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 11])
     def test_sieve_matches_trial_division(self, k):
-        sigma, lam = divisor_sieve(5000, k)
+        # sigma_1 from divisor_sieve, and 2*lambda_k as the residue class
+        # sum at p = 1: every d <= sqrt(n), the ones below it twice
+        sigma, lam = divisor_sieve(5000), residue_class_sieve(5000, k, 1, 0)
         assert sigma[0] == lam[0] == 0
         for n in range(1, 5001):
             assert sigma[n] == sigma_k(n, 1), n

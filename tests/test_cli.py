@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import qrel
 from qrel import cli
 from qrel.arith import hurwitz_cache
+from qrel.scalars import QuadExt
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -152,6 +154,38 @@ class TestSeries:
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestExactCoefficients:
+    """No float reaches a coefficient: every catalog id and a grid of
+    composites builds int, Fraction or QuadExt coefficients, and a negative
+    degree nu of an indefinite theta series or a bracket is a usage error
+    (exit 1, a message, no traceback), not a float series."""
+
+    @pytest.mark.parametrize("name", [
+        "H", "theta", "theta_half:1:1", "theta_half:2:5", "theta32:1:-4",
+        "theta32:3:3", "theta_pa:5:2", "theta_pa:7:0", "G2", "Delta",
+        "eta2_12", "g7",
+        "lambda:1:1:1:1:0", "lambda:1:1:5:5:2", "lambda:1:2:1:1:1",
+        "lambda:4:9:1:1:1", "lambda:1:13:5:5:0", "lambda:2:3:1:1:1",
+        "delta:1:1:-4:-4:1", "delta:1:53:-4:-4:0", "delta:3:3:-4:-4:2",
+        "bracket:H:theta:3/2:1/2:0", "bracket:H:theta:3/2:1/2:1",
+        "bracket:theta:G2:1/2:2:2"])
+    def test_coefficients_are_exact(self, name):
+        series = cli.build_series(name, 30)
+        indices = sorted(series.defined) if hasattr(series, "defined") else range(31)
+        kinds = {type(series.coeff(n)) for n in indices}
+        assert kinds and kinds <= {int, Fraction, QuadExt}, (name, kinds)
+
+    @pytest.mark.parametrize("name", [
+        "lambda:1:1:1:1:-1", "lambda:1:2:1:1:-1", "lambda:4:9:1:1:-2",
+        "delta:1:1:-4:-4:-1", "delta:1:53:-4:-4:-1",
+        "bracket:H:theta:3/2:1/2:-1"])
+    def test_negative_degree_is_a_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "series", "--name", name, "--terms", "12")
+        assert code == 1 and out == ""
+        assert err.startswith(f"qrel series: cannot build {name!r}: ")
+        assert "must be nonnegative" in err
 
 
 class TestBracket:

@@ -414,6 +414,27 @@ class TestTruncationInput:
             build(T)
 
 
+class TestDegreeInput:
+    """A negative nu makes the exponent 2nu+1 negative: it is rejected
+    before the boundary loop and any sum, where it used to leak float
+    terms into the exact engine (or die in islice for non-square st)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: hp.lambda_indef(1, 1, TRIV, TRIV, -1, 12),
+        lambda: hp.lambda_indef(1, 2, TRIV, TRIV, -1, 12),
+        lambda: hp.delta_indef(1, 1, CHI4, CHI4, -1, 12),
+        lambda: hp.lambda_pa(5, 1, -1, 20),
+        lambda: hp.indefinite_double_sum(1, 1, TRIV, TRIV, -1, 15),
+        lambda: hp.indefinite_double_sum(1, 2, TRIV, TRIV, -1, 1),
+        lambda: hp.orbit_tail_split(1, 2, -1, 1, 5)],
+        ids=["lambda_square", "lambda_pell", "delta", "lambda_pa",
+             "double_sum_square", "double_sum_pell", "orbit_tail_split"])
+    def test_negative_nu_rejected(self, build):
+        with _deadline(5), pytest.raises(ValueError,
+                                         match="nu must be nonnegative, got -1"):
+            build()
+
+
 class TestSquareSweep:
     """The pair sieve of _double_sums (s*t a square) against the former
     divisor loop per r and the former sweep over factor pairs, over whole

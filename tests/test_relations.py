@@ -82,8 +82,31 @@ class TestReports:
         got.record_lists(ns, lhs, rhs, scale)
         want = R.RelationReport("demo", 1, 10, "all n", checked=2)
         for n, l, r in zip(ns, lhs, rhs):
-            want.record_scaled(n, l, r, scale)
+            oracles.record_scaled(want, n, l, r, scale)
         assert (got.failures, got.checked) == (want.failures, want.checked)
+
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                              st.integers(-2, 2)), max_size=20),
+           st.integers(1, 48))
+    @settings(max_examples=100, deadline=None)
+    def test_record_best_records_the_fewest_misses(self, triples, scale):
+        ns = range(1, 1 + len(triples))
+        a, b, rhs = ([t[i] for t in triples] for i in range(3))
+        got = R.RelationReport("demo", 1, 10, "all n", checked=1)
+        key = got.record_best(ns, {"a": a, "b": b}, rhs, scale)
+        misses = {k: sum(u != v for u, v in zip(lhs, rhs))
+                  for k, lhs in (("a", a), ("b", b))}
+        assert key == ("a" if misses["a"] <= misses["b"] else "b")
+        want = R.RelationReport("demo", 1, 10, "all n", checked=1)
+        want.record_lists(ns, a if key == "a" else b, rhs, scale)
+        assert (got.failures, got.checked) == (want.failures, want.checked)
+
+    def test_record_best_tie_takes_the_first_key(self):
+        for order in ((4, 1), (1, 4)):
+            rep = R.RelationReport("demo", 1, 10, "all n")
+            variants = {r: {4: [1, 0, 3], 1: [1, 2, 0]}[r] for r in order}
+            assert rep.record_best(range(3), variants, [1, 2, 3], 6) == order[0]
+            assert rep.checked == 3 and len(rep.failures) == 1
 
     def test_record_lists_lengths_must_agree(self):
         rep = R.RelationReport("demo", 1, 10, "all n")
@@ -130,8 +153,7 @@ class TestReports:
     def test_failure_serialization(self):
         rep = R.RelationReport("demo", 1, 5, "all n")
         rep.record(3, Fraction(1, 3), Fraction(2, 3))
-        rep.record_scaled(4, 4, 8, 12)
-        rep.record_scaled(5, 6, 6, 12)
+        rep.record_lists([4, 5], [4, 6], [8, 6], 12)
         doc = rep.to_dict()
         assert doc["failures"] == [{"n": 3, "lhs": "1/3", "rhs": "2/3"},
                                    {"n": 4, "lhs": "1/3", "rhs": "2/3"}]
@@ -296,6 +318,33 @@ class TestMomentPath:
         assert got == want
         assert all(failures for failures, _, _ in got)
         assert got[2][1] == "neither sign variant holds uniformly"
+
+    def test_perturbed_table_matches_golden(self):
+        # H(23) raised by 1/12 in the live table: the reports of all ten
+        # class number checks, recorded from the per-check bodies that the
+        # shared _class_number_check replaced, elapsed_ms left out.  The
+        # sizes include the cusp-form right sides (trace1_nu5, trace4_nu2),
+        # the kronecker_hurwitz note for two failing sign variants and even
+        # range ends for the odd-n checks.
+        with open(os.path.join(GOLDEN, "classnum_perturbed.json"),
+                  encoding="utf-8") as f:
+            golden = json.load(f)
+        cache = hurwitz_cache()
+        cache.ensure(8000)
+        original = cache._table[23]
+        got = {}
+        try:
+            cache._table[23] = original + 1
+            for key in golden:
+                rid, max_n = key.rsplit("_", 1)
+                rep = R.run_check(rid, int(max_n))
+                d = rep.to_dict()
+                del d["elapsed_ms"]
+                got[key] = {**d, "checked": rep.checked}
+        finally:
+            cache._table[23] = original
+        assert [key.rsplit("_", 1)[0] for key in golden] == R.relation_ids()[:10]
+        assert got == golden
 
 
 class TestHapTable:

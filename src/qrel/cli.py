@@ -35,29 +35,54 @@ def _fmt_coeff(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def build_series(series_id: str, T: int):
-    """Resolve a series id: the forms catalog plus the composite ids
-    "lambda:s:t:chi:psi:nu", "delta:s:t:chi:psi:nu" and
-    "bracket:f:g:k:l:nu" (characters given as kronecker_character
-    integers, weights as fractions like 3/2)."""
-    from .qseries import id_fields
-    name = series_id.split(":")[0]
-    if name in ("lambda", "delta"):
-        from .arith import kronecker_character
-        from .holproj import delta_indef, lambda_indef
-        form = f"{name}:s:t:chi:psi:nu"
-        s, t, chi, psi, nu = map(int, id_fields(series_id, form))
-        fn = lambda_indef if name == "lambda" else delta_indef
-        return fn(s, t, kronecker_character(chi), kronecker_character(psi), nu, T)
-    from . import forms
-    if name == "bracket":
-        from fractions import Fraction
+# The series ids, by name: the id's form (the name, then the fields after
+# it) and the forms or holproj builder that the name selects.
+_SERIES_IDS = {entry[0].split(":")[0]: entry for entry in (
+    ("H", "forms", "hurwitz_series"),
+    ("theta", "forms", "theta_classical"),
+    ("G2", "forms", "eisenstein_g2"),
+    ("Delta", "forms", "delta12"),
+    ("eta2_12", "forms", "eta2_pow12"),
+    ("g7", "forms", "g7"),
+    ("theta_half:s:chi", "forms", "theta_half"),
+    ("theta32:s:chi", "forms", "theta_three_half"),
+    ("theta_pa:p:a", "forms", "theta_congruence"),
+    ("lambda:s:t:chi:psi:nu", "holproj", "lambda_indef"),
+    ("delta:s:t:chi:psi:nu", "holproj", "delta_indef"),
+    ("bracket:f:g:k:l:nu", "holproj", "rankin_cohen"),
+)}
 
-        from .holproj import BracketSpec, rankin_cohen
-        f, g, k, l, nu = id_fields(series_id, "bracket:f:g:k:l:nu")
-        spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
-        return rankin_cohen(forms.build(f, T), forms.build(g, T), spec)
-    return forms.build(series_id, T)
+
+def build_series(series_id: str, T: int):
+    """Build the series of a series id (see _SERIES_IDS) to order T.  Its
+    fields are integers, chi and psi taken as kronecker_character(d); a
+    bracket's are two field-less ids and weights k, l like 3/2."""
+    name, *fields = series_id.split(":")
+    if name not in _SERIES_IDS:
+        raise KeyError(f"unknown series id {series_id!r}")
+    form, module, builder = _SERIES_IDS[name]
+    params = form.split(":")[1:]
+    if len(fields) != len(params):
+        raise ValueError(f"{form} takes {len(params)} fields after the name, "
+                         f"got {len(fields)}")
+    if name == "bracket":
+        return _bracket(*fields, T)
+    from importlib import import_module
+
+    from .arith import kronecker_character
+    ints = [int(v) for v in fields]
+    args = [kronecker_character(v) if p in ("chi", "psi") else v
+            for p, v in zip(params, ints)]
+    return getattr(import_module(f".{module}", __package__), builder)(*args, T)
+
+
+def _bracket(f: str, g: str, k: str, l: str, nu, T: int):
+    """[f, g]_nu, the Rankin-Cohen bracket of two series ids at weights k, l."""
+    from fractions import Fraction
+
+    from .holproj import BracketSpec, rankin_cohen
+    spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
+    return rankin_cohen(build_series(f, T), build_series(g, T), spec)
 
 
 def _emit_series(name: str, series, terms: int, fmt: str) -> None:
@@ -85,11 +110,17 @@ def _emit_series(name: str, series, terms: int, fmt: str) -> None:
         print(json.dumps(doc, indent=2))
 
 
+def _message(exc: Exception) -> str:
+    """An error's message: str() of a KeyError is the repr of its message."""
+    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
 def cmd_series(args) -> int:
     try:
         series = build_series(args.name, args.terms)
     except (KeyError, IndexError, ValueError) as exc:
-        print(f"qrel series: cannot build {args.name!r}: {exc}", file=sys.stderr)
+        print(f"qrel series: cannot build {args.name!r}: {_message(exc)}",
+              file=sys.stderr)
         return USAGE_ERROR
     _emit_series(args.name, series, args.terms, args.format)
     return 0
@@ -113,13 +144,13 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    composite = f"bracket:{args.f}:{args.g}:{args.k}:{args.l}:{args.nu}"
     try:
-        series = build_series(composite, args.terms)
+        series = _bracket(args.f, args.g, args.k, args.l, args.nu, args.terms)
     except (KeyError, IndexError, ValueError) as exc:
-        print(f"qrel bracket: {exc}", file=sys.stderr)
+        print(f"qrel bracket: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
-    _emit_series(composite, series, args.terms, args.format)
+    _emit_series(f"bracket:{args.f}:{args.g}:{args.k}:{args.l}:{args.nu}",
+                 series, args.terms, args.format)
     return 0
 
 
@@ -129,7 +160,7 @@ def cmd_verify(args) -> int:
     try:
         report = relations.run_check(args.relation, args.max)
     except (KeyError, ValueError) as exc:
-        print(f"qrel verify: {exc}", file=sys.stderr)
+        print(f"qrel verify: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:
         print(report.to_json())
@@ -196,8 +227,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("bracket", help="Rankin-Cohen bracket of two catalog series")
-    p.add_argument("--f", required=True, help="catalog id of the first series")
-    p.add_argument("--g", required=True, help="catalog id of the second series")
+    p.add_argument("--f", required=True, help="series id of the first series")
+    p.add_argument("--g", required=True, help="series id of the second series")
     p.add_argument("--k", required=True, help="weight of f, e.g. 3/2")
     p.add_argument("--l", required=True, help="weight of g, e.g. 1/2")
     p.add_argument("--nu", type=int, default=0, help="bracket degree (default: 0)")

@@ -1,6 +1,7 @@
-"""Builders for every concrete q-expansion used by the relation checks.
+"""Builders for every concrete q-expansion used by the relation checks and
+named by the series ids of the command line (``qrel.cli`` parses the ids).
 
-All builders are deterministic and memoized per (id, truncation).
+All builders are deterministic; those of a truncation alone are memoized.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from math import gcd
 
 from . import arith
 from .arith import DirichletCharacter
-from .qseries import QSeries, eta_product, id_fields
+from .qseries import QSeries, eta_product
 
 
 @cache
@@ -139,43 +140,3 @@ def g7(T: int) -> PartialSeries:
     defined = set(g7_support(T))
     return PartialSeries({n: c // 2 for n, c in product.coeffs.items() if n in defined},
                          defined, T)
-
-
-# ---------------------------------------------------------------------------
-# Catalog
-
-
-def _parse_chi(token: str) -> DirichletCharacter:
-    return arith.kronecker_character(int(token))
-
-
-def build(series_id: str, T: int):
-    """Build a series by catalog id.
-
-    Ids: "H", "theta", "theta_half:s:chi", "theta32:s:chi", "theta_pa:p:a",
-    "G2", "Delta", "eta2_12", "g7".  Character specifiers are the integers
-    accepted by kronecker_character (1, -4, or an odd prime).
-    """
-    name = series_id.split(":")[0]
-    if name == "H":
-        return hurwitz_series(T)
-    if name == "theta":
-        return theta_classical(T)
-    if name == "theta_half":
-        s, chi = id_fields(series_id, "theta_half:s:chi")
-        return theta_half(int(s), _parse_chi(chi), T)
-    if name == "theta32":
-        s, chi = id_fields(series_id, "theta32:s:chi")
-        return theta_three_half(int(s), _parse_chi(chi), T)
-    if name == "theta_pa":
-        p, a = id_fields(series_id, "theta_pa:p:a")
-        return theta_congruence(int(p), int(a), T)
-    if name == "G2":
-        return eisenstein_g2(T)
-    if name == "Delta":
-        return delta12(T)
-    if name == "eta2_12":
-        return eta2_pow12(T)
-    if name == "g7":
-        return g7(T)
-    raise KeyError(f"unknown series id {series_id!r}")

@@ -28,17 +28,6 @@ def _check_trunc(trunc: int) -> None:
                          f"got {trunc}")
 
 
-def id_fields(series_id: str, form: str) -> list[str]:
-    """The fields after the name in a parameterised series id, which must
-    be as many as in its form (e.g. "theta_half:s:chi")."""
-    fields = series_id.split(":")[1:]
-    want = form.count(":")
-    if len(fields) != want:
-        raise ValueError(f"{form} takes {want} fields after the name, "
-                         f"got {len(fields)}")
-    return fields
-
-
 class ScalarKindError(TypeError):
     """Raised when two series over incompatible coefficient rings meet."""
 

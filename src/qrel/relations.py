@@ -248,50 +248,36 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
 # Residue-restricted class number sums
 
 
-def hap(a: int, p: int, n: int) -> Fraction:
-    """H_{a,p}(n) = sum over s = a (mod p) of H(4n - s^2)."""
-    smax = isqrt(4 * n)
-    s0 = a % p
-    start = s0 - ((s0 + smax) // p) * p
-    tab = hurwitz_cache().scaled_table(4 * n)
-    return Fraction(sum([tab[4 * n - s * s] for s in range(start, smax + 1, p)]), 12)
-
-
-def hap5_closed_form(a: int, ell: int) -> Fraction | None:
-    """Closed form for H_{a,5}(ell), ell a prime other than 5, in the six
-    cases where one exists; None outside them."""
-    a, r = a % 5, ell % 5
-    am = min(a, 5 - a) if a else 0
-    if am == 0 and r == 1:
-        return Fraction(ell + 1, 2)
-    if am == 0 and r in (2, 3):
-        return Fraction(ell + 1, 3)
-    if am == 1 and r in (1, 2):
-        return Fraction(ell + 1, 3)
-    if am == 1 and r == 4:
-        return Fraction(5 * ell + 5, 12)
-    if am == 2 and r == 1:
-        return Fraction(5 * ell - 7, 12)
-    if am == 2 and r in (3, 4):
-        return Fraction(ell + 1, 3)
-    return None
+# 12 H_{a,5}(ell) = c ell + d for a prime ell != 5, as (c, d) keyed by
+# (min(a, 5 - a), ell mod 5), in the cases where a closed form exists (none
+# has ell mod 5 = 0, so ell = 5 is skipped).
+_HAP5_CLOSED_FORMS = {
+    (0, 1): (6, 6), (0, 2): (4, 4), (0, 3): (4, 4),
+    (1, 1): (4, 4), (1, 2): (4, 4), (1, 4): (5, 5),
+    (2, 1): (5, -7), (2, 3): (4, 4), (2, 4): (4, 4),
+}
 
 
 def check_hap_table(max_prime: int = 200) -> RelationReport:
-    """H_{a,5}(ell) matches its closed form for every prime ell != 5 up to
-    max_prime and every residue a mod 5."""
+    """H_{a,5}(ell) = sum over s = a (mod 5) of H(4 ell - s^2) matches its
+    closed form for every prime ell != 5 up to max_prime and every residue
+    a mod 5."""
     rep = RelationReport("hap_table", 2, max_prime,
                          "prime ell != 5, a mod 5, tabulated cases")
     with _Timer(rep):
-        hurwitz_cache().ensure(4 * max_prime)
+        tab = hurwitz_cache().scaled_table(4 * max_prime)
+        ns, lhs, rhs = [], [], []
         for ell in _primes_upto(max_prime):
-            if ell == 5:
-                continue
+            m, smax = 4 * ell, isqrt(4 * ell)
             for a in range(5):
-                want = hap5_closed_form(a, ell)
-                if want is None:
+                form = _HAP5_CLOSED_FORMS.get((min(a, 5 - a), ell % 5))
+                if form is None:
                     continue
-                rep.record(10 * ell + a, hap(a, 5, ell), want)
+                ns.append(10 * ell + a)
+                lhs.append(sum([tab[m - s * s] for s in
+                                range(a - (a + smax) // 5 * 5, smax + 1, 5)]))
+                rhs.append(form[0] * ell + form[1])
+        rep.record_lists(ns, lhs, rhs, 12)
     return rep
 
 
@@ -596,18 +582,19 @@ def check_identities() -> RelationReport:
     rewrites, the even and odd binomial summation identities, the two
     closed summation formulas after the square substitution, and the
     closed form of the projection constant kappa."""
+    a_max, binom_max, closed_max, kappa_max = 12, 40, 8, 20
     rep = RelationReport("identities", 0, 0,
-                         "p_poly a<=12; binomial nu<=40; closed sums nu<=8; "
-                         "kappa nu<=20")
+                         f"p_poly a<={a_max}; binomial nu<={binom_max}; "
+                         f"closed sums nu<={closed_max}; kappa nu<={kappa_max}")
     with _Timer(rep):
-        even, odd = _binomial_sums(40)
+        even, odd = _binomial_sums(binom_max)
         suites = [
-            ("p_poly_rewrites", _p_poly_rewrites(12)),
+            ("p_poly_rewrites", _p_poly_rewrites(a_max)),
             ("binomial_even", even),
             ("binomial_odd", odd),
-            ("closed_sum_even", _closed_sum_even(8)),
-            ("closed_sum_odd", _closed_sum_odd(8)),
-            ("kappa_closed_form", _kappa_closed_form(20)),
+            ("closed_sum_even", _closed_sum_even(closed_max)),
+            ("closed_sum_odd", _closed_sum_odd(closed_max)),
+            ("kappa_closed_form", _kappa_closed_form(kappa_max)),
         ]
         for base, (name, bad) in enumerate(suites):
             rep.checked += 1

@@ -226,6 +226,16 @@ def record_scaled(rep: RelationReport, n: int, lhs: int, rhs: int,
         rep.failures.append((n, Fraction(lhs, scale), Fraction(rhs, scale)))
 
 
+def hap(a: int, p: int, n: int) -> Fraction:
+    """H_{a,p}(n) = sum over s = a (mod p) of H(4n - s^2), one index at a
+    time: the reference for relations.check_hap_table."""
+    smax = isqrt(4 * n)
+    s0 = a % p
+    start = s0 - ((s0 + smax) // p) * p
+    tab = hurwitz_cache().scaled_table(4 * n)
+    return Fraction(sum([tab[4 * n - s * s] for s in range(start, smax + 1, p)]), 12)
+
+
 def symmetric_sum(tab: list[int], m: int, weight=lambda s: 1) -> int:
     """sum over s in Z, s^2 <= m, of weight(s) * tab[m - s^2] for a weight
     even in s, folding s and -s into one term."""

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 import qrel
-from qrel import cli
-from qrel.arith import hurwitz_cache
+from qrel import cli, forms
+from qrel.arith import hurwitz_cache, kronecker_character
+from qrel.holproj import BracketSpec, rankin_cohen
 from qrel.scalars import QuadExt
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -45,6 +46,37 @@ class TestSeries:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "series", "--name", "nosuch")
         assert code == 1 and "nosuch" in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (["series", "--name", "nosuch"],
+         "qrel series: cannot build 'nosuch': unknown series id 'nosuch'\n"),
+        (["bracket", "--f", "nosuch", "--g", "theta", "--k", "1/2", "--l", "1/2"],
+         "qrel bracket: unknown series id 'nosuch'\n"),
+        (["verify", "foo"], "qrel verify: unknown relation 'foo'; known: eichler, ")])
+    def test_key_error_message_unquoted(self, capsys, argv, want):
+        # str() of a KeyError is the repr of its message; the message is
+        # printed as it is
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(want) and '"' not in err
+
+    def test_ids_match_the_series_help(self, capsys, monkeypatch):
+        # every name of the resolver's table is named in the --name help
+        # and resolves, so the grammar and its help cannot drift apart
+        samples = {"H": "H", "theta": "theta", "G2": "G2", "Delta": "Delta",
+                   "eta2_12": "eta2_12", "g7": "g7",
+                   "theta_half": "theta_half:1:5", "theta32": "theta32:1:-4",
+                   "theta_pa": "theta_pa:5:0", "lambda": "lambda:1:2:1:1:0",
+                   "delta": "delta:1:1:-4:-4:0",
+                   "bracket": "bracket:H:theta:3/2:1/2:1"}
+        assert set(samples) == set(cli._SERIES_IDS)
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["series", "--help"])
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        for name, series_id in samples.items():
+            assert name in words
+            assert cli.build_series(series_id, 5).trunc == 5
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "series", "--name", "H", "--terms", "4",
@@ -81,7 +113,10 @@ class TestSeries:
         ("theta_half:1", "theta_half:s:chi takes 2", 1),
         ("lambda:1:2", "lambda:s:t:chi:psi:nu takes 5", 2),
         ("bracket:Delta", "bracket:f:g:k:l:nu takes 5", 1),
-        ("delta:1:1:-4:-4:0:9", "delta:s:t:chi:psi:nu takes 5", 6)])
+        ("delta:1:1:-4:-4:0:9", "delta:s:t:chi:psi:nu takes 5", 6),
+        ("Delta:junk", "Delta takes 0", 1), ("H:1:2", "H takes 0", 2),
+        ("g7:1", "g7 takes 0", 1), ("theta:0", "theta takes 0", 1),
+        ("G2:x", "G2 takes 0", 1), ("eta2_12:1", "eta2_12 takes 0", 1)])
     def test_wrong_field_count(self, capsys, name, form, got):
         code, out, err = run(capsys, "series", "--name", name, "--terms", "3")
         assert code == 1 and out == ""
@@ -195,6 +230,21 @@ class TestBracket:
                            "--terms", "4")
         assert code == 0
         assert out.strip().split(", ")[4] == "1"
+
+    @pytest.mark.parametrize("f, g, k, direct", [
+        ("theta_half:1:5", "theta", "1/2",
+         lambda T: (forms.theta_half(1, kronecker_character(5), T),
+                    forms.theta_classical(T))),
+        ("H", "theta_pa:5:0", "3/2",
+         lambda T: (forms.hurwitz_series(T), forms.theta_congruence(5, 0, T)))])
+    def test_ids_with_fields(self, capsys, f, g, k, direct):
+        # --f and --g take any series id, fields included
+        code, out, err = run(capsys, "bracket", "--f", f, "--g", g, "--k", k,
+                             "--l", "1/2", "--nu", "1", "--terms", "30")
+        assert code == 0 and err == ""
+        series = rankin_cohen(*direct(30), BracketSpec(Fraction(k), Fraction(1, 2), 1))
+        assert out == ", ".join(cli._fmt_coeff(series.coeff(n)) for n in range(31)) + "\n"
+        assert any(series.coeff(n) for n in range(31))
 
     def test_bad_weight(self, capsys):
         code, _, err = run(capsys, "bracket", "--f", "H", "--g", "theta",
@@ -415,14 +465,16 @@ class TestImportFootprint:
           "--format", "csv"], {"forms", "relations"}),
         (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"],
          {"relations"}),
+        (["series", "--name", "delta:1:1:-4:-4:0", "--format", "csv"],
+         {"forms", "relations"}),
         (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
         (["hurwitz", "--max", "50", "--out", "{tmp}"],
          {"forms", "holproj", "qseries", "relations", "scalars"}),
         (["verify", "eichler", "--max", "50"], {"forms", "holproj"}),
         (["verify", "cor_i", "--max", "50"], {"forms", "holproj"}),
         (["verify-all", "--max", "40", "--json"], set())],
-        ids=["help", "lambda-csv", "lambda-text", "catalog", "hurwitz", "verify",
-             "verify-cor_i", "verify-all"])
+        ids=["help", "lambda-csv", "lambda-text", "delta-csv", "catalog", "hurwitz",
+             "verify", "verify-cor_i", "verify-all"])
     def test_modules_loaded(self, tmp_path, argv, absent):
         argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
         src = os.path.dirname(os.path.dirname(qrel.__file__))

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import oracles
-from qrel import forms
+from qrel import cli, forms
 from qrel.arith import hurwitz, kronecker_character
 
 
@@ -149,17 +149,19 @@ class TestG7:
 
 
 class TestCatalog:
+    """The forms builders behind the series ids, through the one resolver."""
+
     def test_ids(self):
-        assert forms.build("H", 10).coeff(3) == Fraction(1, 3)
-        assert forms.build("theta", 10).coeff(4) == 2
-        assert forms.build("G2", 10).coeff(1) == 1
-        assert forms.build("Delta", 10).coeff(2) == -24
-        assert forms.build("eta2_12", 10).coeff(3) == -12
-        assert forms.build("theta_half:1:5", 10).coeff(1) == 2
-        assert forms.build("theta32:1:-4", 10).coeff(9) == -6
-        assert forms.build("theta_pa:5:0", 30).coeff(25) == 2
-        assert forms.build("g7", 30).coeff(11) == 4
+        assert cli.build_series("H", 10).coeff(3) == Fraction(1, 3)
+        assert cli.build_series("theta", 10).coeff(4) == 2
+        assert cli.build_series("G2", 10).coeff(1) == 1
+        assert cli.build_series("Delta", 10).coeff(2) == -24
+        assert cli.build_series("eta2_12", 10).coeff(3) == -12
+        assert cli.build_series("theta_half:1:5", 10).coeff(1) == 2
+        assert cli.build_series("theta32:1:-4", 10).coeff(9) == -6
+        assert cli.build_series("theta_pa:5:0", 30).coeff(25) == 2
+        assert cli.build_series("g7", 30).coeff(11) == 4
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
-            forms.build("nosuch", 10)
+            cli.build_series("nosuch", 10)

@@ -352,16 +352,54 @@ class TestHapTable:
         assert R.check_hap_table(200).ok
 
     def test_spot_values(self):
-        assert R.hap(0, 5, 11) == Fraction(11 + 1, 2) == 6
-        assert R.hap(1, 5, 11) == Fraction(11 + 1, 3) == 4
-        assert R.hap(2, 5, 11) == Fraction(5 * 11 - 7, 12) == 4
+        assert oracles.hap(0, 5, 11) == Fraction(11 + 1, 2) == 6
+        assert oracles.hap(1, 5, 11) == Fraction(11 + 1, 3) == 4
+        assert oracles.hap(2, 5, 11) == Fraction(5 * 11 - 7, 12) == 4
 
     def test_residue_partition(self):
         for n in list(range(1, 200)) + [500, 777, 1000]:
-            total = sum((R.hap(a, 5, n) for a in range(5)), Fraction(0))
+            total = sum((oracles.hap(a, 5, n) for a in range(5)), Fraction(0))
             direct = sum(hurwitz(4 * n - s * s)
                          for s in range(-isqrt(4 * n), isqrt(4 * n) + 1))
             assert total == direct
+
+    def test_failures_hold_the_per_index_sums(self):
+        # H(43) raised by 1/12 in the live table: each failure's left side
+        # is the oracle's sum over the same table
+        cache = hurwitz_cache()
+        cache.ensure(8000)
+        original = cache._table[43]
+        try:
+            cache._table[43] = original + 1
+            rep = R.check_hap_table(200)
+            sums = [oracles.hap(n % 10, 5, n // 10) for n, _, _ in rep.failures]
+        finally:
+            cache._table[43] = original
+        assert rep.failures and [lhs for _, lhs, _ in rep.failures] == sums
+
+    def test_perturbed_table_matches_golden(self):
+        # 12 H raised by 1 at one index of the live table (or at none), at
+        # five range ends: the reports of the per-index check that the list
+        # form replaced, recorded from it, elapsed_ms left out
+        with open(os.path.join(GOLDEN, "hap_table_perturbed.json"),
+                  encoding="utf-8") as f:
+            golden = json.load(f)
+        cache = hurwitz_cache()
+        cache.ensure(8000)
+        got = {}
+        for pos, by_max in golden.items():
+            idx, bump = (0, 0) if pos == "none" else (int(pos), 1)
+            got[pos] = {}
+            cache._table[idx] += bump
+            try:
+                for max_prime in by_max:
+                    rep = R.check_hap_table(int(max_prime))
+                    d = rep.to_dict()
+                    del d["elapsed_ms"]
+                    got[pos][max_prime] = {**d, "checked": rep.checked}
+            finally:
+                cache._table[idx] -= bump
+        assert got == golden
 
 
 class TestQuasiModular:

@@ -28,13 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_coeff(x) -> str:
-    from .scalars import QuadExt, format_scalar
-    if isinstance(x, QuadExt):
-        return format_scalar(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # The series ids, by name: the id's form (the name, then the fields after
 # it) and the forms or holproj builder that the name selects.
 _SERIES_IDS = {entry[0].split(":")[0]: entry for entry in (
@@ -81,33 +74,53 @@ def _bracket(f: str, g: str, k: str, l: str, nu, T: int):
     from fractions import Fraction
 
     from .holproj import BracketSpec, rankin_cohen
+    from .qseries import QSeries
     spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
-    return rankin_cohen(build_series(f, T), build_series(g, T), spec)
+    pair = build_series(f, T), build_series(g, T)
+    for series_id, series in zip((f, g), pair):
+        if not isinstance(series, QSeries):
+            raise ValueError(f"{series_id} has coefficients only at some "
+                             f"indices; a bracket needs a full q-series")
+    return rankin_cohen(*pair, spec)
 
 
 def _emit_series(name: str, series, terms: int, fmt: str) -> None:
-    """Print the coefficients of exponents 0..terms.  A PartialSeries (g7)
-    has coefficients only at its defined indices: those n <= terms are
-    printed, zeros included and each with its index."""
-    if fmt == "csv":
-        for line in series.truncate(terms).to_csv_lines():
-            print(line)
-        return
-    from .forms import PartialSeries
-    partial = isinstance(series, PartialSeries)
-    indices = (sorted(n for n in series.defined if n <= terms) if partial
-               else range(terms + 1))
-    coeffs = [_fmt_coeff(series.coeff(n)) for n in indices]
-    if fmt == "text":
-        print(", ".join(f"{n}: {c}" for n, c in zip(indices, coeffs))
-              if partial else ", ".join(coeffs))
+    """Print the coefficients of exponents 0..terms in one write, from one
+    read of series.coeffs.  A PartialSeries (g7), told by its defined set,
+    prints its defined n <= terms, zeros included and each with its index;
+    CSV prints the stored n <= terms.  A cell is "n,num,den" in CSV
+    ("n,a_num,a_den,b_num,b_den,D" for a QuadExt) and str(c) in text and
+    JSON (format_scalar(c) for a QuadExt)."""
+    from .scalars import QuadExt, format_scalar
+    coeffs, defined = series.coeffs, getattr(series, "defined", None)
+    if defined is not None or fmt == "csv":
+        indices = sorted(n for n in (coeffs if defined is None else defined)
+                         if n <= terms)
+    elif terms > series.trunc:
+        raise IndexError(f"exponent {series.trunc + 1} beyond truncation "
+                         f"{series.trunc}")
     else:
-        import json
-        doc = {"name": name, "terms": terms}
-        if partial:
-            doc["indices"] = indices
-        doc["coefficients"] = coeffs
-        print(json.dumps(doc, indent=2))
+        indices = range(terms + 1)
+    values = [coeffs.get(n, 0) for n in indices]
+    if fmt == "csv":
+        text = "".join(f"{n},{c.a.numerator},{c.a.denominator},{c.b.numerator},"
+                       f"{c.b.denominator},{c.D}\n" if isinstance(c, QuadExt)
+                       else f"{n},{c.numerator},{c.denominator}\n"
+                       for n, c in zip(indices, values))
+    else:
+        cells = [format_scalar(c) if isinstance(c, QuadExt) else str(c)
+                 for c in values]
+        if fmt == "text":
+            text = ", ".join(cells if defined is None else
+                             (f"{n}: {c}" for n, c in zip(indices, cells))) + "\n"
+        else:
+            import json
+            doc = {"name": name, "terms": terms}
+            if defined is not None:
+                doc["indices"] = indices
+            doc["coefficients"] = cells
+            text = json.dumps(doc, indent=2) + "\n"
+    sys.stdout.write(text)
 
 
 def _message(exc: Exception) -> str:

@@ -106,15 +106,6 @@ class PartialSeries:
             raise KeyError(f"coefficient a({n}) is not defined")
         return self.coeffs.get(n, 0)
 
-    def truncate(self, T: int) -> "PartialSeries":
-        return PartialSeries(self.coeffs, {n for n in self.defined if n <= T},
-                             min(self.trunc, T))
-
-    def to_csv_lines(self) -> list[str]:
-        """"n,num,den" for every defined index, zeros included, so that a
-        defined 0 is told apart from an undefined coefficient."""
-        return [f"{n},{self.coeff(n)},1" for n in sorted(self.defined)]
-
 
 def g7_support(max_n: int) -> list[int]:
     """Indices <= max_n prime to 42: supported on primes >= 5 and != 7."""

@@ -373,20 +373,6 @@ class QSeries:
         more = ", ..." if len(self.coeffs) > 8 else ""
         return f"QSeries({{{terms}{more}}}, trunc={self.trunc})"
 
-    def to_csv_lines(self) -> list[str]:
-        """Serialize as CSV: "n,num,den" or "n,a_num,a_den,b_num,b_den,D"."""
-        lines = []
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n]
-            if isinstance(c, QuadExt):
-                lines.append(f"{n},{c.a.numerator},{c.a.denominator},"
-                             f"{c.b.numerator},{c.b.denominator},{c.D}")
-            elif isinstance(c, int):
-                lines.append(f"{n},{c},1")
-            else:
-                lines.append(f"{n},{c.numerator},{c.denominator}")
-        return lines
-
 
 def eta_product(factors, T: int) -> QSeries:
     """q-expansion of prod_d eta(d*tau)^{e_d} for factors [(d, e), ...].
@@ -406,7 +392,8 @@ def eta_product(factors, T: int) -> QSeries:
     if any(d < 1 for d, _ in factors):
         raise ValueError(f"every d must be positive: {factors}")
     _check_trunc(T)
-    t = T - int(lead)                      # the factors are needed to q^t
+    lead = int(lead)
+    t = T - lead                           # the factors are needed to q^t
     lifted = []
     for d, e in factors if t >= 0 else ():
         powers = [base(1, t // d) ** m for base, m in
@@ -415,7 +402,7 @@ def eta_product(factors, T: int) -> QSeries:
             lifted.append(QSeries({d * n: c for n, c in
                                    reduce(mul, powers).coeffs.items()}, t))
     coeffs = reduce(mul, lifted).coeffs if lifted else {0: 1} if t >= 0 else {}
-    return QSeries({n + int(lead): c for n, c in coeffs.items()}, T)
+    return QSeries({n + lead: c for n, c in coeffs.items()}, T)
 
 
 def _jacobi_cube(d: int, T: int) -> QSeries:

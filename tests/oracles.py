@@ -79,7 +79,7 @@ def class_number_decomposition(n: int) -> Fraction:
 
 
 def series_from_csv_lines(lines, trunc: int) -> QSeries:
-    """Read back QSeries.to_csv_lines: "n,num,den" or
+    """Read back the CSV of `qrel series --format csv`: "n,num,den" or
     "n,a_num,a_den,b_num,b_den,D" per coefficient."""
     coeffs: dict = {}
     for line in lines:

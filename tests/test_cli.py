@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -30,6 +31,51 @@ def run_fresh(*argv):
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "qrel.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+# The byte-identity golden of the series writer: every id form of
+# cli._SERIES_IDS (lambda with square and with Pell st), a bracket of the
+# PartialSeries g7, and `qrel bracket`, each in every format at T in
+# GOLDEN_TERMS.  Recorded from commit 8f94360, each case run as
+# `python -m qrel.cli ARGV` in a fresh interpreter: its exit code and the
+# SHA-256 of its stdout.
+SERIES_OUTPUTS = os.path.join(GOLDEN, "series_outputs.json")
+GOLDEN_SERIES_IDS = (
+    "H", "theta", "G2", "Delta", "eta2_12", "g7",
+    "theta_half:1:1", "theta_half:2:5", "theta32:1:-4", "theta32:3:3",
+    "theta_pa:5:2", "theta_pa:7:0",
+    "lambda:1:1:1:1:0", "lambda:1:1:5:5:2", "lambda:4:9:1:1:1",
+    "lambda:1:2:1:1:1", "lambda:1:13:5:5:0", "lambda:2:3:1:1:1",
+    "delta:1:1:-4:-4:1", "delta:1:53:-4:-4:0", "delta:3:3:-4:-4:2",
+    "bracket:H:theta:3/2:1/2:0", "bracket:H:theta:3/2:1/2:1",
+    "bracket:theta:G2:1/2:2:2", "bracket:g7:theta:2:1/2:0")
+GOLDEN_BRACKETS = (
+    ("--f", "H", "--g", "theta", "--k", "3/2", "--l", "1/2", "--nu", "1"),
+    ("--f", "theta_pa:5:0", "--g", "G2", "--k", "1/2", "--l", "2", "--nu", "2"),
+    ("--f", "g7", "--g", "theta", "--k", "2", "--l", "1/2"),
+    ("--f", "theta", "--g", "g7", "--k", "1/2", "--l", "2"))
+GOLDEN_TERMS = ("0", "1", "30", "500")
+
+
+def series_output_cases(prefixes=None):
+    """The argv of every golden case, or of those that start with one of
+    prefixes."""
+    if prefixes is None:
+        prefixes = ([["series", "--name", i] for i in GOLDEN_SERIES_IDS]
+                    + [["bracket", *b] for b in GOLDEN_BRACKETS])
+    return [[*p, "--terms", t, "--format", fmt] for p in prefixes
+            for t in GOLDEN_TERMS for fmt in ("text", "csv", "json")]
+
+
+def check_series_outputs(capsys, prefix):
+    """Every format and T of prefix prints what the golden recorded."""
+    with open(SERIES_OUTPUTS, encoding="utf-8") as f:
+        golden = json.load(f)
+    for argv in series_output_cases([prefix]):
+        code, out, _ = run(capsys, *argv)
+        got = {"exit": code,
+               "sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == golden[" ".join(argv)], argv
 
 
 class TestSeries:
@@ -185,6 +231,16 @@ class TestSeries:
         with open(os.path.join(GOLDEN, golden), encoding="utf-8") as f:
             assert out == f.read()
 
+    @pytest.mark.parametrize("series_id", GOLDEN_SERIES_IDS)
+    def test_series_output_matches_golden(self, capsys, series_id):
+        check_series_outputs(capsys, ["series", "--name", series_id])
+
+    def test_series_output_golden_covers_every_id(self):
+        assert {i.split(":")[0] for i in GOLDEN_SERIES_IDS} == set(cli._SERIES_IDS)
+        with open(SERIES_OUTPUTS, encoding="utf-8") as f:
+            assert set(json.load(f)) == {
+                " ".join(argv) for argv in series_output_cases()}
+
     def test_byte_determinism(self, capsys):
         runs = [run(capsys, "series", "--name", "lambda:1:2:1:1:1",
                     "--terms", "30", "--format", "json") for _ in range(2)]
@@ -243,8 +299,30 @@ class TestBracket:
                              "--l", "1/2", "--nu", "1", "--terms", "30")
         assert code == 0 and err == ""
         series = rankin_cohen(*direct(30), BracketSpec(Fraction(k), Fraction(1, 2), 1))
-        assert out == ", ".join(cli._fmt_coeff(series.coeff(n)) for n in range(31)) + "\n"
-        assert any(series.coeff(n) for n in range(31))
+        coeffs = [series.coeff(n) for n in range(31)]
+        assert {type(c) for c in coeffs} <= {int, Fraction} and any(coeffs)
+        assert out == ", ".join(map(str, coeffs)) + "\n"
+
+    @pytest.mark.parametrize("args", GOLDEN_BRACKETS,
+                             ids=lambda args: ":".join(args[1:4:2]))
+    def test_output_matches_golden(self, capsys, args):
+        check_series_outputs(capsys, ["bracket", *args])
+
+    @pytest.mark.parametrize("argv, want", [
+        (["bracket", "--f", "g7", "--g", "theta", "--k", "2", "--l", "1/2"],
+         "qrel bracket: g7 has"),
+        (["bracket", "--f", "theta", "--g", "g7", "--k", "1/2", "--l", "2"],
+         "qrel bracket: g7 has"),
+        (["series", "--name", "bracket:g7:theta:2:1/2:0"],
+         "qrel series: cannot build 'bracket:g7:theta:2:1/2:0': g7 has"),
+        (["series", "--name", "bracket:theta:g7:1/2:2:1"],
+         "qrel series: cannot build 'bracket:theta:g7:1/2:2:1': g7 has")])
+    def test_partial_series_refused(self, argv, want):
+        # g7 is a PartialSeries, defined only at some indices: a usage
+        # error with one line on stderr, not a traceback
+        proc = run_fresh(*argv, "--terms", "30")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(want) and proc.stderr.count("\n") == 1
 
     def test_bad_weight(self, capsys):
         code, _, err = run(capsys, "bracket", "--f", "H", "--g", "theta",
@@ -464,17 +542,24 @@ class TestImportFootprint:
         (["series", "--name", "lambda:1:13:5:5:2", "--terms", "50",
           "--format", "csv"], {"forms", "relations"}),
         (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"],
-         {"relations"}),
+         {"forms", "relations"}),
+        (["series", "--name", "lambda:4:9:1:1:1", "--terms", "5",
+          "--format", "json"], {"forms", "relations"}),
         (["series", "--name", "delta:1:1:-4:-4:0", "--format", "csv"],
          {"forms", "relations"}),
+        (["series", "--name", "delta:1:53:-4:-4:1", "--terms", "5"],
+         {"forms", "relations"}),
+        (["series", "--name", "delta:1:1:-4:-4:1", "--terms", "5",
+          "--format", "json"], {"forms", "relations"}),
         (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
         (["hurwitz", "--max", "50", "--out", "{tmp}"],
          {"forms", "holproj", "qseries", "relations", "scalars"}),
         (["verify", "eichler", "--max", "50"], {"forms", "holproj"}),
         (["verify", "cor_i", "--max", "50"], {"forms", "holproj"}),
         (["verify-all", "--max", "40", "--json"], set())],
-        ids=["help", "lambda-csv", "lambda-text", "delta-csv", "catalog", "hurwitz",
-             "verify", "verify-cor_i", "verify-all"])
+        ids=["help", "lambda-csv", "lambda-text", "lambda-json", "delta-csv",
+             "delta-text", "delta-json", "catalog", "hurwitz", "verify",
+             "verify-cor_i", "verify-all"])
     def test_modules_loaded(self, tmp_path, argv, absent):
         argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
         src = os.path.dirname(os.path.dirname(qrel.__file__))
@@ -510,3 +595,23 @@ class TestNamespace:
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             qrel.no_such_name
+
+
+class TestStdlibOnly:
+    """qrel's runtime needs only the standard library (dependencies = [])."""
+
+    @pytest.mark.parametrize("path", sorted(
+        os.path.join(os.path.dirname(qrel.__file__), name)
+        for name in os.listdir(os.path.dirname(qrel.__file__))
+        if name.endswith(".py")), ids=os.path.basename)
+    def test_absolute_imports_name_stdlib_modules(self, path):
+        import ast
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), path)
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert names
+        assert [n for n in names
+                if n.split(".")[0] not in sys.stdlib_module_names] == []

@@ -18,9 +18,11 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "arith": ("DirichletCharacter", "hurwitz", "hurwitz_cache",
               "kronecker_character", "lambda_k", "sigma_k"),
+    "congruence": (),
     "forms": (),
     "holproj": ("BracketSpec", "correction_b", "delta_indef", "kappa",
                 "lambda_indef", "lambda_pa", "pell_orbit", "rankin_cohen"),
+    "identities": (),
     "qseries": ("QSeries",),
     "relations": ("RelationReport", "run_check", "verify_all"),
     "scalars": ("PiScalar", "QuadExt"),

@@ -169,7 +169,6 @@ def cmd_bracket(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import relations
-    from .scalars import format_scalar
     try:
         report = relations.run_check(args.relation, args.max)
     except (KeyError, ValueError) as exc:
@@ -179,8 +178,8 @@ def cmd_verify(args) -> int:
         print(report.to_json())
     else:
         print(report.summary_line())
-        for n, lhs, rhs in report.failures:
-            print(f"  n={n}: lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}")
+        for fail in report.to_dict()["failures"]:
+            print(f"  n={fail['n']}: lhs={fail['lhs']} rhs={fail['rhs']}")
     return 0 if report.ok else MATH_FAILURE
 
 

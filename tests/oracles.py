@@ -7,8 +7,8 @@ from math import comb, factorial, gcd, isqrt, lcm
 
 from qrel import arith, forms, holproj
 from qrel.arith import (H0, _primes_upto, hurwitz_cache, jacobi_symbol,
-                        kronecker_character)
-from qrel.qseries import QSeries, _euler_function, theta_moments
+                        kronecker_character, theta_moments)
+from qrel.qseries import QSeries, _euler_function
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 

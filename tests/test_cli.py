@@ -402,7 +402,7 @@ class TestVerify:
             rep.record(1, 0, 1)
             return rep
 
-        monkeypatch.setitem(relations._REGISTRY, "eichler", broken)
+        monkeypatch.setattr(relations, "check_eichler", broken)
         code, out, _ = run(capsys, "verify", "eichler")
         assert code == 2 and "fail" in out
 
@@ -534,6 +534,13 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qrel"),
 """
 
 
+# The class number checks run on arith and relations alone, in both formats.
+CLASS_NUMBER_IDS = ("eichler", "cohen", "kronecker_hurwitz", "trace1_nu1",
+                    "trace4_nu1", "hap_table")
+CLASS_NUMBER_ABSENT = {"forms", "holproj", "qseries", "scalars", "congruence",
+                       "identities"}
+
+
 class TestImportFootprint:
     """Each command imports only the qrel modules it runs."""
 
@@ -554,12 +561,20 @@ class TestImportFootprint:
         (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
         (["hurwitz", "--max", "50", "--out", "{tmp}"],
          {"forms", "holproj", "qseries", "relations", "scalars"}),
-        (["verify", "eichler", "--max", "50"], {"forms", "holproj"}),
-        (["verify", "cor_i", "--max", "50"], {"forms", "holproj"}),
+        (["verify", "eichler", "--max", "50"], CLASS_NUMBER_ABSENT),
+        *[(["verify", rid, "--max", "50"], CLASS_NUMBER_ABSENT)
+          for rid in CLASS_NUMBER_IDS[1:]],
+        *[(["verify", rid, "--max", "50", "--json"], CLASS_NUMBER_ABSENT)
+          for rid in CLASS_NUMBER_IDS],
+        (["verify", "cor_i", "--max", "50"],
+         {"holproj", "qseries", "scalars", "identities"}),
+        (["verify", "identities"], {"congruence", "forms"}),
         (["verify-all", "--max", "40", "--json"], set())],
         ids=["help", "lambda-csv", "lambda-text", "lambda-json", "delta-csv",
              "delta-text", "delta-json", "catalog", "hurwitz", "verify",
-             "verify-cor_i", "verify-all"])
+             *[f"verify-{rid}" for rid in CLASS_NUMBER_IDS[1:]],
+             *[f"verify-{rid}-json" for rid in CLASS_NUMBER_IDS],
+             "verify-cor_i", "verify-identities", "verify-all"])
     def test_modules_loaded(self, tmp_path, argv, absent):
         argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
         src = os.path.dirname(os.path.dirname(qrel.__file__))
@@ -591,6 +606,18 @@ class TestNamespace:
         namespace = {}
         exec("from qrel import *", namespace)
         assert set(qrel.__all__) <= set(namespace)
+
+    def test_relation_families_resolve(self):
+        # in a fresh interpreter, where only the package's __getattr__ loads them
+        src = os.path.dirname(os.path.dirname(qrel.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import qrel; print(qrel.congruence.__name__, "
+                                   "qrel.identities.__name__, *dir(qrel))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        names = proc.stdout.split()
+        assert names[:2] == ["qrel.congruence", "qrel.identities"], proc.stderr
+        assert {"congruence", "identities"} <= set(names[2:])
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

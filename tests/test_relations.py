@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qrel import congruence as C
 from qrel import holproj
+from qrel import identities as I
 from qrel import relations as R
 from qrel.arith import hurwitz, hurwitz_cache, lambda_k, sigma_k
 from qrel.qseries import QSeries
-from qrel.scalars import PiScalar, QuadExt
+from qrel.scalars import PiScalar, QuadExt, format_scalar
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -47,9 +49,9 @@ def binomial_odd_lhs(nu: int, j: int) -> Fraction:
 
 
 def perturb_binom_parts(monkeypatch, at: tuple[int, int, int]):
-    """Raise C(p/q, m) by one at (p, q, m) = at in relations.binom_parts,
+    """Raise C(p/q, m) by one at (p, q, m) = at in identities.binom_parts,
     and return the same change as a Fraction binomial for the oracles."""
-    binom_parts = R.binom_parts
+    binom_parts = I.binom_parts
 
     def perturbed(p, q, m):
         num, den = binom_parts(p, q, m)
@@ -59,7 +61,7 @@ def perturb_binom_parts(monkeypatch, at: tuple[int, int, int]):
         x = Fraction(x)
         return Fraction(*perturbed(x.numerator, x.denominator, m))
 
-    monkeypatch.setattr(R, "binom_parts", perturbed)
+    monkeypatch.setattr(I, "binom_parts", perturbed)
     return binom
 
 
@@ -160,10 +162,10 @@ class TestReports:
         assert rep.checked == 3
 
     def test_format_scalar(self):
-        assert R.format_scalar(Fraction(-1, 12)) == "-1/12"
-        assert R.format_scalar(3) == "3/1"
-        assert R.format_scalar(QuadExt(Fraction(1, 2), 2, 5)) == "1/2+2/1*sqrt(5)"
-        assert R.format_scalar(QuadExt(0, -3, 2)) == "0/1-3/1*sqrt(2)"
+        assert format_scalar(Fraction(-1, 12)) == "-1/12"
+        assert format_scalar(3) == "3/1"
+        assert format_scalar(QuadExt(Fraction(1, 2), 2, 5)) == "1/2+2/1*sqrt(5)"
+        assert format_scalar(QuadExt(0, -3, 2)) == "0/1-3/1*sqrt(2)"
 
 
 class TestRegistry:
@@ -194,6 +196,21 @@ class TestRegistry:
         a = [r.relation for r in R.verify_all(30)]
         b = [r.relation for r in R.verify_all(30)]
         assert a == b == R.relation_ids()
+
+    @pytest.mark.parametrize("rid", R.relation_ids())
+    def test_every_id_runs(self, rid):
+        rep = R.run_check(rid, None if rid in R._FIXED_RANGE else 30)
+        assert rep.relation == rid and rep.ok and rep.checked > 0
+
+    @pytest.mark.parametrize("name, module", [
+        ("check_cor_i", C), ("check_cor_ii", C), ("check_prop72", C),
+        ("w_term", C), ("prop72_rhs", C), ("check_identities", I)])
+    def test_family_names_forwarded(self, name, module):
+        assert getattr(R, name) is getattr(module, name)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            R.no_such_name
 
 
 class TestClassicalRelations:
@@ -290,7 +307,7 @@ class TestMomentPath:
     def test_theta_base_matches_oracle(self, p, T):
         # the theta base alone: scale 12, no D-series
         base = oracles.theta_base(p, T)
-        assert R._theta_d_side(p, T, 12, 0, []) == \
+        assert C._theta_d_side(p, T, 12, 0, []) == \
             [12 * base.coeff(n) for n in range(T + 1)]
 
     def test_perturbed_table_fails_like_oracle(self, monkeypatch):
@@ -424,8 +441,8 @@ class TestQuasiModular:
     def test_cor_i_sides_match_fraction_oracle(self):
         T = 1000
         variants, rhs = oracles.cor_i_sides(T)
-        common = R._theta_d_side(5, T, 48, 5, [(1, 4)])
-        d52 = R.residue_class_sieve(T, 1, 5, 2)
+        common = C._theta_d_side(5, T, 48, 5, [(1, 4)])
+        d52 = C.residue_class_sieve(T, 1, 5, 2)
         for r, lhs in variants.items():
             assert [v + 96 * d52[n] * (n % 5 == r) for n, v in enumerate(common)] \
                 == [48 * lhs.coeff(n) for n in range(T + 1)]
@@ -440,7 +457,7 @@ class TestQuasiModular:
         with open(os.path.join(GOLDEN, "cor_perturbed.json"),
                   encoding="utf-8") as f:
             golden = json.load(f)
-        sieve = R.residue_class_sieve
+        sieve = C.residue_class_sieve
 
         def raise_at(ns):
             def edit(out):
@@ -484,7 +501,7 @@ class TestQuasiModular:
                  R.check_cor_i, 300),
                 ("cor_i_D52_favours_4", (5, 2), favour_4, R.check_cor_i, 300)]:
             with monkeypatch.context() as m:
-                m.setattr(R, "residue_class_sieve", edited(pa, edit))
+                m.setattr(C, "residue_class_sieve", edited(pa, edit))
                 got[name] = report(check(T))
         assert got == golden
 
@@ -585,7 +602,7 @@ class TestIdentities:
         def perturbed(n, k):
             return comb(n, k) + ((n, k) == (83, 42))
 
-        monkeypatch.setattr(R, "comb", perturbed)
+        monkeypatch.setattr(I, "comb", perturbed)
         rep = R.check_identities()
         assert rep.failures == golden_failures("identities_multinomial_plus1.json")
 
@@ -598,8 +615,8 @@ class TestIdentities:
         def perturbed(n, k):
             return comb(n, k) + ((n, k) == (81, 41))
 
-        monkeypatch.setattr(R, "comb", perturbed)
-        got = R._binomial_sums(40)[1]
+        monkeypatch.setattr(I, "comb", perturbed)
+        got = I._binomial_sums(40)[1]
         assert got == oracles.binomial_odd(40, binom=perturbed)
         assert [idx for idx, _, _ in got] == [2000 + j for j in range(21)]
         rep = R.check_identities()
@@ -611,8 +628,8 @@ class TestIdentities:
         # others, so each (nu, j) fails and hands out its integer-form lhs
         primes = [q for q in range(2, 500)
                   if all(q % d for d in range(2, isqrt(q) + 1))]
-        monkeypatch.setattr(R, "factorial", lambda n: factorial(n) * primes[n])
-        even, odd = R._binomial_sums(40)
+        monkeypatch.setattr(I, "factorial", lambda n: factorial(n) * primes[n])
+        even, odd = I._binomial_sums(40)
         for bad, oracle, nus in ((even, binomial_even_lhs, range(1, 41)),
                                  (odd, binomial_odd_lhs, range(41))):
             got = {idx: lhs for idx, lhs, _ in bad}
@@ -620,8 +637,8 @@ class TestIdentities:
                            for nu in nus for j in range(nu + 1)}
 
     def test_closed_sums_match_fraction_oracle(self):
-        assert R._closed_sum_even(8) == oracles.closed_sum_even(8) == []
-        assert R._closed_sum_odd(8) == oracles.closed_sum_odd(8) == []
+        assert I._closed_sum_even(8) == oracles.closed_sum_even(8) == []
+        assert I._closed_sum_odd(8) == oracles.closed_sum_odd(8) == []
 
     def test_closed_sums_fail_like_oracle_under_perturbed_binomial(
             self, monkeypatch):
@@ -630,8 +647,8 @@ class TestIdentities:
         # forms, which read C(p/q, m) from binom_parts as an unreduced
         # pair, must fail exactly where the Fraction oracles fail
         binom = perturb_binom_parts(monkeypatch, (17, 2, 1))
-        for identity, oracle in ((R._closed_sum_even, oracles.closed_sum_even),
-                                 (R._closed_sum_odd, oracles.closed_sum_odd)):
+        for identity, oracle in ((I._closed_sum_even, oracles.closed_sum_even),
+                                 (I._closed_sum_odd, oracles.closed_sum_odd)):
             got = identity(8)
             assert got == oracle(8, binom=binom, poly=holproj.p_poly)
             assert [nu for nu, _, _ in got] == [8]
@@ -644,7 +661,7 @@ class TestIdentities:
         # rewrites where a + b - 3 = 9/2 (ids 53, 72, 81, 90); the integer
         # forms must fail where the Fraction oracle fails
         binom = perturb_binom_parts(monkeypatch, (9, 2, 3))
-        got = R._p_poly_rewrites(12)
+        got = I._p_poly_rewrites(12)
         assert got == oracles.p_poly_rewrites(12, binom=binom,
                                                poly=holproj.p_poly)
         assert [i for i, _, _ in got] == [53, 54, 64, 72, 74, 81, 84, 90, 94,
@@ -667,7 +684,7 @@ class TestIdentities:
         monkeypatch.setattr(holproj, "gamma_half_parts", parts)
         monkeypatch.setattr(oracles, "gamma_half", gamma)
         want = oracles.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), 20))
-        assert R._kappa_closed_form(20) == [
+        assert I._kappa_closed_form(20) == [
             (20, want.r, Fraction(2 * comb(40, 20), 4 ** 20))]
 
     def test_perturbed_gamma_half_fails(self, monkeypatch):
@@ -688,7 +705,7 @@ class TestIdentities:
             "identities_gamma_half_perturbed.json")
 
     def test_binomial_even_spot(self):
-        assert R._binomial_sums(2)[0] == []
+        assert I._binomial_sums(2)[0] == []
 
     def test_binomial_odd_spot(self):
-        assert R._binomial_sums(2)[1] == []
+        assert I._binomial_sums(2)[1] == []

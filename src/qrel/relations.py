@@ -340,11 +340,10 @@ def verify_all(max_n: int | None = None) -> list[RelationReport]:
             for rid in _REGISTRY]
 
 
-# The names of the other families that relations.<name> still resolves, by
-# module (PEP 562): the registered checks, and the sides prop72 compares.
-_FORWARDED = {**{check: module for module, check, _ in _REGISTRY.values()
-                 if module != "relations"},
-              "w_term": "congruence", "prop72_rhs": "congruence"}
+# The checks of the other families that relations.<name> still resolves, by
+# module (PEP 562).
+_FORWARDED = {check: module for module, check, _ in _REGISTRY.values()
+              if module != "relations"}
 
 
 def __getattr__(name: str):

@@ -567,7 +567,7 @@ class TestImportFootprint:
         *[(["verify", rid, "--max", "50", "--json"], CLASS_NUMBER_ABSENT)
           for rid in CLASS_NUMBER_IDS],
         (["verify", "cor_i", "--max", "50"],
-         {"holproj", "qseries", "scalars", "identities"}),
+         {"forms", "holproj", "qseries", "scalars", "identities"}),
         (["verify", "identities"], {"congruence", "forms"}),
         (["verify-all", "--max", "40", "--json"], set())],
         ids=["help", "lambda-csv", "lambda-text", "lambda-json", "delta-csv",

@@ -18,14 +18,15 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "arith": ("DirichletCharacter", "hurwitz", "hurwitz_cache",
               "kronecker_character", "lambda_k", "sigma_k"),
+    "brackets": ("BracketSpec", "correction_b", "kappa", "rankin_cohen"),
     "congruence": (),
     "forms": (),
-    "holproj": ("BracketSpec", "correction_b", "delta_indef", "kappa",
-                "lambda_indef", "lambda_pa", "pell_orbit", "rankin_cohen"),
+    "holproj": ("delta_indef", "lambda_indef", "lambda_pa", "pell_orbit"),
     "identities": (),
     "qseries": ("QSeries",),
     "relations": ("RelationReport", "run_check", "verify_all"),
     "scalars": ("PiScalar", "QuadExt"),
+    "slots": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

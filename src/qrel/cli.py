@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # The series ids, by name: the id's form (the name, then the fields after
-# it) and the forms or holproj builder that the name selects.
+# it) and the forms, holproj or brackets builder that the name selects.
 _SERIES_IDS = {entry[0].split(":")[0]: entry for entry in (
     ("H", "forms", "hurwitz_series"),
     ("theta", "forms", "theta_classical"),
@@ -42,7 +42,7 @@ _SERIES_IDS = {entry[0].split(":")[0]: entry for entry in (
     ("theta_pa:p:a", "forms", "theta_congruence"),
     ("lambda:s:t:chi:psi:nu", "holproj", "lambda_indef"),
     ("delta:s:t:chi:psi:nu", "holproj", "delta_indef"),
-    ("bracket:f:g:k:l:nu", "holproj", "rankin_cohen"),
+    ("bracket:f:g:k:l:nu", "brackets", "rankin_cohen"),
 )}
 
 
@@ -61,11 +61,11 @@ def build_series(series_id: str, T: int):
     if name == "bracket":
         return _bracket(*fields, T)
     from importlib import import_module
-
-    from .arith import kronecker_character
-    ints = [int(v) for v in fields]
-    args = [kronecker_character(v) if p in ("chi", "psi") else v
-            for p, v in zip(params, ints)]
+    args = [int(v) for v in fields]
+    if "chi" in params:     # every id with a psi field has a chi field
+        from .arith import kronecker_character
+        args = [kronecker_character(v) if p in ("chi", "psi") else v
+                for p, v in zip(params, args)]
     return getattr(import_module(f".{module}", __package__), builder)(*args, T)
 
 
@@ -73,7 +73,7 @@ def _bracket(f: str, g: str, k: str, l: str, nu, T: int):
     """[f, g]_nu, the Rankin-Cohen bracket of two series ids at weights k, l."""
     from fractions import Fraction
 
-    from .holproj import BracketSpec, rankin_cohen
+    from .brackets import BracketSpec, rankin_cohen
     from .qseries import QSeries
     spec = BracketSpec(Fraction(k), Fraction(l), int(nu))
     pair = build_series(f, T), build_series(g, T)

@@ -3,7 +3,7 @@ and the divisor-sum expansion of Lambda^{(p,a)}_nu | U(4) (``prop72``),
 checks of the registry in :mod:`qrel.relations`.
 
 The base (H theta^(p,0))|U(4) of ``cor_i`` and ``cor_ii`` is the moment A_0
-of :func:`~qrel.arith.theta_moments` over s = 0 (mod p) at m = 4n; both
+of :func:`~qrel.slots.theta_moments` over s = 0 (mod p) at m = 4n; both
 checks build each side as one integer list times a common scale.
 """
 
@@ -12,8 +12,9 @@ from __future__ import annotations
 from math import isqrt
 
 from .arith import (divisor_sieve, hurwitz_cache, kronecker_character,
-                    pair_sieve, residue_class_sieve, theta_moments)
+                    pair_sieve, residue_class_sieve)
 from .relations import RelationReport, _Timer
+from .slots import theta_moments
 
 
 def _add(out: list[int], at: slice, c: int, values) -> None:

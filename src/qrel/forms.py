@@ -2,6 +2,8 @@
 named by the series ids of the command line (``qrel.cli`` parses the ids).
 
 All builders are deterministic; those of a truncation alone are memoized.
+Those that read :mod:`qrel.arith` import it themselves (DirichletCharacter
+is named in annotations only), so that the eta-products do not load it.
 """
 
 from __future__ import annotations
@@ -10,14 +12,13 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from . import arith
-from .arith import DirichletCharacter
 from .qseries import QSeries, eta_product
 
 
 @cache
 def hurwitz_series(T: int) -> QSeries:
     """Generating function of the Hurwitz class numbers, constant -1/12."""
+    from . import arith
     table = arith.hurwitz_cache().scaled_table(T)
     return QSeries({n: Fraction(v, 12) for n, v in enumerate(table[:T + 1]) if v}, T)
 
@@ -37,7 +38,7 @@ def _unary_theta(s: int, weight, T: int) -> QSeries:
 @cache
 def theta_classical(T: int) -> QSeries:
     """1 + 2*sum q^{n^2}."""
-    return theta_half(1, arith.kronecker_character(1), T)
+    return _unary_theta(1, lambda n: 1, T)
 
 
 def theta_half(s: int, chi: DirichletCharacter, T: int) -> QSeries:
@@ -68,6 +69,7 @@ def theta_congruence(p: int, a: int, T: int) -> QSeries:
 @cache
 def eisenstein_g2(T: int) -> QSeries:
     """G_2 = -1/24 + sum sigma_1(n) q^n."""
+    from . import arith
     sigma = arith.divisor_sieve(T)
     coeffs: dict[int, Fraction | int] = dict(enumerate(sigma))
     coeffs[0] = Fraction(-1, 24)
@@ -126,6 +128,7 @@ def g7(T: int) -> PartialSeries:
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    from . import arith
     product = (theta_three_half(1, arith.kronecker_character(7), T)
                * theta_classical(-(-T // 7)).v_op(7).truncate(T))
     defined = set(g7_support(T))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from . import holproj
+from . import brackets
 from .relations import RelationReport, _Timer
 from .scalars import binom_parts, factorial
 
@@ -59,13 +59,13 @@ def _p_poly_rewrites(a_max: int) -> list[tuple[int, object, object]]:
     """The two closed rewrites of P_{a,b}: as sum_j C(a+b-3,j) X^j Y^{a-2-j}
     and as sum_j C(a+b-3,a-2-j) C(j+b-2,j) (X+Y)^{a-2-j} (-Y)^j, for
     half-integer b = p/2 not in {1, 2}.  Both are integer lists over
-    L = 2^d d!, d = a - 2, cross-multiplied with holproj.p_poly_ints."""
+    L = 2^d d!, d = a - 2, cross-multiplied with brackets.p_poly_ints."""
     bad = []
     for a in range(2, a_max + 1):
         d = a - 2
         L = 2 ** d * factorial(d)
         for bi, p in enumerate((-3, -1, 1, 5, 7)):
-            P, D = holproj.p_poly_ints(a, p, 2)
+            P, D = brackets.p_poly_ints(a, p, 2)
             top = [binom_parts(p + 2 * (a - 3), 2, j) for j in range(d + 1)]
             alt1 = [num * (L // den) for num, den in top]
             alt2 = [0] * (d + 1)
@@ -104,7 +104,7 @@ def _closed_sum_holds(nu: int, odd: int) -> bool:
     for mu in range(nu + 1):
         n1, d1 = binom_parts(2 * nu + 1 - 2 * odd, 2, nu - mu)
         n2, d2 = binom_parts(2 * nu - 1 + 2 * odd, 2, mu)
-        P, D = holproj.p_poly_ints(2 * nu + 2, 1 + 2 * odd - 2 * mu, 2)
+        P, D = brackets.p_poly_ints(2 * nu + 2, 1 + 2 * odd - 2 * mu, 2)
         terms.append((n1 * n2, d1 * d2 * D, P, D))
     L = lcm(4 ** nu, *(den for _, den, _, _ in terms))
     P_sum = [0] * (2 * nu + 1)
@@ -127,10 +127,10 @@ def _closed_sum_even(nu_max: int) -> list[tuple[int, object, object]]:
     identity after m = x^2, n = y^2 (cleared of half powers by x^{2nu-1};
     the nu = 0 case is checked pointwise since that factor is 1/x)."""
     bad = []
-    P, D = holproj.p_poly_ints(2, 1, 2)
+    P, D = brackets.p_poly_ints(2, 1, 2)
     for x in (2, 3, 5, 7):
         for y in (1, 2, 3, 4):
-            got = x * holproj.poly_eval(P, x * x - y * y, y * y) - y * D
+            got = x * brackets.poly_eval(P, x * x - y * y, y * y) - y * D
             if got != (x - y) * D:
                 bad.append((x * 10 + y, Fraction(got, D), Fraction(x - y)))
     return bad + [(nu, Fraction(0), Fraction(1)) for nu in range(1, nu_max + 1)
@@ -151,7 +151,7 @@ def _kappa_closed_form(nu_max: int) -> list[tuple[int, object, object]]:
     """kappa(3/2, 1/2, nu) = 2^{1-2nu} sqrt(pi) C(2nu, nu)."""
     bad = []
     for nu in range(nu_max + 1):
-        got = holproj.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu))
+        got = brackets.kappa(brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu))
         want = 2 * comb(2 * nu, nu)
         if got.e != 1 or got.r.numerator << 2 * nu != want * got.r.denominator:
             bad.append((nu, got.r, Fraction(want, 4 ** nu)))

@@ -4,7 +4,8 @@ A QSeries stores a sparse map exponent -> coefficient for 0 <= n <= trunc.
 Absent exponents mean zero.  Every operation records the truncation order
 below which all reported coefficients are exact; nothing past the stored
 truncation is ever reported.  Products of int and Fraction series pack
-each side with the slot codec of :mod:`qrel.arith` (Kronecker substitution).
+each side with the slot codec of :mod:`qrel.slots` (Kronecker substitution),
+imported by the first such product.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from functools import reduce
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import _Slots
 from .scalars import QuadExt
 
 MAX_TRUNC = 1 << 20
@@ -78,6 +78,8 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
     convolution.  Exact: the slot width comes from a bound on every
     product coefficient.
     """
+    from .slots import _Slots
+
     def scaled(coeffs: dict) -> tuple[dict, int]:
         # the nonzero terms n <= t times the lcm of their denominators
         coeffs = {n: c for n, c in coeffs.items() if n <= t and c}
@@ -300,18 +302,11 @@ def _jacobi_cube(d: int, T: int) -> QSeries:
 
 
 def _euler_function(d: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{d n}) via pentagonal numbers."""
+    """prod_{n>=1} (1 - q^{d n}) via pentagonal numbers: (-1)^k at the
+    distinct d k(3k -+ 1)/2 <= T, k >= 1, all of which have k^2 <= T/d."""
     coeffs = {0: 1}
-    k = 1
-    while True:
-        g1 = d * k * (3 * k - 1) // 2
-        g2 = d * k * (3 * k + 1) // 2
-        if g1 > T and g2 > T:
-            break
-        sign = -1 if k % 2 else 1
-        if g1 <= T:
-            coeffs[g1] = coeffs.get(g1, 0) + sign
-        if g2 <= T:
-            coeffs[g2] = coeffs.get(g2, 0) + sign
-        k += 1
+    for k in range(1, isqrt(T // d) + 1):
+        for g in (d * k * (3 * k - 1) // 2, d * k * (3 * k + 1) // 2):
+            if g <= T:
+                coeffs[g] = (-1) ** k
     return QSeries(coeffs, T)

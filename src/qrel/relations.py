@@ -15,7 +15,7 @@ n-dependent coefficients (``g_poly``), so ``eichler``, ``cohen``,
 ``kronecker_hurwitz``, ``trace1_*`` and ``trace4_*``, which share one check
 body (``_class_number_check``), each combine, by Horner in n, the nu + 1
 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2) that
-:func:`~qrel.arith.theta_moments` computes from the live table by residue
+:func:`~qrel.slots.theta_moments` computes from the live table by residue
 mod 4, skipping the zero classes m = 1, 2 (mod 4) of Kohnen's plus space.
 
 The registry maps each relation id to its check; the checks of the other
@@ -38,7 +38,8 @@ from math import comb, isqrt
 from operator import ne
 
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
-                    residue_class_sieve, theta_moments)
+                    residue_class_sieve)
+from .slots import theta_moments
 
 
 # ---------------------------------------------------------------------------

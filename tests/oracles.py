@@ -5,12 +5,13 @@ the package."""
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
-from qrel import arith, forms, holproj
+from qrel import arith, brackets, forms
 from qrel.arith import (H0, _primes_upto, hurwitz_cache, jacobi_symbol,
-                        kronecker_character, theta_moments)
+                        kronecker_character)
 from qrel.qseries import QSeries, _euler_function
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
+from qrel.slots import theta_moments
 
 
 def reduced_forms(n: int) -> list[tuple[int, int, int]]:
@@ -389,8 +390,8 @@ def gamma_half(h) -> PiScalar:
     return PiScalar(r, 1)
 
 
-def kappa(spec: holproj.BracketSpec) -> PiScalar:
-    """qrel.holproj.kappa as a sum of PiScalar terms, each a product of
+def kappa(spec: brackets.BracketSpec) -> PiScalar:
+    """qrel.brackets.kappa as a sum of PiScalar terms, each a product of
     the Fraction loops above."""
     k, l, nu = spec.k, spec.l, spec.nu
     if k == 1:
@@ -456,7 +457,7 @@ def _x_minus_y_row(e: int, c) -> list:
 
 def p_poly_rewrites(a_max: int, binom=gen_binom, poly=p_poly) -> list:
     """The two P_{a,b} rewrites of qrel.relations in Fractions; binom and
-    poly stand in for gen_binom and holproj.p_poly."""
+    poly stand in for gen_binom and brackets.p_poly."""
     bad = []
     for a in range(2, a_max + 1):
         for bi, h in enumerate((-3, -1, 1, 5, 7)):
@@ -476,7 +477,7 @@ def p_poly_rewrites(a_max: int, binom=gen_binom, poly=p_poly) -> list:
 def closed_sum_even(nu_max: int, binom=gen_binom, poly=p_poly) -> list:
     """The even closed summation identity of qrel.relations, each term a
     Fraction added into Fraction lists; binom and poly stand in for
-    gen_binom and holproj.p_poly."""
+    gen_binom and brackets.p_poly."""
     bad = []
     for nu in range(nu_max + 1):
         if nu == 0:

@@ -539,6 +539,12 @@ CLASS_NUMBER_IDS = ("eichler", "cohen", "kronecker_hurwitz", "trace1_nu1",
                     "trace4_nu1", "hap_table")
 CLASS_NUMBER_ABSENT = {"forms", "holproj", "qseries", "scalars", "congruence",
                        "identities"}
+# The indefinite theta series run on holproj, qseries, scalars and arith, the
+# eta-products on forms, qseries, scalars and slots.
+INDEF_ABSENT = {"brackets", "slots", "forms", "relations"}
+ETA_ABSENT = {"arith", "holproj", "brackets", "relations"}
+QREL_MODULES = {name[:-3] for name in os.listdir(os.path.dirname(qrel.__file__))
+                if name.endswith(".py")} - {"__init__", "cli"}
 
 
 class TestImportFootprint:
@@ -547,20 +553,22 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, absent", [
         (["--help"], None),
         (["series", "--name", "lambda:1:13:5:5:2", "--terms", "50",
-          "--format", "csv"], {"forms", "relations"}),
-        (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"],
-         {"forms", "relations"}),
+          "--format", "csv"], INDEF_ABSENT),
+        (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"], INDEF_ABSENT),
         (["series", "--name", "lambda:4:9:1:1:1", "--terms", "5",
-          "--format", "json"], {"forms", "relations"}),
+          "--format", "json"], INDEF_ABSENT),
         (["series", "--name", "delta:1:1:-4:-4:0", "--format", "csv"],
-         {"forms", "relations"}),
+         INDEF_ABSENT),
         (["series", "--name", "delta:1:53:-4:-4:1", "--terms", "5"],
-         {"forms", "relations"}),
+         INDEF_ABSENT),
         (["series", "--name", "delta:1:1:-4:-4:1", "--terms", "5",
-          "--format", "json"], {"forms", "relations"}),
-        (["series", "--name", "Delta", "--terms", "5"], {"holproj", "relations"}),
-        (["hurwitz", "--max", "50", "--out", "{tmp}"],
-         {"forms", "holproj", "qseries", "relations", "scalars"}),
+          "--format", "json"], INDEF_ABSENT),
+        (["series", "--name", "Delta", "--terms", "5"], ETA_ABSENT),
+        (["series", "--name", "eta2_12", "--terms", "5", "--format", "csv"],
+         ETA_ABSENT),
+        (["series", "--name", "bracket:H:theta:3/2:1/2:1", "--terms", "5"],
+         {"holproj", "relations"}),
+        (["hurwitz", "--max", "50", "--out", "{tmp}"], QREL_MODULES - {"arith"}),
         (["verify", "eichler", "--max", "50"], CLASS_NUMBER_ABSENT),
         *[(["verify", rid, "--max", "50"], CLASS_NUMBER_ABSENT)
           for rid in CLASS_NUMBER_IDS[1:]],
@@ -571,7 +579,8 @@ class TestImportFootprint:
         (["verify", "identities"], {"congruence", "forms"}),
         (["verify-all", "--max", "40", "--json"], set())],
         ids=["help", "lambda-csv", "lambda-text", "lambda-json", "delta-csv",
-             "delta-text", "delta-json", "catalog", "hurwitz", "verify",
+             "delta-text", "delta-json", "catalog", "eta2_12", "bracket",
+             "hurwitz", "verify",
              *[f"verify-{rid}" for rid in CLASS_NUMBER_IDS[1:]],
              *[f"verify-{rid}-json" for rid in CLASS_NUMBER_IDS],
              "verify-cor_i", "verify-identities", "verify-all"])
@@ -597,8 +606,10 @@ class TestNamespace:
             assert name in dir(qrel)
 
     def test_names_are_the_defining_modules_objects(self):
-        from qrel import holproj, relations
+        from qrel import brackets, holproj, relations
         assert qrel.pell_orbit is holproj.pell_orbit
+        assert qrel.kappa is brackets.kappa
+        assert holproj.kappa is brackets.kappa
         assert qrel.RelationReport is relations.RelationReport
         assert qrel.holproj is holproj
 
@@ -620,8 +631,11 @@ class TestNamespace:
         assert {"congruence", "identities"} <= set(names[2:])
 
     def test_unknown_attribute(self):
+        from qrel import holproj
         with pytest.raises(AttributeError, match="no_such_name"):
             qrel.no_such_name
+        with pytest.raises(AttributeError, match="qrel.holproj.*no_such_name"):
+            holproj.no_such_name
 
 
 class TestStdlibOnly:

@@ -14,7 +14,7 @@ import oracles
 from qrel import forms, holproj as hp
 from qrel.arith import DirichletCharacter, kronecker_character, residue_class_sieve
 from qrel.qseries import MAX_TRUNC, QSeries
-from qrel.scalars import PiScalar, QuadExt, is_square
+from qrel.scalars import PiScalar, QuadExt, gen_binom, is_square
 
 TRIV = kronecker_character(1)
 CHI5 = kronecker_character(5)
@@ -223,7 +223,7 @@ class TestCorrectionB:
         for nu in (0, 1):
             spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu)
             const = PiScalar(Fraction(4) ** (1 - nu)
-                             * hp.gen_binom(2 * nu, nu), 1)
+                             * gen_binom(2 * nu, nu), 1)
             for r in range(1, 30):
                 gamma, alg = hp.correction_b(r, theta, theta, spec)
                 if isinstance(alg, QuadExt):

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import oracles
 from oracles import series_from_csv_lines, symmetric_sum
 from qrel import cli, forms, qseries
-from qrel.arith import _Slots, hurwitz_cache, kronecker_character, theta_moments
+from qrel.arith import hurwitz_cache, kronecker_character
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
                           _euler_function, _jacobi_cube, _kronecker_mul,
                           eta_product)
 from qrel.scalars import QuadExt
+from qrel.slots import _Slots, theta_moments
 
 small_series = st.builds(
     lambda d: QSeries({n: c for n, c in d.items() if c}, 40),

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qrel import brackets, holproj
 from qrel import congruence as C
-from qrel import holproj
 from qrel import identities as I
 from qrel import relations as R
 from qrel.arith import hurwitz, hurwitz_cache, lambda_k, sigma_k
@@ -579,7 +579,7 @@ class TestIdentities:
         # five b (ids 60..64), and so do both closed sums at nu = 2, whose
         # P has a = 2nu + 2 = 6 (ids 300002, 400002).  The integer kernel
         # computes P as (list, D), so the one is D on its list.
-        p_poly_ints = holproj.p_poly_ints
+        p_poly_ints = brackets.p_poly_ints
 
         def perturbed(a, p, q=1):
             P, D = p_poly_ints(a, p, q)
@@ -587,7 +587,7 @@ class TestIdentities:
                 P[0] += D
             return P, D
 
-        monkeypatch.setattr(holproj, "p_poly_ints", perturbed)
+        monkeypatch.setattr(brackets, "p_poly_ints", perturbed)
         rep = R.check_identities()
         assert rep.failures == [(i, Fraction(0), Fraction(1)) for i in
                                 (60, 61, 62, 63, 64, 300002, 400002)]
@@ -650,7 +650,7 @@ class TestIdentities:
         for identity, oracle in ((I._closed_sum_even, oracles.closed_sum_even),
                                  (I._closed_sum_odd, oracles.closed_sum_odd)):
             got = identity(8)
-            assert got == oracle(8, binom=binom, poly=holproj.p_poly)
+            assert got == oracle(8, binom=binom, poly=brackets.p_poly)
             assert [nu for nu, _, _ in got] == [8]
 
     def test_p_poly_rewrites_fail_like_oracle_under_perturbed_binomial(
@@ -663,7 +663,7 @@ class TestIdentities:
         binom = perturb_binom_parts(monkeypatch, (9, 2, 3))
         got = I._p_poly_rewrites(12)
         assert got == oracles.p_poly_rewrites(12, binom=binom,
-                                               poly=holproj.p_poly)
+                                               poly=brackets.p_poly)
         assert [i for i, _, _ in got] == [53, 54, 64, 72, 74, 81, 84, 90, 94,
                                           104, 114, 124]
 
@@ -671,7 +671,7 @@ class TestIdentities:
         # Gamma(81/2) enters kappa(3/2, 1/2, nu) only at nu = 20, mu = 0:
         # raised by sqrt(pi)/7 there, the suite fails at nu = 20 alone, with
         # the value of the Fraction-loop kappa under the same change
-        gamma_half_parts, gamma_half = holproj.gamma_half_parts, oracles.gamma_half
+        gamma_half_parts, gamma_half = brackets.gamma_half_parts, oracles.gamma_half
 
         def parts(m):
             g, den, e = gamma_half_parts(m)
@@ -681,9 +681,9 @@ class TestIdentities:
             bump = PiScalar(Fraction(1, 7), 1) if h == Fraction(81, 2) else 0
             return gamma_half(h) + bump
 
-        monkeypatch.setattr(holproj, "gamma_half_parts", parts)
+        monkeypatch.setattr(brackets, "gamma_half_parts", parts)
         monkeypatch.setattr(oracles, "gamma_half", gamma)
-        want = oracles.kappa(holproj.BracketSpec(Fraction(3, 2), Fraction(1, 2), 20))
+        want = oracles.kappa(brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 20))
         assert I._kappa_closed_form(20) == [
             (20, want.r, Fraction(2 * comb(40, 20), 4 ** 20))]
 
@@ -693,13 +693,13 @@ class TestIdentities:
         # recorded from the Fraction-loop kernels of commit 3b191ef.  kappa
         # reads Gamma(m/2) from the integer kernel as (num, den, e), so the
         # patch raises num/den by 1/7 at m = 7.
-        gamma_half_parts = holproj.gamma_half_parts
+        gamma_half_parts = brackets.gamma_half_parts
 
         def perturbed(m):
             g, den, e = gamma_half_parts(m)
             return (7 * g + den, 7 * den, e) if m == 7 else (g, den, e)
 
-        monkeypatch.setattr(holproj, "gamma_half_parts", perturbed)
+        monkeypatch.setattr(brackets, "gamma_half_parts", perturbed)
         rep = R.check_identities()
         assert rep.failures == golden_failures(
             "identities_gamma_half_perturbed.json")

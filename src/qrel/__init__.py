@@ -30,13 +30,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BracketSpec", "DirichletCharacter", "PiScalar", "QSeries", "QuadExt",
-    "RelationReport", "correction_b", "delta_indef", "hurwitz",
-    "hurwitz_cache", "kappa", "kronecker_character", "lambda_indef",
-    "lambda_k", "lambda_pa", "pell_orbit", "rankin_cohen", "run_check",
-    "sigma_k", "verify_all", "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]
 
 
 def __getattr__(name: str):

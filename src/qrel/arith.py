@@ -108,10 +108,10 @@ class HurwitzCache:
     """Table of Hurwitz class numbers, written out as CSV "n,num,den".
 
     ``_table`` is a flat ``list[int]`` in units of 1/12: ``_table[n]`` is
-    ``12*H(n)`` for ``0 <= n <= max_computed``, so ``_table[0] == -1`` and
-    every entry is an integer (a reduced form counts 12, ``(a, 0, a)`` counts
-    6 and ``(a, a, a)`` counts 4).  The relation checks sum these integers
-    directly; :meth:`get` turns one entry into the exact ``Fraction``.
+    ``12*H(n)`` for ``0 <= n <= _max``, so ``_table[0] == -1`` and every
+    entry is an integer (a reduced form counts 12, ``(a, 0, a)`` counts 6
+    and ``(a, a, a)`` counts 4).  The relation checks sum these integers
+    directly; :func:`hurwitz` turns one entry into the exact ``Fraction``.
 
     The table is filled by a bulk sweep over reduced forms (much faster than
     per-n enumeration) and is safe for concurrent reads; writes happen under
@@ -128,10 +128,6 @@ class HurwitzCache:
         d = os.environ.get("QREL_CACHE_DIR", "./.qrel-cache")
         return os.path.join(d, "hurwitz.csv")
 
-    @property
-    def max_computed(self) -> int:
-        return self._max
-
     def ensure(self, max_n: int) -> None:
         if max_n <= self._max:
             return
@@ -141,14 +137,12 @@ class HurwitzCache:
             self._bulk_fill(max_n)
 
     def scaled_table(self, max_n: int) -> list[int]:
-        """The live ``12*H`` table, filled to at least max_n.  Read only."""
-        self._grow(max_n)
+        """The live ``12*H`` table, filled to at least max_n.  Read only.
+        It grows geometrically, so callers walking up n refill O(log n)
+        times."""
+        if max_n > self._max:
+            self.ensure(max(max_n, 2 * self._max, 512))
         return self._table
-
-    def _grow(self, n: int) -> None:
-        # Grow geometrically, so callers walking up n refill O(log n) times.
-        if n > self._max:
-            self.ensure(max(n, 2 * self._max, 512))
 
     def _bulk_fill(self, max_n: int) -> None:
         table = [0] * (max_n + 1)
@@ -174,16 +168,15 @@ class HurwitzCache:
     def get(self, n: int) -> Fraction:
         if n < 0 or n % 4 in (1, 2):
             return Fraction(0)
-        if n == 0:
-            return H0
-        self._grow(n)
-        return Fraction(self._table[n], 12)
+        return Fraction(self.scaled_table(n)[n], 12)
 
     def save(self, path: str | None = None, max_n: int | None = None) -> str:
         """Write the table as "n,num,den" lines for n = 0 and every
-        discriminant n = 0, 3 (mod 4) up to max_n (default: max_computed),
-        atomically: a reader sees the old file or the new one, never a
-        partial one."""
+        discriminant n = 0, 3 (mod 4) up to max_n, filling the table that
+        far first (default: as far as it is filled), atomically: a reader
+        sees the old file or the new one, never a partial one."""
+        if max_n is not None:
+            self.ensure(max_n)
         path = path or self._path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"

@@ -96,9 +96,16 @@ def _kronecker_mul(a: dict, b: dict, t: int) -> dict:
     # product coefficient, and every input, lies in [-bound, bound].
     slots = _Slots(min(len(a), len(b)) * max(map(abs, a.values()))
                    * max(map(abs, b.values())))
+
+    def pack(coeffs: dict) -> int:
+        values = [0] * (max(coeffs) + 1)    # the absent exponents hold 0
+        for n, c in coeffs.items():
+            values[n] = c
+        return slots.pack_dense(values)
+
     # a square packs once: an int times itself takes CPython's squaring path
-    packed = slots.pack(a)
-    product = packed * (packed if square else slots.pack(b))
+    packed = pack(a)
+    product = packed * (packed if square else pack(b))
     den = den_a * den_b
     return {n: c if den == 1 else Fraction(c, den)
             for n, c in enumerate(slots.unpack(product, range(t + 1))) if c}
@@ -154,9 +161,6 @@ class QSeries:
                 return False
         return True
 
-    def __hash__(self):
-        return hash((self.trunc, frozenset(self.coeffs.items())))
-
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -193,11 +197,6 @@ class QSeries:
         if kind == "rational":
             out._kind = kind
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, QSeries):
-            return NotImplemented
-        return self.scale(other)
 
     def scale(self, c) -> "QSeries":
         coeffs = {n: c * v for n, v in self.coeffs.items()}
@@ -253,9 +252,6 @@ class QSeries:
     def truncate(self, T: int) -> "QSeries":
         return self._rational_if_self(
             {n: c for n, c in self.coeffs.items() if n <= T}, min(self.trunc, T))
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def __repr__(self):
         terms = ", ".join(f"{n}: {self.coeffs[n]}" for n in sorted(self.coeffs)[:8])

@@ -2,7 +2,7 @@
 rational multiples of half-integer powers of pi.
 
 Rationals are plain ``fractions.Fraction``; everything here stays exact,
-no floating point is ever used except for the diagnostic ``float()`` views.
+with no floating-point view of any value.
 """
 
 from __future__ import annotations
@@ -98,9 +98,6 @@ class QuadExt:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -123,9 +120,6 @@ class QuadExt:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
@@ -138,27 +132,8 @@ class QuadExt:
             e >>= 1
         return result
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.D * self.b * self.b
-
-    def sign(self) -> int:
-        """Exact sign of the real embedding a + b*sqrt(D)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against D b^2, the larger magnitude wins
-        lhs, rhs = self.a * self.a, self.D * self.b * self.b
-        if lhs == rhs:
-            return 0
-        return (1 if self.a > 0 else -1) if lhs > rhs else (1 if self.b > 0 else -1)
 
     def __eq__(self, other):
         try:
@@ -169,34 +144,8 @@ class QuadExt:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.D ** 0.5
 
     def __repr__(self):
         if self.b == 0:
@@ -251,16 +200,6 @@ class PiScalar:
     def __neg__(self):
         return PiScalar(-self.r, self.e)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Rational)):
-            other = PiScalar(other, 0)
-        if not isinstance(other, PiScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):
             return PiScalar(self.r * other, self.e)
@@ -279,11 +218,6 @@ class PiScalar:
             raise ZeroDivisionError
         return PiScalar(self.r / other.r, self.e - other.e)
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Rational)):
-            return PiScalar(other) / self
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, (int, Rational)):
             other = PiScalar(other, 0)
@@ -291,15 +225,8 @@ class PiScalar:
             return NotImplemented
         return self.r == other.r and (self.r == 0 or self.e == other.e)
 
-    def __hash__(self):
-        return hash((self.r, self.e))
-
     def __bool__(self):
         return self.r != 0
-
-    def __float__(self):
-        from math import pi
-        return float(self.r) * pi ** (self.e / 2)
 
     def __repr__(self):
         return f"PiScalar({self.r}, e={self.e})"

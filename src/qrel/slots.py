@@ -29,17 +29,9 @@ class _Slots:
     def _biases(self, count: int) -> int:
         return int.from_bytes(self._half_slot * count, "little")
 
-    def pack(self, coeffs: dict) -> int:
-        """A nonempty map n -> c as one signed integer: the sum of
-        c * 2^(8 width n)."""
-        w, half, count = self.width, self.half, max(coeffs) + 1
-        slots = bytearray(self._half_slot * count)
-        for n, c in coeffs.items():
-            slots[n * w:(n + 1) * w] = (c + half).to_bytes(w, "little")
-        return int.from_bytes(slots, "little") - self._biases(count)
-
     def pack_dense(self, values: list) -> int:
-        """pack(dict(enumerate(values)))."""
+        """A nonempty list of values as one signed integer: the sum of
+        values[n] * 2^(8 width n)."""
         w, half = self.width, self.half
         if w <= 8 and _WORDS:
             wide = array("Q", [c + half for c in values]).tobytes()

@@ -181,13 +181,11 @@ class TestHurwitz:
         assert [table[n] for n in (0, 1, 3, 4, 7, 23)] == [-1, 0, 4, 6, 12, 36]
 
     def test_scaled_table_grows_geometrically(self):
-        # Like get: a caller walking up n refills O(log n) times, not at
-        # every step.
+        # A caller walking up n refills O(log n) times, not at every step.
         cache = HurwitzCache()
         assert len(cache.scaled_table(600)) == 601
         assert len(cache.scaled_table(700)) == 1201
-        cache.get(1300)
-        assert cache.max_computed == 2400
+        assert len(cache.scaled_table(1300)) == 2401
 
     def test_cache_roundtrip(self, tmp_path):
         # every line of the written CSV reads back as the class number
@@ -222,6 +220,14 @@ class TestHurwitz:
         cache.ensure(8000)
         second = open(cache.save(target, 40)).read()
         assert first == second
+
+    def test_save_fills_to_max_n(self, tmp_path):
+        # a fresh cache writes the whole range asked for, not only row 0
+        filled = HurwitzCache()
+        filled.ensure(600)
+        want = open(filled.save(str(tmp_path / "filled.csv"), 50)).read()
+        fresh = open(HurwitzCache().save(str(tmp_path / "fresh.csv"), 50)).read()
+        assert fresh == want and len(want.splitlines()) == 25
 
     def test_env_cache_dir_respected(self):
         assert hurwitz_cache()._path().startswith(os.environ["QREL_CACHE_DIR"])

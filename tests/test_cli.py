@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, formats, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -638,17 +639,23 @@ class TestNamespace:
             holproj.no_such_name
 
 
+QREL_SOURCES = sorted(
+    os.path.join(os.path.dirname(qrel.__file__), name)
+    for name in os.listdir(os.path.dirname(qrel.__file__))
+    if name.endswith(".py"))
+
+
+def parse_source(path: str):
+    with open(path, encoding="utf-8") as f:
+        return ast.parse(f.read(), path)
+
+
 class TestStdlibOnly:
     """qrel's runtime needs only the standard library (dependencies = [])."""
 
-    @pytest.mark.parametrize("path", sorted(
-        os.path.join(os.path.dirname(qrel.__file__), name)
-        for name in os.listdir(os.path.dirname(qrel.__file__))
-        if name.endswith(".py")), ids=os.path.basename)
+    @pytest.mark.parametrize("path", QREL_SOURCES, ids=os.path.basename)
     def test_absolute_imports_name_stdlib_modules(self, path):
-        import ast
-        with open(path, encoding="utf-8") as f:
-            tree = ast.parse(f.read(), path)
+        tree = parse_source(path)
         names = [alias.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for alias in node.names]
         names += [node.module for node in ast.walk(tree)
@@ -656,3 +663,38 @@ class TestStdlibOnly:
         assert names
         assert [n for n in names
                 if n.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def floating_point_use(node) -> str | None:
+    """What node uses of floating point: a float or complex literal, the
+    name float, math.pi, or cmath; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return repr(node.value)
+    if isinstance(node, ast.Name) and node.id == "float":
+        return "float"
+    if (isinstance(node, ast.Attribute) and node.attr == "pi"
+            and isinstance(node.value, ast.Name) and node.value.id == "math"):
+        return "math.pi"
+    if isinstance(node, ast.ImportFrom) and (node.module == "cmath" or (
+            node.module == "math" and "pi" in {a.name for a in node.names})):
+        return f"from {node.module} import"
+    if isinstance(node, ast.Import) and "cmath" in {a.name for a in node.names}:
+        return "import cmath"
+    return None
+
+
+class TestExactOnly:
+    """Everything qrel computes is exact: no floating point in its source."""
+
+    @pytest.mark.parametrize("path", QREL_SOURCES, ids=os.path.basename)
+    def test_no_floating_point(self, path):
+        assert [(use, node.lineno) for node in ast.walk(parse_source(path))
+                if (use := floating_point_use(node))] == []
+
+    def test_lint_sees_each_use(self):
+        for code in ("x = 0.5", "y = 2j", "float(x)", "math.pi",
+                     "from math import isqrt, pi", "import cmath",
+                     "from cmath import sqrt"):
+            assert any(map(floating_point_use, ast.walk(ast.parse(code)))), code
+        assert not any(map(floating_point_use, ast.walk(ast.parse(
+            "from math import isqrt\nx = Fraction(1, 2) + 3 // 2"))))

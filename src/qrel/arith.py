@@ -107,10 +107,11 @@ def _primes_upto(n: int) -> list[int]:
 class HurwitzCache:
     """Table of Hurwitz class numbers, written out as CSV "n,num,den".
 
-    ``_table`` is a flat ``list[int]`` in units of 1/12: ``_table[n]`` is
-    ``12*H(n)`` for ``0 <= n <= _max``, so ``_table[0] == -1`` and every
-    entry is an integer (a reduced form counts 12, ``(a, 0, a)`` counts 6
-    and ``(a, a, a)`` counts 4).  The relation checks sum these integers
+    ``_table`` is one ``array("i")`` of 4-byte integers in units of 1/12:
+    ``_table[n]`` is ``12*H(n)`` for ``0 <= n <= _max``, so ``_table[0] ==
+    -1`` and every entry is an integer (a reduced form counts 12, ``(a, 0,
+    a)`` counts 6 and ``(a, a, a)`` counts 4); a fill whose entry does not
+    fit raises ``OverflowError``.  The relation checks sum these integers
     directly; :func:`hurwitz` turns one entry into the exact ``Fraction``.
 
     The table is filled by a bulk sweep over reduced forms (much faster than
@@ -120,9 +121,8 @@ class HurwitzCache:
     """
 
     def __init__(self):
-        self._table: list[int] = [-1]
-        self._max = 0
         self._lock = threading.Lock()
+        self._bulk_fill(0)
 
     def _path(self) -> str:
         d = os.environ.get("QREL_CACHE_DIR", "./.qrel-cache")
@@ -136,7 +136,7 @@ class HurwitzCache:
                 return
             self._bulk_fill(max_n)
 
-    def scaled_table(self, max_n: int) -> list[int]:
+    def scaled_table(self, max_n: int):
         """The live ``12*H`` table, filled to at least max_n.  Read only.
         It grows geometrically, so callers walking up n refill O(log n)
         times."""
@@ -145,6 +145,7 @@ class HurwitzCache:
         return self._table
 
     def _bulk_fill(self, max_n: int) -> None:
+        from array import array     # not at import: characters need none
         table = [0] * (max_n + 1)
         table[0] = -1
         a = 1
@@ -162,7 +163,7 @@ class HurwitzCache:
                 tail = slice(n0 + step, max_n + 1, step)
                 table[tail] = [v + weight for v in table[tail]]
             a += 1
-        self._table = table
+        self._table = array("i", table)
         self._max = max_n
 
     def get(self, n: int) -> Fraction:
@@ -195,16 +196,14 @@ class HurwitzCache:
         return path
 
 
-_cache = HurwitzCache()
-
-
 def hurwitz(n: int) -> Fraction:
     """Hurwitz class number H(n); 0 off the discriminant residues, -1/12 at 0."""
-    return _cache.get(n)
+    return hurwitz_cache().get(n)
 
 
+@cache
 def hurwitz_cache() -> HurwitzCache:
-    return _cache
+    return HurwitzCache()
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +238,12 @@ class DirichletCharacter:
         self.values = tuple(int(v) for v in values)
         if len(self.values) != modulus:
             raise ValueError("value table length must equal the modulus")
-        self.parity = "even" if self(-1) == 1 else "odd"
+        self.is_even = self(-1) == 1
+        self.is_odd = not self.is_even
+        self.parity = "even" if self.is_even else "odd"
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]
-
-    @property
-    def is_even(self) -> bool:
-        return self.parity == "even"
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == "odd"
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, {self.parity})"

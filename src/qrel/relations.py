@@ -17,6 +17,7 @@ body (``_class_number_check``), each combine, by Horner in n, the nu + 1
 moments A_k(m) = sum_s s^(2k) 12 H(m - s^2) that
 :func:`~qrel.slots.theta_moments` computes from the live table by residue
 mod 4, skipping the zero classes m = 1, 2 (mod 4) of Kohnen's plus space.
+Both sides are then streamed from these sums and the divisor sums.
 
 The registry maps each relation id to its check; the checks of the other
 families live in :mod:`qrel.congruence` (``cor_i``, ``cor_ii``, ``prop72``)
@@ -34,8 +35,9 @@ import json
 import time
 from fractions import Fraction
 from importlib import import_module
+from itertools import compress, repeat
 from math import comb, isqrt
-from operator import ne
+from operator import add, mul, ne, sub
 
 from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
                     residue_class_sieve)
@@ -76,24 +78,28 @@ class RelationReport:
         if lhs != rhs:
             self.failures.append((n, lhs, rhs))
 
-    def record_lists(self, ns, lhs: list, rhs: list, scale: int) -> None:
-        """Record l/scale = r/scale for each n of ns and its integers l and
-        r, at the same position in lhs and rhs.  Equal lists are compared at
-        once; only unequal entries make a failure, which holds both sides as
-        exact Fractions, as reports hand them out."""
-        if not len(ns) == len(lhs) == len(rhs):
-            raise ValueError("ns, lhs and rhs must have the same length")
-        self.checked += len(ns)
-        if lhs != rhs:
-            self.failures.extend((n, Fraction(l, scale), Fraction(r, scale))
-                                 for n, l, r in zip(ns, lhs, rhs) if l != r)
+    def record_lists(self, ns, lhs, rhs, scale: int) -> None:
+        self.record_best(ns, {None: lhs}, rhs, scale)
 
-    def record_best(self, ns, variants: dict, rhs: list, scale: int):
-        """record_lists for the left side in variants (key -> list) with the
-        fewest entries unequal to rhs, the first key on a tie; returns that
-        key."""
-        best = min(variants, key=lambda key: sum(map(ne, variants[key], rhs)))
-        self.record_lists(ns, variants[best], rhs, scale)
+    def record_best(self, ns, variants: dict, rhs, scale: int):
+        """Record l/scale = r/scale for each n of ns, with r from rhs and l
+        from the side in variants (key -> side) with the fewest misses, the
+        first key on a tie; returns that key.  A side is a list, or a
+        function returning a fresh iterator, of one entry per n, else
+        ValueError.  A pass per key flags misses; the best key's are listed."""
+
+        def read(side):
+            return side() if callable(side) else side
+        flags = {k: bytes(map(ne, read(s), read(rhs))) for k, s in variants.items()}
+        if any(len(s) != len(ns) for s in (rhs, *variants.values(), *flags.values())
+               if not callable(s)):
+            raise ValueError("ns, lhs and rhs must have the same length")
+        best = min(flags, key=lambda key: flags[key].count(1))
+        self.checked += len(ns)
+        if flags[best].count(1):
+            missed = compress(zip(ns, read(variants[best]), read(rhs)), flags[best])
+            self.failures += [(n, Fraction(l, scale), Fraction(r, scale))
+                              for n, l, r in missed]
         return best
 
     def to_dict(self) -> dict:
@@ -151,11 +157,13 @@ def _g_sums(nu: int, double_s: bool, ns: range, ms: range) -> list[int]:
     """sum over s in Z, s^2 <= m, of g_nu(s, n) 12 H(m - s^2), for each pair
     (n, m) of ns and ms, from the moments A_k(m) of the live 12 H table:
     sum_j c_j n^j A_(nu-j)(m), by Horner in n, one list pass per j."""
-    moments = theta_moments(hurwitz_cache().scaled_table(ms[-1]), ms, nu)
+    moments = theta_moments(hurwitz_cache().scaled_table(ms[-1]), ms, nu)[::-1]
     c = g_poly(nu, double_s)
-    out = [c[nu] * a for a in moments[0]]
+    out = moments.pop()     # each moment is dropped once folded in
+    if c[nu] != 1:
+        out = [c[nu] * a for a in out]
     for j in range(nu - 1, -1, -1):
-        out = [o * n + c[j] * a for o, n, a in zip(out, ns, moments[nu - j])]
+        out = [o * n + c[j] * a for o, n, a in zip(out, ns, moments.pop())]
     return out
 
 
@@ -166,8 +174,8 @@ def _class_number_check(name: str, nu: int, level: int, max_n: int,
     m = n, S = 2s, c = 6 and r = 4; on level 1 all n, m = 4n, S = s, c = 12
     and r = 24.  f is rhs(max_n), a coefficient function, or 0 when rhs is
     None.  A relation stated for H itself (sign 1) is compared at scale
-    12, a trace formula (sign -1) at scale r.  With two signs k, the one
-    with fewer misses is recorded and named in the notes."""
+    12, a trace formula (sign -1) at scale r, both sides streamed.  With
+    two signs k, the one with fewer misses is recorded and named."""
     odd = level == 4
     rep = RelationReport(name, 1, max_n, "odd n" if odd else "all n")
     with _Timer(rep):
@@ -175,10 +183,14 @@ def _class_number_check(name: str, nu: int, level: int, max_n: int,
         ns = range(1, max_n + 1, step)
         tots = _g_sums(nu, odd, ns, ns if odd else range(4, 4 * max_n + 1, 4))
         lam = residue_class_sieve(max_n, 2 * nu + 1, 1, 0)[1::step]
-        f = rhs(max_n) if rhs else lambda n: 0
-        want = [r * f(n) for n in ns]
-        best = rep.record_best(ns, {k: [sign * (t + k * c * v) for t, v in zip(tots, lam)]
-                                    for k in lam_signs}, want, 12 if sign > 0 else r)
+        f = rhs(max_n) if rhs else None
+        want = ((lambda: map(mul, repeat(r), map(f, ns))) if f else
+                (lambda: repeat(0, len(ns))))
+        # the side of k, sign (t + k c v) = kc v +- t with kc = sign k c
+        lhs = {k: lambda kc=sign * k * c: map(add if sign > 0 else sub,
+                                              map(mul, repeat(kc), lam), tots)
+               for k in lam_signs}
+        best = rep.record_best(ns, lhs, want, 12 if sign > 0 else r)
         if len(lam_signs) > 1:
             rep.notes = ("neither sign variant holds uniformly" if rep.failures else
                          f"variant that holds: {'+' if best > 0 else '-'}2*lambda_{2 * nu + 1}")
@@ -231,8 +243,7 @@ def check_trace_level1(nu: int, max_n: int | None = None) -> RelationReport:
     for nu = 5."""
     if nu not in _TRACE1_DEFAULT_MAX:
         raise ValueError(f"no trace oracle for nu={nu}; supported: 1..5")
-    if max_n is None:
-        max_n = _TRACE1_DEFAULT_MAX[nu]
+    max_n = _TRACE1_DEFAULT_MAX[nu] if max_n is None else max_n
     return _class_number_check(f"trace1_nu{nu}", nu, 1, max_n, -1,
                                _cusp_coeffs("delta12") if nu == 5 else None)
 
@@ -244,8 +255,7 @@ def check_trace_level4(nu: int, max_n: int | None = None) -> RelationReport:
     nu = 2."""
     if nu not in _TRACE4_DEFAULT_MAX:
         raise ValueError(f"no trace oracle for nu={nu}; supported: 1, 2")
-    if max_n is None:
-        max_n = _TRACE4_DEFAULT_MAX[nu]
+    max_n = _TRACE4_DEFAULT_MAX[nu] if max_n is None else max_n
     return _class_number_check(f"trace4_nu{nu}", nu, 4, max_n, -1,
                                _cusp_coeffs("eta2_pow12") if nu == 2 else None)
 
@@ -276,13 +286,11 @@ def check_hap_table(max_prime: int = 200) -> RelationReport:
         for ell in _primes_upto(max_prime):
             m, smax = 4 * ell, isqrt(4 * ell)
             for a in range(5):
-                form = _HAP5_CLOSED_FORMS.get((min(a, 5 - a), ell % 5))
-                if form is None:
-                    continue
-                ns.append(10 * ell + a)
-                lhs.append(sum([tab[m - s * s] for s in
-                                range(a - (a + smax) // 5 * 5, smax + 1, 5)]))
-                rhs.append(form[0] * ell + form[1])
+                if form := _HAP5_CLOSED_FORMS.get((min(a, 5 - a), ell % 5)):
+                    ns.append(10 * ell + a)
+                    lhs.append(sum([tab[m - s * s] for s in
+                                    range(a - (a + smax) // 5 * 5, smax + 1, 5)]))
+                    rhs.append(form[0] * ell + form[1])
         rep.record_lists(ns, lhs, rhs, 12)
     return rep
 

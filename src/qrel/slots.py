@@ -29,8 +29,8 @@ class _Slots:
     def _biases(self, count: int) -> int:
         return int.from_bytes(self._half_slot * count, "little")
 
-    def pack_dense(self, values: list) -> int:
-        """A nonempty list of values as one signed integer: the sum of
+    def pack_dense(self, values) -> int:
+        """A nonempty sequence of values as one signed integer: the sum of
         values[n] * 2^(8 width n)."""
         w, half = self.width, self.half
         if w <= 8 and _WORDS:
@@ -64,42 +64,41 @@ class _Slots:
                 for n in index]
 
 
-def theta_moments(table: list[int], index: range, k_max: int,
+def theta_moments(table, index: range, k_max: int,
                   step: int = 1) -> list[list[int]]:
     """The moments A_k(m) = sum over s = 0 (mod step), s^2 <= m, of
     s^(2k) * table[m - s^2], for k = 0..k_max and each m of an increasing
     range index: the coefficients of table * theta_2k, where theta_2k is
-    sum over s = 0 (mod step) of s^(2k) q^(s^2).
+    sum over s = 0 (mod step) of s^(2k) q^(s^2), for table any int sequence.
 
     index splits into progressions of step lcm(index.step, 4), whose m
     share a residue e mod 4.  As s^2 = c = s % 2 (mod 4), the s of class c
-    read only values[r::4], r = (e - c) % 4, packed once: each s > 0 adds
-    the copy shifted by (s^2 + r - e)/4 slots, times 2 s^(2k), to A_k (for
-    s and -s), s = 0 adds the class-0 copy to A_0, and m is read at slot
-    (m - e)/4.  An all-zero class is skipped: half of them for 12 H, zero
-    at m = 1, 2 (mod 4).  Exact: the slot width bounds every moment.
+    read only table[r::4], r = (e - c) % 4, in place, packed once: each
+    s > 0 adds the copy shifted by (s^2 + r - e)/4 slots, times 2 s^(2k),
+    to A_k (for s and -s), s = 0 the class-0 copy to A_0; m is read at slot
+    (m - e)/4.  An all-zero class is skipped (half of them for 12 H, zero
+    at m = 1, 2 mod 4).  Exact: a part's slot width bounds its moments.
     """
     if not index:
         return [[] for _ in range(k_max + 1)]
     M = index[-1]
     if M >= len(table):
         raise ValueError(f"the table ends at {len(table) - 1}, below {M}")
-    values = table[:M + 1]
     ss = range(step, isqrt(M) + 1, step)
-    # |s^(2k)| <= s^(2 k_max) for s != 0, so every A_k, and every entry,
-    # lies in [-bound, bound].
-    slots = _Slots(max(map(abs, values))
-                   * (1 + 2 * sum(s ** (2 * k_max) for s in ss)))
-    parts, bits = lcm(index.step, 4) // index.step, 8 * slots.width
+    weight = 1 + 2 * sum(s ** (2 * k_max) for s in ss)
+    parts = lcm(index.step, 4) // index.step
     out = [[0] * len(index) for _ in range(k_max + 1)]
     for i in range(min(parts, len(index))):
         part = index[i::parts]
         e, top = part[0] % 4, part[-1]
-        sums = [0] * (k_max + 1)
-        for c in (0, 1):
+        rows = {c: row for c in (0, 1) if any(row := table[(e - c) % 4:top + 1:4])}
+        # |s^(2k)| <= s^(2 k_max) for s != 0, so every A_k of the part, and
+        # every entry it reads, lies in [-bound, bound]
+        bound = weight * max([max(map(abs, row)) for row in rows.values()], default=0)
+        slots = _Slots(bound)
+        bits, sums = 8 * slots.width, [0] * (k_max + 1)
+        for c, decimated in rows.items():
             r = (e - c) % 4
-            if not any(decimated := values[r:top + 1:4]):
-                continue
             packed = slots.pack_dense(decimated)
             sums[0] += packed if c == 0 else 0     # s = 0
             for s in ss[:isqrt(top) // step]:

@@ -3,6 +3,7 @@ their cache, Dirichlet characters; and the point counts of the curve
 49a1 against its newform qrel.forms.g7."""
 
 import os
+from array import array
 from fractions import Fraction
 from math import isqrt
 
@@ -179,6 +180,12 @@ class TestHurwitz:
         # 12*H: -1 at 0, 4 for (1,1,1), 6 for (1,0,1), 12 per plain form
         table = hurwitz_cache().scaled_table(23)
         assert [table[n] for n in (0, 1, 3, 4, 7, 23)] == [-1, 0, 4, 6, 12, 36]
+
+    def test_table_is_a_4_byte_array(self):
+        hurwitz_cache().ensure(9000)
+        table = hurwitz_cache()._table
+        assert isinstance(table, array) and table.itemsize == 4
+        assert HurwitzCache()._table == array("i", [-1])
 
     def test_scaled_table_grows_geometrically(self):
         # A caller walking up n refills O(log n) times, not at every step.

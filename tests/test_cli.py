@@ -521,7 +521,7 @@ class TestVerifyAll:
 
 
 # Runs qrel.cli.main(ARGV) in a fresh interpreter and prints the qrel
-# modules it loaded and whether dataclasses was imported.
+# modules it loaded and whether dataclasses and array were imported.
 FOOTPRINT = """
 import contextlib, io, json, sys
 from qrel import cli
@@ -531,7 +531,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit:
         pass
 print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qrel"),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "array" in sys.modules]))
 """
 
 
@@ -592,12 +592,16 @@ class TestImportFootprint:
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        loaded, dataclasses_loaded = json.loads(proc.stdout)
+        loaded, dataclasses_loaded, array_loaded = json.loads(proc.stdout)
         if absent is None:      # nothing but the front end
             assert loaded == ["qrel", "qrel.cli"]
         else:
             assert not {f"qrel.{m}" for m in absent} & set(loaded)
         assert not dataclasses_loaded
+        # the 12 H table alone needs array: the characters of the
+        # indefinite series import arith without loading it
+        if absent is None or absent is INDEF_ABSENT:
+            assert not array_loaded
 
 
 class TestNamespace:

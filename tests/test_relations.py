@@ -3,6 +3,7 @@ tying them together, and the report plumbing."""
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, isqrt
 
@@ -15,7 +16,7 @@ from qrel import brackets, holproj
 from qrel import congruence as C
 from qrel import identities as I
 from qrel import relations as R
-from qrel.arith import hurwitz, hurwitz_cache, lambda_k, sigma_k
+from qrel.arith import HurwitzCache, hurwitz, hurwitz_cache, lambda_k, sigma_k
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, format_scalar
 
@@ -87,28 +88,46 @@ class TestReports:
             oracles.record_scaled(want, n, l, r, scale)
         assert (got.failures, got.checked) == (want.failures, want.checked)
 
+    # record_best takes each side as a list or streamed: a function that
+    # returns a fresh iterator over its entries at each pass
+    SIDES = pytest.mark.parametrize("side", [list, lambda v: lambda: iter(v)],
+                                    ids=["lists", "streamed"])
+
+    @SIDES
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                               st.integers(-2, 2)), max_size=20),
            st.integers(1, 48))
     @settings(max_examples=100, deadline=None)
-    def test_record_best_records_the_fewest_misses(self, triples, scale):
+    def test_record_best_records_the_fewest_misses(self, side, triples, scale):
         ns = range(1, 1 + len(triples))
         a, b, rhs = ([t[i] for t in triples] for i in range(3))
         got = R.RelationReport("demo", 1, 10, "all n", checked=1)
-        key = got.record_best(ns, {"a": a, "b": b}, rhs, scale)
+        key = got.record_best(ns, {"a": side(a), "b": side(b)}, side(rhs), scale)
         misses = {k: sum(u != v for u, v in zip(lhs, rhs))
                   for k, lhs in (("a", a), ("b", b))}
         assert key == ("a" if misses["a"] <= misses["b"] else "b")
         want = R.RelationReport("demo", 1, 10, "all n", checked=1)
-        want.record_lists(ns, a if key == "a" else b, rhs, scale)
+        for n, l, r in zip(ns, a if key == "a" else b, rhs):
+            oracles.record_scaled(want, n, l, r, scale)
         assert (got.failures, got.checked) == (want.failures, want.checked)
 
-    def test_record_best_tie_takes_the_first_key(self):
+    @SIDES
+    def test_record_best_tie_takes_the_first_key(self, side):
         for order in ((4, 1), (1, 4)):
             rep = R.RelationReport("demo", 1, 10, "all n")
-            variants = {r: {4: [1, 0, 3], 1: [1, 2, 0]}[r] for r in order}
-            assert rep.record_best(range(3), variants, [1, 2, 3], 6) == order[0]
+            variants = {r: side({4: [1, 0, 3], 1: [1, 2, 0]}[r]) for r in order}
+            assert rep.record_best(range(3), variants, side([1, 2, 3]), 6) == order[0]
             assert rep.checked == 3 and len(rep.failures) == 1
+
+    @SIDES
+    def test_record_best_lengths_must_agree(self, side):
+        # a streamed side has no length to check up front: a pass that
+        # compares fewer entries than ns has raises before anything is recorded
+        for lhs, rhs in (([1, 2], [1, 2, 3]), ([1, 2, 3], [1, 2]), ([1, 2], [1, 2])):
+            rep = R.RelationReport("demo", 1, 10, "all n")
+            with pytest.raises(ValueError):
+                rep.record_best(range(3), {0: side(lhs)}, side(rhs), 1)
+            assert rep.checked == 0 and rep.failures == []
 
     def test_record_lists_lengths_must_agree(self):
         rep = R.RelationReport("demo", 1, 10, "all n")
@@ -228,6 +247,39 @@ class TestClassicalRelations:
         rep = R.check_kronecker_hurwitz(400)
         assert rep.ok
         assert "+2*lambda_1" in rep.notes
+
+    @pytest.mark.parametrize("check", [R.check_kronecker_hurwitz, R.check_cohen,
+                                       lambda n: R.check_trace_level1(1, n)],
+                             ids=["kronecker_hurwitz", "cohen", "trace1_nu1"])
+    def test_short_sieve_is_not_a_pass(self, monkeypatch, check):
+        # a lambda list one entry short must raise, not check one n fewer
+        # (101 is odd, so the level-4 check reads the dropped entry too)
+        sieve = R.residue_class_sieve
+        monkeypatch.setattr(R, "residue_class_sieve", lambda *a: sieve(*a)[:-1])
+        with pytest.raises(ValueError, match="same length"):
+            check(101)
+
+
+class TestBoundedMemory:
+    """The class number checks read the 12 H table as 4-byte ints in place
+    and stream both sides of each relation, so their traced peak on a
+    fresh table stays well below the 5.9 MiB (kronecker_hurwitz at 20000)
+    and 3.7 MiB (cohen at 40000) that a table and sides held as int lists
+    take."""
+
+    @pytest.mark.parametrize("check, max_n, mib", [
+        (R.check_kronecker_hurwitz, 20000, 4), (R.check_cohen, 40000, 3)])
+    def test_traced_peak(self, monkeypatch, check, max_n, mib):
+        fresh = HurwitzCache()
+        monkeypatch.setattr(R, "hurwitz_cache", lambda: fresh)
+        tracemalloc.start()
+        try:
+            rep = check(max_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and fresh._max >= max_n - 1
+        assert peak < mib * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestTraceFormulas:

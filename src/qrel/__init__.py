@@ -21,8 +21,9 @@ _EXPORTS = {
     "brackets": ("BracketSpec", "correction_b", "kappa", "rankin_cohen"),
     "congruence": (),
     "forms": (),
-    "holproj": ("delta_indef", "lambda_indef", "lambda_pa", "pell_orbit"),
+    "holproj": ("delta_indef", "lambda_indef", "lambda_pa"),
     "identities": (),
+    "pell": ("pell_orbit",),
     "qseries": ("QSeries",),
     "relations": ("RelationReport", "run_check", "verify_all"),
     "scalars": ("PiScalar", "QuadExt"),

@@ -7,12 +7,9 @@ from __future__ import annotations
 
 import contextlib
 import os
-import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-
-H0 = Fraction(-1, 12)
 
 
 def divisors(n: int) -> list[int]:
@@ -115,13 +112,11 @@ class HurwitzCache:
     directly; :func:`hurwitz` turns one entry into the exact ``Fraction``.
 
     The table is filled by a bulk sweep over reduced forms (much faster than
-    per-n enumeration) and is safe for concurrent reads; writes happen under
-    an internal lock.  The CSV is output only: nothing reads it back, since
+    per-n enumeration).  The CSV is output only: nothing reads it back, since
     refilling the table is cheaper than parsing it.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._bulk_fill(0)
 
     def _path(self) -> str:
@@ -129,11 +124,7 @@ class HurwitzCache:
         return os.path.join(d, "hurwitz.csv")
 
     def ensure(self, max_n: int) -> None:
-        if max_n <= self._max:
-            return
-        with self._lock:
-            if max_n <= self._max:
-                return
+        if max_n > self._max:
             self._bulk_fill(max_n)
 
     def scaled_table(self, max_n: int):
@@ -180,7 +171,7 @@ class HurwitzCache:
             self.ensure(max_n)
         path = path or self._path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp = f"{path}.{os.getpid()}.tmp"
         rows = self._table if max_n is None else self._table[:max(max_n, 0) + 1]
         try:
             with open(tmp, "w") as fh:

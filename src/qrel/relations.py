@@ -73,11 +73,6 @@ class RelationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, n: int, lhs, rhs) -> None:
-        self.checked += 1
-        if lhs != rhs:
-            self.failures.append((n, lhs, rhs))
-
     def record_lists(self, ns, lhs, rhs, scale: int) -> None:
         self.record_best(ns, {None: lhs}, rhs, scale)
 

@@ -396,11 +396,12 @@ class TestVerify:
         assert code == 1 and "unknown relation" in err
 
     def test_math_failure_exit_two(self, capsys, monkeypatch):
+        import oracles
         from qrel import relations
 
         def broken(max_n=None):
             rep = relations.RelationReport("eichler", 1, 1, "all n")
-            rep.record(1, 0, 1)
+            oracles.record(rep, 1, 0, 1)
             return rep
 
         monkeypatch.setattr(relations, "check_eichler", broken)
@@ -539,10 +540,12 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qrel"),
 CLASS_NUMBER_IDS = ("eichler", "cohen", "kronecker_hurwitz", "trace1_nu1",
                     "trace4_nu1", "hap_table")
 CLASS_NUMBER_ABSENT = {"forms", "holproj", "qseries", "scalars", "congruence",
-                       "identities"}
-# The indefinite theta series run on holproj, qseries, scalars and arith, the
-# eta-products on forms, qseries, scalars and slots.
+                       "identities", "pell"}
+# The indefinite theta series run on holproj, qseries, scalars and arith, and
+# load pell for a non-square s*t only; the eta-products run on forms,
+# qseries, scalars and slots.
 INDEF_ABSENT = {"brackets", "slots", "forms", "relations"}
+SQUARE_ABSENT = INDEF_ABSENT | {"pell"}
 ETA_ABSENT = {"arith", "holproj", "brackets", "relations"}
 QREL_MODULES = {name[:-3] for name in os.listdir(os.path.dirname(qrel.__file__))
                 if name.endswith(".py")} - {"__init__", "cli"}
@@ -557,13 +560,13 @@ class TestImportFootprint:
           "--format", "csv"], INDEF_ABSENT),
         (["series", "--name", "lambda:1:2:1:1:0", "--terms", "5"], INDEF_ABSENT),
         (["series", "--name", "lambda:4:9:1:1:1", "--terms", "5",
-          "--format", "json"], INDEF_ABSENT),
+          "--format", "json"], SQUARE_ABSENT),
         (["series", "--name", "delta:1:1:-4:-4:0", "--format", "csv"],
-         INDEF_ABSENT),
+         SQUARE_ABSENT),
         (["series", "--name", "delta:1:53:-4:-4:1", "--terms", "5"],
          INDEF_ABSENT),
         (["series", "--name", "delta:1:1:-4:-4:1", "--terms", "5",
-          "--format", "json"], INDEF_ABSENT),
+          "--format", "json"], SQUARE_ABSENT),
         (["series", "--name", "Delta", "--terms", "5"], ETA_ABSENT),
         (["series", "--name", "eta2_12", "--terms", "5", "--format", "csv"],
          ETA_ABSENT),
@@ -578,13 +581,15 @@ class TestImportFootprint:
         (["verify", "cor_i", "--max", "50"],
          {"forms", "holproj", "qseries", "scalars", "identities"}),
         (["verify", "identities"], {"congruence", "forms"}),
-        (["verify-all", "--max", "40", "--json"], set())],
+        (["verify", "prop72", "--max", "50"],
+         {"forms", "brackets", "identities", "pell"}),
+        (["verify-all", "--max", "40", "--json"], {"pell"})],
         ids=["help", "lambda-csv", "lambda-text", "lambda-json", "delta-csv",
              "delta-text", "delta-json", "catalog", "eta2_12", "bracket",
              "hurwitz", "verify",
              *[f"verify-{rid}" for rid in CLASS_NUMBER_IDS[1:]],
              *[f"verify-{rid}-json" for rid in CLASS_NUMBER_IDS],
-             "verify-cor_i", "verify-identities", "verify-all"])
+             "verify-cor_i", "verify-identities", "verify-prop72", "verify-all"])
     def test_modules_loaded(self, tmp_path, argv, absent):
         argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
         src = os.path.dirname(os.path.dirname(qrel.__file__))
@@ -597,10 +602,12 @@ class TestImportFootprint:
             assert loaded == ["qrel", "qrel.cli"]
         else:
             assert not {f"qrel.{m}" for m in absent} & set(loaded)
+        if absent is INDEF_ABSENT:      # the non-square s*t ids
+            assert "qrel.pell" in loaded
         assert not dataclasses_loaded
         # the 12 H table alone needs array: the characters of the
         # indefinite series import arith without loading it
-        if absent is None or absent is INDEF_ABSENT:
+        if absent is None or absent is INDEF_ABSENT or absent is SQUARE_ABSENT:
             assert not array_loaded
 
 
@@ -611,12 +618,21 @@ class TestNamespace:
             assert name in dir(qrel)
 
     def test_names_are_the_defining_modules_objects(self):
-        from qrel import brackets, holproj, relations
-        assert qrel.pell_orbit is holproj.pell_orbit
+        from qrel import brackets, holproj, pell, relations
+        assert qrel.pell_orbit is pell.pell_orbit is holproj.pell_orbit
         assert qrel.kappa is brackets.kappa
         assert holproj.kappa is brackets.kappa
         assert qrel.RelationReport is relations.RelationReport
         assert qrel.holproj is holproj
+
+    def test_holproj_forwards_to_the_defining_modules(self):
+        from importlib import import_module
+        from qrel import holproj
+        assert set(holproj._MOVED.values()) == {"brackets", "pell", "scalars"}
+        for name, module in holproj._MOVED.items():
+            defining = vars(import_module(f"qrel.{module}"))
+            assert name not in vars(holproj)
+            assert getattr(holproj, name) is defining[name], name
 
     def test_star_import(self):
         namespace = {}

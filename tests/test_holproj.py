@@ -4,7 +4,7 @@ and the indefinite theta series with their Pell-orbit evaluation."""
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -576,6 +576,26 @@ class TestOneDivisionPerSeries:
                     for r, c in want.items():
                         assert type(got.coeffs[r]) is type(c), (s, st, nu, r)
                         assert got.coeffs[r] == c, (s, st, nu, r)
+
+    @pytest.mark.parametrize("s, t, chars, nu", [(1, 13, (5, 5), 2),
+                                                 (2, 3, (-4, 3), 1),
+                                                 (1, 53, (-4, -4), 1)])
+    def test_orbits_sharing_a_start_match_oracle(self, s, t, chars, nu):
+        # the orbit sums are made once per start (s m, n) mod L; at T = 500
+        # orbits share their start with an earlier one
+        chi, psi = kronecker_character(chars[0]), kronecker_character(chars[1])
+        st, L = s * t, lcm(s * chi.modulus, psi.modulus)
+        x, y = hp.pell_fundamental(st)
+        orbits = [mn for _, fundamental, _ in hp._windows(s, st, x, y, 1, 500)
+                  for mn in fundamental]
+        assert len({(s * m % L, n % L) for m, n in orbits}) < len(orbits)
+        fn = hp.lambda_indef if chi.is_even else hp.delta_indef
+        got = fn(s, t, chi, psi, nu, 500)
+        want = _oracle_series(s, t, chi, psi, nu, 500)
+        assert got.coeffs.keys() == want.keys()
+        for r, c in want.items():
+            assert type(got.coeffs[r]) is type(c), r
+            assert got.coeffs[r] == c, r
 
     def test_double_sum_matches_per_orbit_oracle(self):
         for s, t in [(1, 2), (2, 3), (4, 3), (9, 2), (1, 53)]:

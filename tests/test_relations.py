@@ -70,9 +70,9 @@ class TestReports:
     def test_record_and_status(self):
         rep = R.RelationReport("demo", 1, 10, "all n")
         assert rep.status == "partial"           # nothing checked yet
-        rep.record(1, Fraction(1), Fraction(1))
+        oracles.record(rep, 1, Fraction(1), Fraction(1))
         assert rep.status == "pass" and rep.ok
-        rep.record(2, Fraction(1), Fraction(2))
+        oracles.record(rep, 2, Fraction(1), Fraction(2))
         assert rep.status == "fail" and not rep.ok
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -142,7 +142,7 @@ class TestReports:
         assert (rep.relation, rep.lo, rep.hi, rep.policy) == ("demo", 1, 10, "all n")
         assert (rep.failures, rep.elapsed_ms, rep.notes, rep.checked) == ([], 0, "", 0)
         other = R.RelationReport("demo", 1, 10, "all n")
-        other.record(1, 0, 1)
+        oracles.record(other, 1, 0, 1)
         assert rep.failures == [] and rep.ok     # no shared failures list
 
     def test_fields_given(self):
@@ -173,7 +173,7 @@ class TestReports:
 
     def test_failure_serialization(self):
         rep = R.RelationReport("demo", 1, 5, "all n")
-        rep.record(3, Fraction(1, 3), Fraction(2, 3))
+        oracles.record(rep, 3, Fraction(1, 3), Fraction(2, 3))
         rep.record_lists([4, 5], [4, 6], [8, 6], 12)
         doc = rep.to_dict()
         assert doc["failures"] == [{"n": 3, "lhs": "1/3", "rhs": "2/3"},

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -107,12 +108,18 @@ class HurwitzCache:
     ``_table`` is one ``array("i")`` of 4-byte integers in units of 1/12:
     ``_table[n]`` is ``12*H(n)`` for ``0 <= n <= _max``, so ``_table[0] ==
     -1`` and every entry is an integer (a reduced form counts 12, ``(a, 0,
-    a)`` counts 6 and ``(a, a, a)`` counts 4); a fill whose entry does not
-    fit raises ``OverflowError``.  The relation checks sum these integers
-    directly; :func:`hurwitz` turns one entry into the exact ``Fraction``.
+    a)`` counts 6 and ``(a, a, a)`` counts 4).  No entry exceeds ``12 A (A
+    + 1)``, ``A = isqrt(max_n // 3)``: a fill whose bound does not fit 31
+    bits (max_n of about 5.4e8 or more) raises ``OverflowError`` before it
+    allocates anything.  The relation checks sum these integers directly;
+    :func:`hurwitz` turns one entry into the exact ``Fraction``.
 
-    The table is filled by a bulk sweep over reduced forms (much faster than
-    per-n enumeration).  The CSV is output only: nothing reads it back, since
+    The fill counts reduced forms in Kohnen's plus space: every
+    discriminant n = 4ac - b^2 is 0 or 3 (mod 4), and within each of the
+    classes n = 4m and n = 4m + 3 the forms (a, b, c), c = a, a + 1, ...,
+    step m by a.  Past m = a^2 + a, the contribution of a is periodic and
+    goes in as one big-int addition of tiled 4-byte slots; below it, entry
+    by entry.  The CSV is output only: nothing reads it back, since
     refilling the table is cheaper than parsing it.
     """
 
@@ -136,26 +143,53 @@ class HurwitzCache:
         return self._table
 
     def _bulk_fill(self, max_n: int) -> None:
+        # Slot n >> 1 holds 12*H(n): n = 4m in even slots, 4m + 3 in odd.
+        # (a, +-b, c), c = a, a + 1, ..., step the slot by 2a from
+        # (4a^2 - b^2) >> 1.  From slot 2a(a + 1) on every b has started,
+        # and from 2a's own start the pattern, doubled, is 2a's to add.
+        # Each (a, +-b) puts at most one form in a slot, so no slot
+        # exceeds 12 top (top + 1) < 2^31 or carries into the next.
         from array import array     # not at import: characters need none
-        table = [0] * (max_n + 1)
-        table[0] = -1
-        a = 1
-        while 3 * a * a <= max_n:
-            step = 4 * a
+        top = isqrt(max_n // 3)
+        if 12 * top * (top + 1) >> 31:
+            raise OverflowError(f"12*H(n) for n <= {max_n} may not fit 4 bytes")
+        size, swap = (max_n >> 1) + 1, sys.byteorder == "big"
+        head, handed, acc = array("i", bytes(4 * size)), {}, 0
+        for a in range(1, top + 1):
+            period = 2 * a
+            start = period * (a + 1)
+            stop = min(start, size)
+            pattern = handed.pop(a, None) or array("i", bytes(4 * period))
             for b in range(a + 1):
-                # n = 4ac - b^2 runs over n0 + 4a*(c - a).  At c = a only
-                # (a, b, a) is reduced, with weight 1/2 at b = 0 and 1/3 at
-                # b = a; for c > a both (a, +-b, c) are, unless b is 0 or a.
-                n0 = 4 * a * a - b * b
-                if n0 > max_n:
-                    continue
-                table[n0] += 6 if b == 0 else 4 if b == a else 12
-                weight = 24 if 0 < b < a else 12
-                tail = slice(n0 + step, max_n + 1, step)
-                table[tail] = [v + weight for v in table[tail]]
-            a += 1
-        self._table = array("i", table)
-        self._max = max_n
+                s = 4 * a * a - b * b >> 1
+                w = 24 if 0 < b < a else 12
+                pattern[s % period] += w
+                if s < size:
+                    head[s] += 6 if b == 0 else 4 if b == a else 12
+                    for t in range(s + period, stop, period):
+                        head[t] += w
+            if start < size:
+                end = 2 * period * (period + 1)     # where 2a's tails start
+                if end < size:
+                    handed[period] = pattern * 2
+                reps = (min(end, size) - start + period - 1) // period
+                if swap:
+                    pattern.byteswap()
+                acc += int.from_bytes(pattern.tobytes() * reps, "little") << 32 * start
+        if swap:
+            head.byteswap()
+        acc += int.from_bytes(head.tobytes(), "little")
+        del head
+        slots = array("i")
+        slots.frombytes(acc.to_bytes(4 * (size + 2 * top), "little"))
+        del acc
+        if swap:
+            slots.byteswap()
+        table = array("i", bytes(4 * (max_n + 1)))
+        table[0::4] = slots[0:size:2]
+        table[3::4] = slots[1:max_n + 1 >> 1:2]
+        table[0] = -1
+        self._table, self._max = table, max_n
 
     def get(self, n: int) -> Fraction:
         if n < 0 or n % 4 in (1, 2):

@@ -145,10 +145,8 @@ def cmd_hurwitz(args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     from .arith import hurwitz_cache
-    cache = hurwitz_cache()
-    cache.ensure(args.max)
     try:
-        path = cache.save(args.out, args.max)
+        path = hurwitz_cache().save(args.out, args.max)
     except OSError as exc:
         print(f"qrel hurwitz: cannot write cache: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -2,7 +2,7 @@
 
 The Hurwitz cache is pointed at a throwaway directory before anything in
 qrel is imported, and filled once per session up to the largest argument
-any test needs, so individual tests never pay the bulk-sweep cost.
+any test needs, so individual tests never pay the bulk-fill cost.
 """
 
 import os

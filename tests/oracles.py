@@ -2,6 +2,7 @@
 against.  Nothing in qrel calls them, so they live here rather than in
 the package."""
 
+from array import array
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
@@ -79,6 +80,29 @@ def class_number_decomposition(n: int) -> Fraction:
                               if gcd(gcd(fo[0], fo[1]), fo[2]) == 1), Fraction(0))
         f += 1
     return total
+
+
+def hurwitz_sweep(max_n: int) -> array:
+    """The table 12*H(n), 0 <= n <= max_n, by qrel's former fill: one slice
+    update per reduced-form tail over the whole range, in a list."""
+    table = [0] * (max_n + 1)
+    table[0] = -1
+    a = 1
+    while 3 * a * a <= max_n:
+        step = 4 * a
+        for b in range(a + 1):
+            # n = 4ac - b^2 runs over n0 + 4a*(c - a).  At c = a only
+            # (a, b, a) is reduced, with weight 1/2 at b = 0 and 1/3 at
+            # b = a; for c > a both (a, +-b, c) are, unless b is 0 or a.
+            n0 = 4 * a * a - b * b
+            if n0 > max_n:
+                continue
+            table[n0] += 6 if b == 0 else 4 if b == a else 12
+            weight = 24 if 0 < b < a else 12
+            tail = slice(n0 + step, max_n + 1, step)
+            table[tail] = [v + weight for v in table[tail]]
+        a += 1
+    return array("i", table)
 
 
 def series_from_csv_lines(lines, trunc: int) -> QSeries:

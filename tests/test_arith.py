@@ -3,6 +3,7 @@ their cache, Dirichlet characters; and the point counts of the curve
 49a1 against its newform qrel.forms.g7."""
 
 import os
+import tracemalloc
 from array import array
 from fractions import Fraction
 from math import isqrt
@@ -186,6 +187,68 @@ class TestHurwitz:
         table = hurwitz_cache()._table
         assert isinstance(table, array) and table.itemsize == 4
         assert HurwitzCache()._table == array("i", [-1])
+
+    def test_fill_matches_sweep(self):
+        # every max_n to 1000: each class ends at every place relative to
+        # the starts 4a(a + 1) of the periodic tiles, a <= 15, and below
+        # n = 3 the class n = 3 (mod 4) is empty
+        cache = HurwitzCache()
+        for max_n in range(1001):
+            cache._bulk_fill(max_n)
+            assert cache._table == oracles.hurwitz_sweep(max_n), max_n
+
+    @pytest.mark.parametrize("max_n", [16000, 200000])
+    def test_fill_matches_sweep_large(self, max_n):
+        cache = HurwitzCache()
+        cache._bulk_fill(max_n)
+        assert cache._table == oracles.hurwitz_sweep(max_n)
+
+    def test_growth_matches_one_fill(self):
+        grown = HurwitzCache()
+        for n in (23, 512, 1024, 9000):
+            grown.scaled_table(n)
+        direct = HurwitzCache()
+        direct.ensure(9000)
+        assert grown._max == direct._max == 9000
+        assert grown._table == direct._table == oracles.hurwitz_sweep(9000)
+
+    @staticmethod
+    def slot_bound(max_n: int) -> int:
+        # at most one form per (a, +-b), a <= A, and 24 per a
+        top = isqrt(max_n // 3)
+        return 12 * top * (top + 1)
+
+    def test_entries_within_slot_bound(self):
+        table = hurwitz_cache().scaled_table(2000)
+        peak = -1
+        for n in range(2001):
+            peak = max(peak, table[n])
+            assert peak <= self.slot_bound(n), n
+        cache = HurwitzCache()
+        cache.ensure(200000)
+        assert max(cache._table) <= self.slot_bound(200000)
+
+    def test_unrepresentable_range_raises_before_filling(self):
+        # the first max_n whose bound needs 32 bits, and far past it
+        top = next(a for a in range(13000, 14000) if self.slot_bound(3 * a * a) >> 31)
+        for max_n in (3 * top * top, 10 ** 12):
+            cache = HurwitzCache()
+            with pytest.raises(OverflowError):
+                cache.ensure(max_n)
+            assert cache._max == 0 and cache._table == array("i", [-1])
+        assert self.slot_bound(3 * top * top - 1) < 2 ** 31
+
+    def test_fill_traced_peak(self):
+        # no per-n list: a fill to 2*10^5 peaked at 1.99 MiB traced, the
+        # former sweep's list at 5.27 MiB
+        cache = HurwitzCache()
+        tracemalloc.start()
+        try:
+            cache.ensure(200000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     def test_scaled_table_grows_geometrically(self):
         # A caller walking up n refills O(log n) times, not at every step.

@@ -377,6 +377,14 @@ class TestHurwitzCmd:
         assert proc.returncode == 0 and proc.stdout == f"{target}\n"
         assert target.read_text() == HURWITZ_50_CSV
 
+    def test_csv_at_scale_pinned(self, tmp_path):
+        # SHA-256 of the file the former list sweep wrote at 2*10^5
+        target = tmp_path / "h.csv"
+        proc = run_fresh("hurwitz", "--max", "200000", "--out", str(target))
+        assert proc.returncode == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "fefbe48b9cb8166f8331562bc8f2c339e9903315fe457397c89d3d8fef49a51b")
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -390,6 +398,13 @@ class TestVerify:
         assert code == 0
         assert doc["status"] == "pass"
         assert "+2*lambda_1" in doc["notes"]
+
+    def test_scaled_kronecker_hurwitz(self):
+        # fills the table to 2*10^5, past every benchmark workload
+        proc = run_fresh("verify", "kronecker_hurwitz", "--max", "50000", "--json")
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 0 and doc["status"] == "pass"
+        assert doc["range"] == [1, 50000] and doc["failures"] == []
 
     def test_unknown_relation(self, capsys):
         code, _, err = run(capsys, "verify", "bogus")

@@ -16,9 +16,9 @@ __version__ = "1.0.0"
 
 # module -> the names the package re-exports from it
 _EXPORTS = {
-    "arith": ("DirichletCharacter", "hurwitz", "hurwitz_cache",
-              "kronecker_character", "lambda_k", "sigma_k"),
+    "arith": ("DirichletCharacter", "kronecker_character", "lambda_k", "sigma_k"),
     "brackets": ("BracketSpec", "correction_b", "kappa", "rankin_cohen"),
+    "classnum": ("hurwitz", "hurwitz_cache"),
     "congruence": (),
     "forms": (),
     "holproj": ("delta_indef", "lambda_indef", "lambda_pa"),

@@ -144,11 +144,14 @@ def cmd_hurwitz(args) -> int:
         print(f"qrel hurwitz: --max must be at least 1, got {args.max}",
               file=sys.stderr)
         return USAGE_ERROR
-    from .arith import hurwitz_cache
+    from .classnum import hurwitz_cache
     try:
         path = hurwitz_cache().save(args.out, args.max)
     except OSError as exc:
         print(f"qrel hurwitz: cannot write cache: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OverflowError as exc:     # a table too large for 4-byte entries
+        print(f"qrel hurwitz: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(path)
     return 0
@@ -169,7 +172,7 @@ def cmd_verify(args) -> int:
     from . import relations
     try:
         report = relations.run_check(args.relation, args.max)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OverflowError) as exc:
         print(f"qrel verify: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:
@@ -185,7 +188,7 @@ def cmd_verify_all(args) -> int:
     from . import relations
     try:
         reports = relations.verify_all(args.max)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"qrel verify-all: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.json:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .arith import (divisor_sieve, hurwitz_cache, kronecker_character,
-                    pair_sieve, residue_class_sieve)
+from .arith import (divisor_sieve, kronecker_character, pair_sieve,
+                    residue_class_sieve)
+from .classnum import hurwitz_cache
 from .relations import RelationReport, _Timer
 from .slots import theta_moments
 

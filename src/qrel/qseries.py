@@ -5,15 +5,14 @@ Absent exponents mean zero.  Every operation records the truncation order
 below which all reported coefficients are exact; nothing past the stored
 truncation is ever reported.  Products of int and Fraction series pack
 each side with the slot codec of :mod:`qrel.slots` (Kronecker substitution),
-imported by the first such product.
+imported by the first such product.  The eta products are in
+:mod:`qrel.forms`, their one caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import isqrt, lcm
-from operator import mul
+from math import lcm
 
 from .scalars import QuadExt
 
@@ -257,52 +256,3 @@ class QSeries:
         terms = ", ".join(f"{n}: {self.coeffs[n]}" for n in sorted(self.coeffs)[:8])
         more = ", ..." if len(self.coeffs) > 8 else ""
         return f"QSeries({{{terms}{more}}}, trunc={self.trunc})"
-
-
-def eta_product(factors, T: int) -> QSeries:
-    """q-expansion of prod_d eta(d*tau)^{e_d} for factors [(d, e), ...].
-
-    The leading power sum(d*e)/24 must be a nonnegative integer, every d
-    positive and every e nonnegative.  Each prod (1 - q^{dn})^e is
-    (J^(e // 3) E^(e % 3))|V(d) to T // d, with the sparse J = E^3 of
-    Jacobi's identity and Euler function E: Delta = q J^8 takes three
-    squarings, and eta(2 tau)^12 = q (J^4)|V(2) two at half the length.
-    The first power and q^lead are exponent shifts, not products.
-    """
-    lead = Fraction(sum(d * e for d, e in factors), 24)
-    if lead.denominator != 1 or lead < 0:
-        raise ValueError(f"leading q-power {lead} is not a nonnegative integer")
-    if any(e < 0 for _, e in factors):
-        raise ValueError(f"negative exponents are not supported: {factors}")
-    if any(d < 1 for d, _ in factors):
-        raise ValueError(f"every d must be positive: {factors}")
-    _check_trunc(T)
-    lead = int(lead)
-    t = T - lead                           # the factors are needed to q^t
-    lifted = []
-    for d, e in factors if t >= 0 else ():
-        powers = [base(1, t // d) ** m for base, m in
-                  ((_jacobi_cube, e // 3), (_euler_function, e % 3)) if m]
-        if powers:
-            lifted.append(QSeries({d * n: c for n, c in
-                                   reduce(mul, powers).coeffs.items()}, t))
-    coeffs = reduce(mul, lifted).coeffs if lifted else {0: 1} if t >= 0 else {}
-    return QSeries({n + lead: c for n, c in coeffs.items()}, T)
-
-
-def _jacobi_cube(d: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{d n})^3 = sum_{k>=0} (-1)^k (2k+1) q^{d k(k+1)/2},
-    Jacobi's identity."""
-    return QSeries({d * k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
-                    for k in range(isqrt(2 * T // d) + 1)}, T)
-
-
-def _euler_function(d: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{d n}) via pentagonal numbers: (-1)^k at the
-    distinct d k(3k -+ 1)/2 <= T, k >= 1, all of which have k^2 <= T/d."""
-    coeffs = {0: 1}
-    for k in range(1, isqrt(T // d) + 1):
-        for g in (d * k * (3 * k - 1) // 2, d * k * (3 * k + 1) // 2):
-            if g <= T:
-                coeffs[g] = (-1) ** k
-    return QSeries(coeffs, T)

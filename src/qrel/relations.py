@@ -6,7 +6,7 @@ policy, so a report can never silently skip indices.  All arithmetic is
 exact (``fractions.Fraction`` or :class:`~qrel.scalars.QuadExt`); a check
 passes only when both sides agree on every index in the policy set.  The
 class number relations compare integers: both sides times 12 (or 24, or
-4), summed from the ``12*H`` table of :class:`~qrel.arith.HurwitzCache`.
+4), summed from the ``12*H`` table of :class:`~qrel.classnum.HurwitzCache`.
 
 Each class number sum is a coefficient of a product of the class number
 series with a theta series, the holomorphic projection of a Rankin-Cohen
@@ -39,8 +39,8 @@ from itertools import compress, repeat
 from math import comb, isqrt
 from operator import add, mul, ne, sub
 
-from .arith import (_primes_upto, divisor_sieve, hurwitz_cache,
-                    residue_class_sieve)
+from .arith import _primes_upto, divisor_sieve, residue_class_sieve
+from .classnum import hurwitz_cache
 from .slots import theta_moments
 
 

@@ -13,7 +13,7 @@ os.environ["QREL_CACHE_DIR"] = _CACHE_DIR
 
 import pytest  # noqa: E402
 
-from qrel.arith import hurwitz_cache  # noqa: E402
+from qrel.classnum import hurwitz_cache  # noqa: E402
 
 SESSION_HURWITZ_MAX = 8000
 

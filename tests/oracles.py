@@ -7,8 +7,10 @@ from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, lcm
 
 from qrel import arith, brackets, forms
-from qrel.arith import _primes_upto, hurwitz_cache, jacobi_symbol, kronecker_character
-from qrel.qseries import QSeries, _euler_function
+from qrel.arith import _primes_upto, jacobi_symbol, kronecker_character
+from qrel.classnum import hurwitz_cache
+from qrel.forms import _euler_function
+from qrel.qseries import QSeries
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
 from qrel.slots import theta_moments
@@ -125,7 +127,7 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
 
 
 def eta_product(factors, T: int) -> QSeries:
-    """qrel.qseries.eta_product as q^lead times each Euler function
+    """qrel.forms.eta_product as q^lead times each Euler function
     prod (1 - q^{dn}) raised to its exponent e, with no Jacobi cube."""
     result = QSeries({sum(d * e for d, e in factors) // 24: 1}, T)
     for d, e in factors:

@@ -16,10 +16,10 @@ import oracles
 from oracles import (class_number_decomposition, ec_ap, hecke_extend,
                      hurwitz_oracle, reduced_forms)
 from qrel import forms
-from qrel.arith import (divisor_sieve, divisors, hurwitz, hurwitz_cache,
-                        HurwitzCache, jacobi_symbol, kronecker_character,
-                        lambda_k, pair_sieve, residue_class_sieve, sigma_k,
-                        _primes_upto)
+from qrel.arith import (divisor_sieve, divisors, jacobi_symbol,
+                        kronecker_character, lambda_k, pair_sieve,
+                        residue_class_sieve, sigma_k, _primes_upto)
+from qrel.classnum import HurwitzCache, hurwitz, hurwitz_cache
 
 
 def lambda_k_pa(n: int, k: int, p: int, a: int) -> int:

@@ -13,7 +13,8 @@ import pytest
 
 import qrel
 from qrel import cli, forms
-from qrel.arith import hurwitz_cache, kronecker_character
+from qrel.arith import kronecker_character
+from qrel.classnum import hurwitz_cache
 from qrel.holproj import BracketSpec, rankin_cohen
 from qrel.scalars import QuadExt
 
@@ -385,6 +386,19 @@ class TestHurwitzCmd:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "fefbe48b9cb8166f8331562bc8f2c339e9903315fe457397c89d3d8fef49a51b")
 
+    @pytest.mark.parametrize("argv", [
+        ["hurwitz", "--max", "600000000", "--out", "{tmp}"],
+        ["verify", "eichler", "--max", "600000000"],
+        ["verify-all", "--max", "600000000"]])
+    def test_table_past_4_bytes_one_line_error(self, capsys, tmp_path, argv):
+        # the fill checks its bound before it allocates, so this is fast
+        argv = [a.format(tmp=tmp_path / "h.csv") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert re.fullmatch(rf"qrel {argv[0]}: 12\*H\(n\) for n <= \d+ "
+                            r"may not fit 4 bytes\n", err), err
+        assert not (tmp_path / "h.csv").exists()
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -551,17 +565,29 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "qrel"),
 """
 
 
-# The class number checks run on arith and relations alone, in both formats.
+# The class number checks run on relations, arith, classnum and slots alone,
+# in both formats.
 CLASS_NUMBER_IDS = ("eichler", "cohen", "kronecker_hurwitz", "trace1_nu1",
                     "trace4_nu1", "hap_table")
 CLASS_NUMBER_ABSENT = {"forms", "holproj", "qseries", "scalars", "congruence",
                        "identities", "pell"}
-# The indefinite theta series run on holproj, qseries, scalars and arith, and
-# load pell for a non-square s*t only; the eta-products run on forms,
-# qseries, scalars and slots.
-INDEF_ABSENT = {"brackets", "slots", "forms", "relations"}
+# The indefinite theta series run on holproj, qseries, scalars and arith (its
+# characters, not the class number table of classnum), and load pell for a
+# non-square s*t only; the eta-products run on forms, qseries, scalars and
+# slots.
+INDEF_ABSENT = {"brackets", "slots", "forms", "relations", "classnum"}
 SQUARE_ABSENT = INDEF_ABSENT | {"pell"}
-ETA_ABSENT = {"arith", "holproj", "brackets", "relations"}
+ETA_ABSENT = {"arith", "classnum", "holproj", "brackets", "relations"}
+# Runs a command under tracemalloc and prints its traced peak in bytes.
+IMPORT_PEAK = """
+import __future__, argparse, contextlib, fractions, gettext, io, locale, sys
+import tracemalloc
+tracemalloc.start()
+from qrel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(tracemalloc.get_traced_memory()[1])
+"""
 QREL_MODULES = {name[:-3] for name in os.listdir(os.path.dirname(qrel.__file__))
                 if name.endswith(".py")} - {"__init__", "cli"}
 
@@ -587,7 +613,7 @@ class TestImportFootprint:
          ETA_ABSENT),
         (["series", "--name", "bracket:H:theta:3/2:1/2:1", "--terms", "5"],
          {"holproj", "relations"}),
-        (["hurwitz", "--max", "50", "--out", "{tmp}"], QREL_MODULES - {"arith"}),
+        (["hurwitz", "--max", "50", "--out", "{tmp}"], QREL_MODULES - {"classnum"}),
         (["verify", "eichler", "--max", "50"], CLASS_NUMBER_ABSENT),
         *[(["verify", rid, "--max", "50"], CLASS_NUMBER_ABSENT)
           for rid in CLASS_NUMBER_IDS[1:]],
@@ -625,6 +651,23 @@ class TestImportFootprint:
         if absent is None or absent is INDEF_ABSENT or absent is SQUARE_ABSENT:
             assert not array_loaded
 
+    def test_lambda_import_traced_peak(self, tmp_path):
+        # Every qrel module compiled from source (an empty bytecode cache,
+        # none written), the standard library imported before tracing: on
+        # Python 3.11, series lambda:1:13:5:5:2 peaked at 1.05 MiB traced
+        # with the 12 H table in arith and the eta products in qseries, and
+        # at 0.86 MiB once neither is compiled for it.
+        src = os.path.dirname(os.path.dirname(qrel.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PEAK, "series", "--name",
+             "lambda:1:13:5:5:2", "--terms", "50", "--format", "csv"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+                 "PYTHONPYCACHEPREFIX": str(tmp_path)})
+        assert proc.returncode == 0, proc.stderr
+        peak = int(proc.stdout)
+        assert peak < 0.95 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
 
 class TestNamespace:
     def test_all_names_resolve(self):
@@ -649,6 +692,22 @@ class TestNamespace:
             assert name not in vars(holproj)
             assert getattr(holproj, name) is defining[name], name
 
+    def test_class_number_table_is_one_object(self):
+        from qrel import arith, classnum
+        assert arith._MOVED == ("HurwitzCache", "hurwitz", "hurwitz_cache")
+        for name in arith._MOVED:
+            assert name not in vars(arith)
+            assert getattr(arith, name) is vars(classnum)[name], name
+        assert arith.hurwitz_cache() is classnum.hurwitz_cache()
+        # the module is not named hurwitz, so importing it leaves the
+        # package's function in place
+        assert qrel.hurwitz is classnum.hurwitz and qrel.hurwitz(23) == 3
+
+    def test_eta_products_live_in_forms(self):
+        from qrel import qseries
+        for name in ("eta_product", "_jacobi_cube", "_euler_function"):
+            assert name in vars(forms) and not hasattr(qseries, name), name
+
     def test_star_import(self):
         namespace = {}
         exec("from qrel import *", namespace)
@@ -672,6 +731,9 @@ class TestNamespace:
             qrel.no_such_name
         with pytest.raises(AttributeError, match="qrel.holproj.*no_such_name"):
             holproj.no_such_name
+        from qrel import arith
+        with pytest.raises(AttributeError, match="qrel.arith.*no_such_name"):
+            arith.no_such_name
 
 
 QREL_SOURCES = sorted(

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import series_from_csv_lines, symmetric_sum
 from qrel import cli, forms, qseries
-from qrel.arith import hurwitz_cache, kronecker_character
+from qrel.arith import kronecker_character
+from qrel.classnum import hurwitz_cache
+from qrel.forms import _euler_function, _jacobi_cube, eta_product
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
-                          _euler_function, _jacobi_cube, _kronecker_mul,
-                          eta_product)
+                          _kronecker_mul)
 from qrel.scalars import QuadExt
 from qrel.slots import _Slots, theta_moments
 

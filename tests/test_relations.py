@@ -16,7 +16,8 @@ from qrel import brackets, holproj
 from qrel import congruence as C
 from qrel import identities as I
 from qrel import relations as R
-from qrel.arith import HurwitzCache, hurwitz, hurwitz_cache, lambda_k, sigma_k
+from qrel.arith import lambda_k, sigma_k
+from qrel.classnum import HurwitzCache, hurwitz, hurwitz_cache
 from qrel.qseries import QSeries
 from qrel.scalars import PiScalar, QuadExt, format_scalar
 

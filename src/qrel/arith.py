@@ -157,8 +157,9 @@ def kronecker_character(d: int) -> DirichletCharacter:
     raise ValueError(f"unsupported character specifier {d}")
 
 
-# The names of the class number table that arith.<name> still resolves.
-_MOVED = ("HurwitzCache", "hurwitz", "hurwitz_cache")
+# The names of the class number table that arith.<name> still resolves, for
+# the acceptance gate and the benchmark tracer.
+_MOVED = ("HurwitzCache", "hurwitz_cache")
 
 
 def __getattr__(name: str):

@@ -3,8 +3,8 @@ reduced forms and written out as CSV.
 
 The table has its own module so that the callers of :mod:`qrel.arith`'s
 characters and divisor sums (the indefinite theta series) do not compile
-the fill.  ``qrel.arith.HurwitzCache``, ``hurwitz`` and ``hurwitz_cache``
-still resolve, to the objects here.
+the fill.  ``qrel.arith.HurwitzCache`` and ``hurwitz_cache`` still
+resolve, to the objects here.
 """
 
 from __future__ import annotations

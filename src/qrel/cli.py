@@ -158,9 +158,10 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_bracket(args) -> int:
+    from .qseries import ScalarKindError
     try:
         series = _bracket(args.f, args.g, args.k, args.l, args.nu, args.terms)
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, ValueError, ScalarKindError) as exc:
         print(f"qrel bracket: {_message(exc)}", file=sys.stderr)
         return USAGE_ERROR
     _emit_series(f"bracket:{args.f}:{args.g}:{args.k}:{args.l}:{args.nu}",

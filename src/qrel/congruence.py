@@ -113,15 +113,16 @@ def w_term(p: int, a: int, e: int, T: int) -> list[int]:
                           for f in range(d + 1, d + 1 + p) if f % p in targets), p)
 
 
-def prop72_rhs(p: int, a: int, nu: int, T: int, d: dict) -> list[int]:
+def prop72_rhs(p: int, a: int, nu: int, T: int, d: list[list[int]]) -> list[int]:
     """Divisor-sum expansion of Lambda^{(p,a)}_nu | U(4), for 0 <= n <= T.
 
     For a = 0 this is the commonly printed form; for a != 0 the printed
     form omits one of the two residue families and misstates the
     square-divisor threshold, and the corrected assembly below is the one
     that holds (verified exactly for p in {5,7}, nu in {0,1}, n <= 500).
-    d[c] is D^{(p,c)}_{2nu+1} up to T, and d[0] is D^{(1,0)}_{2nu+1} up
-    to T/p^2, which V(p^2) lifts to the class 0.
+    d is a list of p coefficient lists: d[c] is D^{(p,c)}_{2nu+1} up to T
+    for c = 1..p-1, and d[0] is D^{(1,0)}_{2nu+1} up to T/p^2, which
+    V(p^2) lifts to the class 0.
     """
     e = 2 * nu + 1
     total = [0] * (T + 1)

@@ -2,20 +2,19 @@
 named by the series ids of the command line (``qrel.cli`` parses the ids).
 
 All builders are deterministic; those of a truncation alone are memoized.
-The eta products (``eta_product``, from Jacobi's identity and the Euler
-function) live here, with their only callers ``delta12`` and
-``eta2_pow12``.  The builders that read the class number table
-(:mod:`qrel.classnum`) or :mod:`qrel.arith` import it themselves
-(DirichletCharacter is named in annotations only), so that the eta
-products load neither.
+The two eta products the checks need, Delta = eta(tau)^24 (``delta12``)
+and eta(2 tau)^12 (``eta2_pow12``), are powers of Jacobi's
+J = prod (1 - q^n)^3 (``_q_jacobi_power``).  The builders that read the
+class number table (:mod:`qrel.classnum`) or :mod:`qrel.arith` import it
+themselves (DirichletCharacter is named in annotations only), so that
+the eta products load neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import gcd, isqrt
-from operator import mul
 
 from .qseries import QSeries, _check_trunc
 
@@ -81,65 +80,30 @@ def eisenstein_g2(T: int) -> QSeries:
     return QSeries(coeffs, T)
 
 
-def eta_product(factors, T: int) -> QSeries:
-    """q-expansion of prod_d eta(d*tau)^{e_d} for factors [(d, e), ...].
-
-    The leading power sum(d*e)/24 must be a nonnegative integer, every d
-    positive and every e nonnegative.  Each prod (1 - q^{dn})^e is
-    (J^(e // 3) E^(e % 3))|V(d) to T // d, with the sparse J = E^3 of
-    Jacobi's identity and Euler function E: Delta = q J^8 takes three
-    squarings, and eta(2 tau)^12 = q (J^4)|V(2) two at half the length.
-    The first power and q^lead are exponent shifts, not products.
-    """
-    lead = Fraction(sum(d * e for d, e in factors), 24)
-    if lead.denominator != 1 or lead < 0:
-        raise ValueError(f"leading q-power {lead} is not a nonnegative integer")
-    if any(e < 0 for _, e in factors):
-        raise ValueError(f"negative exponents are not supported: {factors}")
-    if any(d < 1 for d, _ in factors):
-        raise ValueError(f"every d must be positive: {factors}")
+def _q_jacobi_power(m: int, d: int, T: int) -> QSeries:
+    """q J(q^d)^m to q^T, with J = prod_{n>=1} (1 - q^n)^3
+    = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2} by Jacobi's identity.  J is
+    needed to q^((T - 1) // d); J^m takes the squarings of QSeries.__pow__,
+    and q J(q^d)^m is the exponent map n -> d n + 1, not a product."""
     _check_trunc(T)
-    lead = int(lead)
-    t = T - lead                           # the factors are needed to q^t
-    lifted = []
-    for d, e in factors if t >= 0 else ():
-        powers = [base(1, t // d) ** m for base, m in
-                  ((_jacobi_cube, e // 3), (_euler_function, e % 3)) if m]
-        if powers:
-            lifted.append(QSeries({d * n: c for n, c in
-                                   reduce(mul, powers).coeffs.items()}, t))
-    coeffs = reduce(mul, lifted).coeffs if lifted else {0: 1} if t >= 0 else {}
-    return QSeries({n + lead: c for n, c in coeffs.items()}, T)
-
-
-def _jacobi_cube(d: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{d n})^3 = sum_{k>=0} (-1)^k (2k+1) q^{d k(k+1)/2},
-    Jacobi's identity."""
-    return QSeries({d * k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
-                    for k in range(isqrt(2 * T // d) + 1)}, T)
-
-
-def _euler_function(d: int, T: int) -> QSeries:
-    """prod_{n>=1} (1 - q^{d n}) via pentagonal numbers: (-1)^k at the
-    distinct d k(3k -+ 1)/2 <= T, k >= 1, all of which have k^2 <= T/d."""
-    coeffs = {0: 1}
-    for k in range(1, isqrt(T // d) + 1):
-        for g in (d * k * (3 * k - 1) // 2, d * k * (3 * k + 1) // 2):
-            if g <= T:
-                coeffs[g] = (-1) ** k
-    return QSeries(coeffs, T)
+    t = (T - 1) // d
+    if t < 0:
+        return QSeries({}, T)
+    jacobi = QSeries({k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
+                      for k in range(isqrt(2 * t) + 1)}, t)
+    return QSeries({d * n + 1: c for n, c in (jacobi ** m).coeffs.items()}, T)
 
 
 @cache
 def delta12(T: int) -> QSeries:
-    """eta(tau)^24, the discriminant cusp form of weight 12."""
-    return eta_product([(1, 24)], T)
+    """eta(tau)^24 = q J^8, the discriminant cusp form of weight 12."""
+    return _q_jacobi_power(8, 1, T)
 
 
 @cache
 def eta2_pow12(T: int) -> QSeries:
-    """eta(2*tau)^12, the weight 6 newform on Gamma_0(4)."""
-    return eta_product([(2, 12)], T)
+    """eta(2*tau)^12 = q J(q^2)^4, the weight 6 newform on Gamma_0(4)."""
+    return _q_jacobi_power(4, 2, T)
 
 
 class PartialSeries:

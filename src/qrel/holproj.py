@@ -144,14 +144,11 @@ def lambda_pa(p: int, a: int, nu: int, T: int) -> QSeries:
     return _indef_series(1, 1, weight, kronecker_character(1), nu, T)
 
 
-# The names that moved out of this module and still resolve here, by module
-# (PEP 562).
+# The names that moved out of this module and that the acceptance gate still
+# reads here, by module (PEP 562).
 _MOVED = {
-    **dict.fromkeys(("BracketSpec", "rankin_cohen", "poly_eval", "p_poly_ints",
-                     "p_poly", "kappa", "half_power", "correction_b"), "brackets"),
-    **dict.fromkeys(("pell_fundamental", "PellOrbitData", "_advance", "_orbit",
-                     "_terms", "_window_hits", "_windows", "pell_orbit",
-                     "_orbit_sums", "orbit_tail_split"), "pell"),
+    **dict.fromkeys(("BracketSpec", "kappa", "correction_b"), "brackets"),
+    **dict.fromkeys(("pell_orbit", "orbit_tail_split"), "pell"),
     "squarefree_split": "scalars",
 }
 

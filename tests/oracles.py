@@ -9,7 +9,6 @@ from math import comb, factorial, gcd, isqrt, lcm
 from qrel import arith, brackets, forms
 from qrel.arith import _primes_upto, jacobi_symbol, kronecker_character
 from qrel.classnum import hurwitz_cache
-from qrel.forms import _euler_function
 from qrel.qseries import QSeries
 from qrel.relations import RelationReport
 from qrel.scalars import PiScalar, QuadExt, as_half_integer
@@ -126,9 +125,22 @@ def series_from_csv_lines(lines, trunc: int) -> QSeries:
     return QSeries(coeffs, trunc)
 
 
+def _euler_function(d: int, T: int) -> QSeries:
+    """prod_{n>=1} (1 - q^{d n}) via pentagonal numbers: (-1)^k at the
+    distinct d k(3k -+ 1)/2 <= T, k >= 1, all of which have k^2 <= T/d."""
+    coeffs = {0: 1}
+    for k in range(1, isqrt(T // d) + 1):
+        for g in (d * k * (3 * k - 1) // 2, d * k * (3 * k + 1) // 2):
+            if g <= T:
+                coeffs[g] = (-1) ** k
+    return QSeries(coeffs, T)
+
+
 def eta_product(factors, T: int) -> QSeries:
-    """qrel.forms.eta_product as q^lead times each Euler function
-    prod (1 - q^{dn}) raised to its exponent e, with no Jacobi cube."""
+    """prod_d eta(d tau)^{e_d} for factors [(d, e), ...] with d > 0, e >= 0
+    and an integral leading power: q^lead times each Euler function
+    prod (1 - q^{dn}) raised to its exponent e, with no Jacobi identity.
+    The oracle of qrel.forms.delta12 ([(1, 24)]) and eta2_pow12 ([(2, 12)])."""
     result = QSeries({sum(d * e for d, e in factors) // 24: 1}, T)
     for d, e in factors:
         result = result * _euler_function(d, T) ** e

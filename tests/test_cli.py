@@ -14,8 +14,8 @@ import pytest
 import qrel
 from qrel import cli, forms
 from qrel.arith import kronecker_character
+from qrel.brackets import BracketSpec, rankin_cohen
 from qrel.classnum import hurwitz_cache
-from qrel.holproj import BracketSpec, rankin_cohen
 from qrel.scalars import QuadExt
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -325,6 +325,17 @@ class TestBracket:
         proc = run_fresh(*argv, "--terms", "30")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith(want) and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("f, k", [("lambda:1:2:1:1:0", "1/2"),
+                                      ("delta:1:2:-4:-4:0", "3/2")])
+    def test_mixed_quadratic_fields_refused(self, f, k):
+        # coefficients in Q(sqrt 2) and Q(sqrt 3) do not multiply: a usage
+        # error with one line on stderr, not a ScalarKindError traceback
+        proc = run_fresh("bracket", "--f", f, "--g", "lambda:1:3:1:1:0",
+                         "--k", k, "--l", "1/2")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("qrel bracket: cannot mix quadext(2) and "
+                               "quadext(3) coefficients\n")
 
     def test_bad_weight(self, capsys):
         code, _, err = run(capsys, "bracket", "--f", "H", "--g", "theta",
@@ -694,7 +705,7 @@ class TestNamespace:
 
     def test_class_number_table_is_one_object(self):
         from qrel import arith, classnum
-        assert arith._MOVED == ("HurwitzCache", "hurwitz", "hurwitz_cache")
+        assert arith._MOVED == ("HurwitzCache", "hurwitz_cache")
         for name in arith._MOVED:
             assert name not in vars(arith)
             assert getattr(arith, name) is vars(classnum)[name], name
@@ -703,10 +714,29 @@ class TestNamespace:
         # package's function in place
         assert qrel.hurwitz is classnum.hurwitz and qrel.hurwitz(23) == 3
 
+    def test_aliases_are_the_ones_the_gate_and_tracer_read(self):
+        # a forwarded name stays only while the acceptance gate or the
+        # benchmark tracer reads it through the old module
+        from qrel import arith, holproj
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        gate, tracer = (
+            open(os.path.join(root, path), encoding="utf-8").read()
+            for path in ("tests/test_acceptance.py", "perfbench/tracer.py"))
+        for name in holproj._MOVED:
+            assert f"hp.{name}" in gate, name
+        for name in arith._MOVED:
+            assert (re.search(rf"from qrel\.arith import .*\b{name}\b", gate)
+                    or f'"{name}"' in tracer), name
+
     def test_eta_products_live_in_forms(self):
+        # Delta and eta(2 tau)^12 are the only eta products; the general
+        # builder and its Euler function are gone from the package
         from qrel import qseries
+        assert {"delta12", "eta2_pow12", "_q_jacobi_power"} <= set(vars(forms))
         for name in ("eta_product", "_jacobi_cube", "_euler_function"):
-            assert name in vars(forms) and not hasattr(qseries, name), name
+            assert not hasattr(forms, name) and not hasattr(qseries, name), name
+        with pytest.raises(AttributeError, match="eta_product"):
+            forms.eta_product([(1, 24)], 10)
 
     def test_star_import(self):
         namespace = {}

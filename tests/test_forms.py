@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from qrel import cli, forms
-from qrel.arith import hurwitz, kronecker_character
+from qrel.arith import kronecker_character
+from qrel.classnum import hurwitz
 
 
 class TestTheta:

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qrel import forms, holproj as hp
+from qrel import brackets, forms, holproj as hp, pell
 from qrel.arith import DirichletCharacter, kronecker_character, residue_class_sieve
 from qrel.qseries import MAX_TRUNC, QSeries
-from qrel.scalars import PiScalar, QuadExt, gen_binom, is_square
+from qrel.scalars import PiScalar, QuadExt, gen_binom, is_square, squarefree_split
 
 TRIV = kronecker_character(1)
 CHI5 = kronecker_character(5)
@@ -23,64 +23,64 @@ CHI4 = kronecker_character(-4)
 
 class TestBracketSpec:
     def test_fields(self):
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
         assert spec.total_weight == 2 + 4
 
     def test_rejects_non_half_integer(self):
         with pytest.raises(ValueError):
-            hp.BracketSpec(Fraction(1, 3), Fraction(1, 2), 0)
+            brackets.BracketSpec(Fraction(1, 3), Fraction(1, 2), 0)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            hp.BracketSpec(Fraction(1, 2), Fraction(1, 2), -1)
+            brackets.BracketSpec(Fraction(1, 2), Fraction(1, 2), -1)
 
     def test_weights_normalized_to_fractions(self):
-        spec = hp.BracketSpec(2, "1/2", 0)
+        spec = brackets.BracketSpec(2, "1/2", 0)
         assert (spec.k, spec.l, spec.nu) == (Fraction(2), Fraction(1, 2), 0)
         assert type(spec.k) is Fraction
 
     def test_value_equality_and_hash(self):
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
-        same = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        same = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
         assert spec == same and hash(spec) == hash(same)
         assert len({spec, same}) == 1
-        assert spec != hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 1)
-        assert spec != hp.BracketSpec(Fraction(1, 2), Fraction(3, 2), 2)
+        assert spec != brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 1)
+        assert spec != brackets.BracketSpec(Fraction(1, 2), Fraction(3, 2), 2)
         assert spec != (Fraction(3, 2), Fraction(1, 2), 2)
 
     def test_repr(self):
-        assert (repr(hp.BracketSpec(Fraction(3, 2), 1, 2))
+        assert (repr(brackets.BracketSpec(Fraction(3, 2), 1, 2))
                 == "BracketSpec(k=Fraction(3, 2), l=Fraction(1, 1), nu=2)")
 
     def test_immutable(self):
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
         with pytest.raises(AttributeError):
             spec.nu = -1
         with pytest.raises(AttributeError):
             del spec.k
         with pytest.raises(AttributeError):
             spec.extra = 1
-        assert spec == hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
+        assert spec == brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 2)
 
 
 class TestRankinCohen:
     def test_degree_zero_is_product(self):
         f = forms.eisenstein_g2(20)
         g = forms.theta_classical(20)
-        spec = hp.BracketSpec(2, Fraction(1, 2), 0)
-        assert hp.rankin_cohen(f, g, spec) == f * g
+        spec = brackets.BracketSpec(2, Fraction(1, 2), 0)
+        assert brackets.rankin_cohen(f, g, spec) == f * g
 
     def test_antisymmetry_equal_weights(self):
         f = QSeries({1: Fraction(1), 3: Fraction(2)}, 20)
         g = QSeries({2: Fraction(5), 4: Fraction(1)}, 20)
-        spec = hp.BracketSpec(Fraction(1, 2), Fraction(1, 2), 1)
-        assert hp.rankin_cohen(f, g, spec) == -hp.rankin_cohen(g, f, spec)
+        spec = brackets.BracketSpec(Fraction(1, 2), Fraction(1, 2), 1)
+        assert brackets.rankin_cohen(f, g, spec) == -brackets.rankin_cohen(g, f, spec)
 
     def test_class_number_times_theta(self):
         H = forms.hurwitz_series(20)
         th = forms.theta_classical(20)
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
-        br = hp.rankin_cohen(H, th, spec)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
+        br = brackets.rankin_cohen(H, th, spec)
         # coefficient of q^4: sum_s H(4 - s^2)
         assert br.coeff(4) == sum(hp_h for hp_h in
                                   (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3),
@@ -94,11 +94,11 @@ rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 class TestPPoly:
     def test_base_cases(self):
         # entry i is the coefficient of X^i Y^(a-2-i)
-        assert hp.p_poly(2, Fraction(7, 2)) == [1]
-        assert hp.p_poly(3, Fraction(5)) == [1, 5]
+        assert brackets.p_poly(2, Fraction(7, 2)) == [1]
+        assert brackets.p_poly(3, Fraction(5)) == [1, 5]
 
     def test_degree(self):
-        assert len(hp.p_poly(8, Fraction(1, 2))) == 7
+        assert len(brackets.p_poly(8, Fraction(1, 2))) == 7
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 14),
@@ -115,11 +115,11 @@ class TestPPoly:
             for i in range(j):
                 c *= (j + b - 2 - i) / Fraction(i + 1)
             want += c * x ** j * (x + y) ** (a - 2 - j)
-        assert hp.poly_eval(hp.p_poly(a, b), x, y) == want
+        assert brackets.poly_eval(brackets.p_poly(a, b), x, y) == want
 
     def test_rejects_small_a(self):
         with pytest.raises(ValueError):
-            hp.p_poly(1, Fraction(1, 2))
+            brackets.p_poly(1, Fraction(1, 2))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 18),
@@ -127,30 +127,30 @@ class TestPPoly:
                      rationals))
     def test_matches_fraction_oracle(self, a, b):
         # b in (1/2)Z within [-41/2, 41/2], or any small rational; a - 2 <= 16
-        P = hp.p_poly(a, b)
+        P = brackets.p_poly(a, b)
         assert P == oracles.p_poly(a, b)
         assert all(type(c) is Fraction for c in P)
 
     def test_a_two_and_fresh_lists(self):
         for b in (Fraction(-41, 2), Fraction(0), Fraction(1, 2), Fraction(3)):
-            assert hp.p_poly(2, b) == [1] == oracles.p_poly(2, b)
-        P = hp.p_poly(6, Fraction(1, 2))
+            assert brackets.p_poly(2, b) == [1] == oracles.p_poly(2, b)
+        P = brackets.p_poly(6, Fraction(1, 2))
         P[0] += 1
-        assert hp.p_poly(6, Fraction(1, 2)) == oracles.p_poly(6, Fraction(1, 2))
+        assert brackets.p_poly(6, Fraction(1, 2)) == oracles.p_poly(6, Fraction(1, 2))
 
     @pytest.mark.parametrize("a", [1, 0, -3])
     def test_small_a_rejected_like_oracle(self, a):
-        for fn in (hp.p_poly, oracles.p_poly):
+        for fn in (brackets.p_poly, oracles.p_poly):
             with pytest.raises(ValueError, match="at least 2"):
                 fn(a, Fraction(1, 2))
         with pytest.raises(ValueError, match="at least 2"):
-            hp.p_poly_ints(a, 1, 2)
+            brackets.p_poly_ints(a, 1, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 18), st.integers(-41, 41), st.integers(1, 6))
     def test_integer_kernel_matches_fraction_oracle(self, a, p, q):
         # p/q need not be reduced: the kernel's list over D = q^(a-2) (a-2)!
-        P, D = hp.p_poly_ints(a, p, q)
+        P, D = brackets.p_poly_ints(a, p, q)
         assert D == q ** (a - 2) * factorial(a - 2)
         assert all(type(v) is int for v in P)
         assert [Fraction(v, D) for v in P] == oracles.p_poly(a, Fraction(p, q))
@@ -158,16 +158,16 @@ class TestPPoly:
 
 class TestKappa:
     def test_base_value(self):
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
-        assert hp.kappa(spec) == PiScalar(2, 1)     # 2*sqrt(pi)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
+        assert brackets.kappa(spec) == PiScalar(2, 1)     # 2*sqrt(pi)
 
     def test_flipped_weights(self):
-        spec = hp.BracketSpec(Fraction(1, 2), Fraction(3, 2), 1)
-        assert hp.kappa(spec) == PiScalar(Fraction(-3, 2), 1)
+        spec = brackets.BracketSpec(Fraction(1, 2), Fraction(3, 2), 1)
+        assert brackets.kappa(spec) == PiScalar(Fraction(-3, 2), 1)
 
     def test_rejects_weight_one(self):
         with pytest.raises(ValueError):
-            hp.kappa(hp.BracketSpec(1, 1, 0))
+            brackets.kappa(brackets.BracketSpec(1, 1, 0))
 
     @settings(max_examples=600, deadline=None)
     @given(st.integers(-24, 24), st.integers(-24, 24), st.integers(0, 12))
@@ -176,9 +176,9 @@ class TestKappa:
         # k >= 2 has Gamma(2-k)/Gamma(2-k-mu) across cancelling poles, and
         # integer l <= 0 reaches Gamma poles that only zero terms may skip.
         # Both must give the same value or the same ValueError.
-        spec = hp.BracketSpec(Fraction(hk, 2), Fraction(hl, 2), nu)
+        spec = brackets.BracketSpec(Fraction(hk, 2), Fraction(hl, 2), nu)
         outcomes = []
-        for fn in (hp.kappa, oracles.kappa):
+        for fn in (brackets.kappa, oracles.kappa):
             try:
                 got = fn(spec)
                 outcomes.append((got.r, got.e))
@@ -195,25 +195,25 @@ class TestKappa:
         (5, -6, 2, "Gamma pole at"),
     ])
     def test_errors_like_oracle(self, k, l, nu, match):
-        spec = hp.BracketSpec(k, l, nu)
-        for fn in (hp.kappa, oracles.kappa):
+        spec = brackets.BracketSpec(k, l, nu)
+        for fn in (brackets.kappa, oracles.kappa):
             with pytest.raises(ValueError, match=match):
                 fn(spec)
 
     def test_cancelling_poles(self):
         # k = 3: Gamma(-1)/Gamma(-1-mu) = (-2)(-3)...(-1-mu) is finite
         for l, nu in ((1, 0), (1, 2), (3, 4), (-1, 3)):
-            spec = hp.BracketSpec(3, l, nu)
-            got, want = hp.kappa(spec), oracles.kappa(spec)
+            spec = brackets.BracketSpec(3, l, nu)
+            got, want = brackets.kappa(spec), oracles.kappa(spec)
             assert got.r and (got.r, got.e) == (want.r, want.e)
 
 
 class TestCorrectionB:
     def test_zero_shadow(self):
-        spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
+        spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), 0)
         theta = {j * j: 2 for j in range(1, 20)}
         for r in (1, 3, 8):
-            gamma, alg = hp.correction_b(r, {}, theta, spec)
+            gamma, alg = brackets.correction_b(r, {}, theta, spec)
             assert alg == 0
 
     def test_matches_projection_constant(self):
@@ -221,17 +221,17 @@ class TestCorrectionB:
         # supplies the boundary part at square r with the same constant
         theta = {j * j: 2 for j in range(1, 40)}
         for nu in (0, 1):
-            spec = hp.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu)
+            spec = brackets.BracketSpec(Fraction(3, 2), Fraction(1, 2), nu)
             const = PiScalar(Fraction(4) ** (1 - nu)
                              * gen_binom(2 * nu, nu), 1)
             for r in range(1, 30):
-                gamma, alg = hp.correction_b(r, theta, theta, spec)
+                gamma, alg = brackets.correction_b(r, theta, theta, spec)
                 if isinstance(alg, QuadExt):
                     assert alg.b == 0
                     alg = alg.a
                 dbl = 2 * hp.indefinite_double_sum(1, 1, TRIV, TRIV, nu, r)
                 assert gamma * alg == const * dbl
-            kap = hp.kappa(spec)
+            kap = brackets.kappa(spec)
             for j in (1, 2, 3):
                 assert kap * (2 * Fraction(j) ** (2 * nu + 1)) == \
                     const * Fraction(j) ** (2 * nu + 1)
@@ -239,32 +239,32 @@ class TestCorrectionB:
 
 class TestPellOrbit:
     def test_unit_and_reps(self):
-        orb = hp.pell_orbit(1, 2, 1)
+        orb = pell.pell_orbit(1, 2, 1)
         assert orb.unit == QuadExt(3, 2, 2)
         assert orb.unit.norm() == 1
         assert orb.fundamental_solutions == [(3, 2)]
-        orb = hp.pell_orbit(1, 3, 1)
+        orb = pell.pell_orbit(1, 3, 1)
         assert orb.unit == QuadExt(2, 1, 3)
         assert orb.fundamental_solutions == [(2, 1)]
 
     def test_two_orbits(self):
-        orb = hp.pell_orbit(2, 3, 5)
+        orb = pell.pell_orbit(2, 3, 5)
         assert orb.fundamental_solutions == [(2, 1), (4, 3)]
 
     def test_reps_satisfy_equation(self):
         for (s, t, r) in [(1, 2, 7), (2, 3, 5), (1, 3, 13), (3, 5, 7)]:
-            orb = hp.pell_orbit(s, t, r)
+            orb = pell.pell_orbit(s, t, r)
             for m0, n0 in orb.fundamental_solutions:
                 assert s * m0 * m0 - t * n0 * n0 == r
 
     def test_rejects_square_product(self):
         with pytest.raises(ValueError):
-            hp.pell_orbit(1, 4, 3)
+            pell.pell_orbit(1, 4, 3)
 
     def test_orbit_covers_brute_force(self):
         # every solution with m <= 300 appears exactly once in the orbit fan
         for (s, t, r) in [(1, 2, 1), (1, 3, 1), (2, 3, 5)]:
-            orb = hp.pell_orbit(s, t, r)
+            orb = pell.pell_orbit(s, t, r)
             want = [(m, n) for m in range(1, 301)
                     for n in range(1, isqrt((s * m * m) // t) + 1)
                     if s * m * m - t * n * n == r]
@@ -274,7 +274,7 @@ class TestPellOrbit:
                 u, n = s * m0, n0
                 while u // s <= 300:
                     got.append((u // s, n))
-                    u, n = hp._advance(u, n, x, y, s * t)
+                    u, n = pell._advance(u, n, x, y, s * t)
             assert sorted(got) == want
 
     def test_nagell_scan_matches_linear_scan(self):
@@ -282,7 +282,7 @@ class TestPellOrbit:
         cases = 0
         for s, st in _small_unit_cases():
             for r in range(1, 41):
-                orb = hp.pell_orbit(s, st // s, r)
+                orb = pell.pell_orbit(s, st // s, r)
                 fundamental, window = _linear_scan(s, st // s, r)
                 assert orb.fundamental_solutions == fundamental, (s, st, r)
                 assert orb.window_reps == window, (s, st, r)
@@ -294,12 +294,12 @@ class TestPellOrbit:
         # former per-r Nagell scan and the linear scan, on the cases above
         cases = 0
         for s, st in _small_unit_cases():
-            x, y = hp.pell_fundamental(st)
-            batch = sorted(hp._window_hits(s, st, x, y, 1, 40))
+            x, y = pell.pell_fundamental(st)
+            batch = sorted(pell._window_hits(s, st, x, y, 1, 40))
             per_r = [hit for r in range(1, 41)
-                     for hit in hp._window_hits(s, st, x, y, r, r)]
+                     for hit in pell._window_hits(s, st, x, y, r, r)]
             assert batch == sorted(per_r) == _nagell_hits(s, st, 40), (s, st)
-            windows = {r: (f, w) for r, f, w in hp._windows(s, st, x, y, 1, 40)}
+            windows = {r: (f, w) for r, f, w in pell._windows(s, st, x, y, 1, 40)}
             for r in range(1, 41):
                 fundamental, window = _linear_scan(s, st // s, r)
                 assert windows.get(r, ([], [])) == (fundamental, window), (s, st, r)
@@ -308,9 +308,9 @@ class TestPellOrbit:
 
     @pytest.mark.parametrize("t", [61, 109])
     def test_batch_sweep_large_units(self, t):
-        x, y = hp.pell_fundamental(t)
-        batch = sorted(hp._window_hits(1, t, x, y, 1, 3))
-        per_r = [hit for r in (1, 2, 3) for hit in hp._window_hits(1, t, x, y, r, r)]
+        x, y = pell.pell_fundamental(t)
+        batch = sorted(pell._window_hits(1, t, x, y, 1, 3))
+        per_r = [hit for r in (1, 2, 3) for hit in pell._window_hits(1, t, x, y, r, r)]
         assert batch and batch == sorted(per_r)
         if t == 61:     # the former per-r scan: 4e3 steps here, 1.5e6 at 109
             assert batch == _nagell_hits(1, t, 3)
@@ -320,7 +320,7 @@ class TestPellOrbit:
         # y = 226153980 (st = 61) and y = 15140424455100 (st = 109): the
         # linear scan took 4.5e8 and 3e13 steps per r here
         for r in (1, 2, 3):
-            orb = hp.pell_orbit(1, t, r)
+            orb = pell.pell_orbit(1, t, r)
             x, y = orb.unit_xy
             assert x * x - t * y * y == 1
             for m, n in orb.fundamental_solutions:
@@ -338,10 +338,10 @@ class TestPellOrbit:
                 if v > 0 and v % 61 == 0 and 61 * (n := isqrt(v // 61)) ** 2 == v:
                     want.append((m, n))
             got = []
-            orb = hp.pell_orbit(1, 61, r)
+            orb = pell.pell_orbit(1, 61, r)
             x, y = orb.unit_xy
             for m0, n0 in orb.fundamental_solutions:
-                for m, n in hp._orbit(m0, n0, x, y, 61):
+                for m, n in pell._orbit(m0, n0, x, y, 61):
                     if m > M:
                         break
                     got.append((m, n))
@@ -383,7 +383,7 @@ class TestLambdaIndef:
             for nu in (0, 1):
                 for r in (1, 5, 11):
                     full = hp.indefinite_double_sum(s, t, TRIV, TRIV, nu, r)
-                    head, tail = hp.orbit_tail_split(s, t, nu, r, 500)
+                    head, tail = pell.orbit_tail_split(s, t, nu, r, 500)
                     assert head + tail == full
 
 
@@ -426,7 +426,7 @@ class TestDegreeInput:
         lambda: hp.lambda_pa(5, 1, -1, 20),
         lambda: hp.indefinite_double_sum(1, 1, TRIV, TRIV, -1, 15),
         lambda: hp.indefinite_double_sum(1, 2, TRIV, TRIV, -1, 1),
-        lambda: hp.orbit_tail_split(1, 2, -1, 1, 5)],
+        lambda: pell.orbit_tail_split(1, 2, -1, 1, 5)],
         ids=["lambda_square", "lambda_pell", "delta", "lambda_pa",
              "double_sum_square", "double_sum_pell", "orbit_tail_split"])
     def test_negative_nu_rejected(self, build):
@@ -585,8 +585,8 @@ class TestOneDivisionPerSeries:
         # orbits share their start with an earlier one
         chi, psi = kronecker_character(chars[0]), kronecker_character(chars[1])
         st, L = s * t, lcm(s * chi.modulus, psi.modulus)
-        x, y = hp.pell_fundamental(st)
-        orbits = [mn for _, fundamental, _ in hp._windows(s, st, x, y, 1, 500)
+        x, y = pell.pell_fundamental(st)
+        orbits = [mn for _, fundamental, _ in pell._windows(s, st, x, y, 1, 500)
                   for mn in fundamental]
         assert len({(s * m % L, n % L) for m, n in orbits}) < len(orbits)
         fn = hp.lambda_indef if chi.is_even else hp.delta_indef
@@ -610,14 +610,14 @@ def _indef_coeff_orbit(s, t, chi, psi, nu, r):
     orbit's terms alpha * w^k are walked until (u, n) mod L recurs, L =
     s mod(chi) mod(psi), and the sum over that period is divided by
     1 - w^(period) in QuadExt: one division per orbit."""
-    orbits = hp.pell_orbit(s, t, r)
+    orbits = pell.pell_orbit(s, t, r)
     st, D, (x, y) = s * t, orbits.D, orbits.unit_xy
-    w, terms = hp._terms(s, st, D, x, y, nu)
+    w, terms = pell._terms(s, st, D, x, y, nu)
     total = QuadExt(0, 0, D)
     for m, n in orbits.fundamental_solutions:
         alpha = terms(m, n)
-        walk = zip(hp._orbit(s * m, n, x, y, st, s * chi.modulus * psi.modulus),
-                   hp._orbit(*alpha, *w, D))
+        walk = zip(pell._orbit(s * m, n, x, y, st, s * chi.modulus * psi.modulus),
+                   pell._orbit(*alpha, *w, D))
         start, pa, pb = None, 0, 0
         for (u, v), (a, b) in walk:     # one period: until (u, v) mod L recurs
             if (u, v) == start:
@@ -626,7 +626,7 @@ def _indef_coeff_orbit(s, t, chi, psi, nu, r):
             cv = chi(u // s) * psi(v)
             pa, pb = pa + cv * a, pb + cv * b
         # (a, b) = alpha w^P, so part / (1 - w^P) = part alpha / (alpha - (a, b))
-        num = QuadExt(*hp._advance(pa, pb, *alpha, D), D)
+        num = QuadExt(*pell._advance(pa, pb, *alpha, D), D)
         total = total + num / QuadExt(alpha[0] - a, alpha[1] - b, D)
     return total
 
@@ -713,13 +713,13 @@ def _small_unit_cases():
     """(s, st) with s in {1, 2, 3}, s | st <= 200, st not a square and the
     unit's y <= 500."""
     return [(s, st) for s in (1, 2, 3) for st in range(max(s, 2), 201, s)
-            if not is_square(st) and hp.pell_fundamental(st)[1] <= 500]
+            if not is_square(st) and pell.pell_fundamental(st)[1] <= 500]
 
 
 def _nagell_hits(s: int, st: int, T: int):
     """Test oracle: the former per-r scan to Nagell's bound, as sorted
     (r, u, n) hits for r <= T."""
-    x, y = hp.pell_fundamental(st)
+    x, y = pell.pell_fundamental(st)
     hits = []
     for r in range(1, T + 1):
         for n in range(isqrt(y * y * s * r // (2 * (x + 1))) + 1):
@@ -734,7 +734,7 @@ def _linear_scan(s: int, t: int, r: int):
     """Test oracle: pell_orbit's former scan over every n <= y (sqrt(sr) + 1),
     returning (fundamental_solutions, window_reps)."""
     st, sr = s * t, s * r
-    x, y = hp.pell_fundamental(st)
+    x, y = pell.pell_fundamental(st)
     window = []
     for n in range(y * (isqrt(sr) + 1) + 1):
         uu = sr + st * n * n
@@ -744,7 +744,7 @@ def _linear_scan(s: int, t: int, r: int):
     fundamental = []
     for u, n in window:
         while n < 1 or u < s:
-            u, n = hp._advance(u, n, x, y, st)
+            u, n = pell._advance(u, n, x, y, st)
         fundamental.append((u // s, n))
     return sorted(fundamental), window
 
@@ -761,7 +761,7 @@ def _dfloat(x) -> float:
 
 
 def _exact_partial_sum(s, t, chi, psi, e, r, M):
-    D = hp.squarefree_split(s * t)[1]
+    D = squarefree_split(s * t)[1]
     c = isqrt(s * t // D)
     total = QuadExt(0, 0, D)
     for m in range(1, M + 1):

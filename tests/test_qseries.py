@@ -14,7 +14,6 @@ from oracles import series_from_csv_lines, symmetric_sum
 from qrel import cli, forms, qseries
 from qrel.arith import kronecker_character
 from qrel.classnum import hurwitz_cache
-from qrel.forms import _euler_function, _jacobi_cube, eta_product
 from qrel.qseries import (MAX_TRUNC, QSeries, ScalarKindError, _dict_mul,
                           _kronecker_mul)
 from qrel.scalars import QuadExt
@@ -416,59 +415,57 @@ class TestSerialization:
 
 
 class TestEtaProduct:
+    """delta12 = q J^8 and eta2_pow12 = q J(q^2)^4, with Jacobi's J, against
+    the Euler-function powers of oracles.eta_product."""
+
     def test_discriminant_form(self):
         # eta(tau)^24 = q prod (1-q^n)^24: the famous coefficients
-        delta = eta_product([(1, 24)], 12)
+        delta = forms.delta12(12)
         assert [delta.coeff(n) for n in range(1, 8)] == \
             [1, -24, 252, -1472, 4830, -6048, -16744]
 
     def test_eta2_pow12(self):
-        f = eta_product([(2, 12)], 12)
+        f = forms.eta2_pow12(12)
         assert f.coeff(1) == 1 and f.coeff(3) == -12 and f.coeff(5) == 54
 
     def test_euler_identity(self):
         # prod (1-q^n) has pentagonal-number support with +-1 coefficients
-        f = _euler_function(1, 60)
+        f = oracles._euler_function(1, 60)
         assert [n for n in range(60) if f.coeff(n)] == \
             [0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 57]
         assert all(c in (-1, 1) for c in f.coeffs.values())
 
     def test_jacobi_cube_first_terms(self):
-        # prod (1 - q^n)^3 = 1 - 3q + 5q^3 - 7q^6 + 9q^10 - 11q^15 + ...
-        assert _jacobi_cube(1, 21).coeffs == \
-            {0: 1, 1: -3, 3: 5, 6: -7, 10: 9, 15: -11, 21: 13}
-        assert _jacobi_cube(2, 20).coeffs == {0: 1, 2: -3, 6: 5, 12: -7, 20: 9}
-        assert _jacobi_cube(3, 0).coeffs == {0: 1}
-        assert _jacobi_cube(1, 40) == _euler_function(1, 40) ** 3
+        # q J(q^d) with J = prod (1 - q^n)^3 = 1 - 3q + 5q^3 - 7q^6 + ...
+        assert forms._q_jacobi_power(1, 1, 22).coeffs == \
+            {1: 1, 2: -3, 4: 5, 7: -7, 11: 9, 16: -11, 22: 13}
+        assert forms._q_jacobi_power(1, 2, 21).coeffs == \
+            {1: 1, 3: -3, 7: 5, 13: -7, 21: 9}
+        assert forms._q_jacobi_power(1, 3, 0).coeffs == {}
+        assert forms._q_jacobi_power(8, 1, 1).coeffs == {1: 1}
+        # Jacobi's identity: the helper's J (q J at m = 1, shifted down)
+        # is the cube of the pentagonal Euler function
+        for T in (0, 1, 2, 7, 40, 299, 3001):
+            qj = forms._q_jacobi_power(1, 1, T + 1)
+            assert QSeries({n - 1: c for n, c in qj.coeffs.items()}, T) \
+                == oracles._euler_function(1, T) ** 3, T
 
-    @pytest.mark.parametrize("T", [0, 1, 7, 100, 400])
+    @pytest.mark.parametrize("T", [*range(61), 100, 299, 400, 3001, 8000])
     def test_matches_euler_power_oracle(self, T):
-        # every valid (d, e) with d <= 4 and e <= 30, and mixed factor lists
-        single = [[(d, e)] for d in range(1, 5) for e in range(31)
-                  if d * e % 24 == 0]
-        mixed = [[(1, 8), (2, 8)], [(1, 4), (2, 4), (3, 4), (6, 4)],
-                 [(1, 2), (2, 2), (3, 2), (6, 2), (4, 0), (12, 6)],
-                 [(1, 1), (23, 1)], [(1, 3), (3, 3), (2, 6)]]
-        for factors in single + mixed:
-            got = eta_product(factors, T)
+        for build, factors in ((forms.delta12, [(1, 24)]),
+                               (forms.eta2_pow12, [(2, 12)])):
+            got = build(T)
             assert got.coeffs == oracles.eta_product(factors, T).coeffs, factors
             assert got.trunc == T
+            assert all(type(c) is int for c in got.coeffs.values())
 
     def test_csv_lines_of_int_coefficients(self):
-        f = eta_product([(1, 24)], 30)
+        f = forms.delta12(30)
         assert all(isinstance(c, int) for c in f.coeffs.values())
         assert csv_lines(f) == [f"{n},{c},1" for n, c in sorted(f.coeffs.items())]
 
-    def test_negative_exponent(self):
-        # eta quotients are not supported, even with a valid lead
-        # (48 - 24)/24 = 1
-        with pytest.raises(ValueError, match="negative exponents"):
-            eta_product([(1, 48), (1, -24)], 300)
-        with pytest.raises(ValueError, match="leading q-power -1/24"):
-            eta_product([(1, -1)], 300)
-
-    def test_nonpositive_d(self):
-        # eta(0 tau) has no Euler product, and a negative d no q-expansion
-        for factors in ([(0, 24)], [(1, 24), (-1, 0)]):
-            with pytest.raises(ValueError, match="every d must be positive"):
-                eta_product(factors, 30)
+    def test_truncation_errors_unchanged(self):
+        for build in (forms.delta12, forms.eta2_pow12):
+            for T in (-1, MAX_TRUNC + 1):
+                with pytest.raises(ValueError, match="truncation order must be in"):
+                    build(T)

@@ -118,10 +118,13 @@ class HurwitzCache:
         """Write the table as "n,num,den" lines for n = 0 and every
         discriminant n = 0, 3 (mod 4) up to max_n, filling the table that
         far first (default: as far as it is filled), atomically: a reader
-        sees the old file or the new one, never a partial one."""
+        sees the old file or the new one, never a partial one.  A path that
+        exists and is not a regular file (a FIFO, a device) raises OSError."""
+        path = path or self._path()
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise OSError(f"{path} exists and is not a regular file")
         if max_n is not None:
             self.ensure(max_n)
-        path = path or self._path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         rows = self._table if max_n is None else self._table[:max(max_n, 0) + 1]

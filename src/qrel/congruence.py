@@ -137,17 +137,19 @@ def prop72_rhs(p: int, a: int, nu: int, T: int, d: list[list[int]]) -> list[int]
     return [2 ** e * v for v in total]
 
 
-def check_prop72(max_n: int = 500, primes: tuple[int, ...] = (5, 7),
-                 nus: tuple[int, ...] = (0, 1)) -> RelationReport:
+_PROP72_PRIMES, _PROP72_NUS = (5, 7), (0, 1)
+
+
+def check_prop72(max_n: int = 500) -> RelationReport:
     """Lambda^{(p,a)}_nu | U(4) equals its divisor-sum expansion for every
     residue a, coefficientwise, compared as integers."""
-    rep = RelationReport("prop72", 1, max_n,
-                         f"all n; p in {list(primes)}, nu in {list(nus)}, all a")
+    rep = RelationReport("prop72", 1, max_n, f"all n; p in {list(_PROP72_PRIMES)}, "
+                                             f"nu in {list(_PROP72_NUS)}, all a")
     with _Timer(rep):
         from . import holproj
         ns = range(1, max_n + 1)
-        for p in primes:
-            for nu in nus:
+        for p in _PROP72_PRIMES:
+            for nu in _PROP72_NUS:
                 d = [residue_class_sieve(max_n // (p * p), 2 * nu + 1, 1, 0)] + [
                     residue_class_sieve(max_n, 2 * nu + 1, p, c) for c in range(1, p)]
                 # a and p - a name the same class set {a, -a}: build it once

@@ -38,10 +38,9 @@ def pell_fundamental(N: int) -> tuple[int, int]:
 # The orbit decomposition of the solutions of s m^2 - t n^2 = r.  D is the
 # squarefree part of s*t; unit the fundamental unit of x^2 - st y^2 = 1 in
 # Q(sqrt(D)), and unit_xy the same unit as (x, y) with x + y sqrt(st);
-# fundamental_solutions the minimal (m, n) with m, n >= 1, one per orbit;
-# window_reps the internal (u, n) = (s*m, n) representatives.
-PellOrbitData = namedtuple("PellOrbitData", "s t r D unit unit_xy "
-                           "fundamental_solutions window_reps")
+# fundamental_solutions the minimal (m, n) with m, n >= 1, one per orbit.
+PellOrbitData = namedtuple("PellOrbitData",
+                           "s t r D unit unit_xy fundamental_solutions")
 
 
 def _advance(u: int, n: int, x: int, y: int, d: int) -> tuple[int, int]:
@@ -92,20 +91,19 @@ def _window_hits(s: int, st: int, x: int, y: int, lo: int, hi: int):
         start = stop
 
 
-def _windows(s: int, st: int, x: int, y: int, lo: int, hi: int):
-    """(r, fundamental, window) for each r in [lo, hi] with solutions, in
-    order: each orbit's first point (m, n) with n >= 1 (m >= 1 as u > 0,
-    s | u), and the hits and the unit images of their conjugates, sorted by
-    n (one per orbit)."""
+def _starts(s: int, st: int, x: int, y: int, lo: int, hi: int):
+    """(r, starts) for each r in [lo, hi] with solutions, in order: the set
+    of each of r's orbits' first point (u, n) = (s m, n) with n >= 1.  Each
+    is a window hit with n >= 1 or the unit image of a hit's conjugate: for
+    a hit (u, 0), its own conjugate, that image is (u x, u y), and u y >= 1
+    since u >= s > 0 at every hit."""
     reps: dict = {}
     for r, u, n in _window_hits(s, st, x, y, lo, hi):
-        reps.setdefault(r, []).append((u, n))
+        reps.setdefault(r, []).append(_advance(u, -n, x, y, st))
         if n:
-            reps[r].append(_advance(u, -n, x, y, st))
+            reps[r].append((u, n))
     for r in sorted(reps):
-        window = sorted(set(reps.pop(r)), key=lambda rep: rep[1])
-        yield r, sorted(next((u // s, n) for u, n in _orbit(*rep, x, y, st) if n)
-                        for rep in window), window
+        yield r, set(reps.pop(r))
 
 
 def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
@@ -126,8 +124,9 @@ def pell_orbit(s: int, t: int, r: int) -> PellOrbitData:
     _, D = squarefree_split(st)
     x, y = pell_fundamental(st)
     unit = QuadExt(x, y * isqrt(st // D), D)
-    _, fundamental, window = next(_windows(s, st, x, y, r, r), (r, [], []))
-    return PellOrbitData(s, t, r, D, unit, (x, y), fundamental, window)
+    _, starts = next(_starts(s, st, x, y, r, r), (r, ()))
+    fundamental = sorted((u // s, n) for u, n in starts)
+    return PellOrbitData(s, t, r, D, unit, (x, y), fundamental)
 
 
 def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
@@ -149,17 +148,17 @@ def _orbit_sums(s: int, t: int, chi, psi, nu: int, lo: int, hi: int):
     *ws, w_P = islice(_orbit(1, 0, *w, D), P + 1)
     ga, gb = 1 - w_P[0], -w_P[1]
     sums, parts = {}, {}
-    for r, fundamental, _ in _windows(s, st, x, y, lo, hi):
+    for r, starts in _starts(s, st, x, y, lo, hi):
         a = b = 0
-        for m, n in fundamental:
-            start = s * m % L, n % L
+        for u, n in starts:
+            start = u % L, n % L
             if start not in parts:
                 pa = pb = 0
-                for (u, v), (wa, wb) in zip(_orbit(*start, x, y, st, L), ws):
-                    cv = chi(u // s) * psi(v)
+                for (uk, nk), (wa, wb) in zip(_orbit(*start, x, y, st, L), ws):
+                    cv = chi(uk // s) * psi(nk)
                     pa, pb = pa + cv * wa, pb + cv * wb
                 parts[start] = pa, pb
-            pa, pb = _advance(*parts[start], *alpha(m, n), D)
+            pa, pb = _advance(*parts[start], *alpha(u // s, n), D)
             a, b = a + pa, b + pb
         if a or b:
             sums[r] = _advance(a, b, ga, -gb, D)

@@ -8,8 +8,7 @@ with no floating-point view of any value.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 from numbers import Rational
 
 
@@ -257,12 +256,6 @@ def gen_binom(x, m: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-m+1)/m! for rational x."""
     x = Fraction(x)
     return Fraction(*binom_parts(x.numerator, x.denominator, m))
-
-
-@cache
-def factorial(n: int) -> int:
-    import math
-    return math.factorial(n)
 
 
 def gamma_half_parts(m: int) -> tuple[int, int, int]:

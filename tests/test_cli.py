@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -382,6 +383,17 @@ class TestHurwitzCmd:
         assert code == 1 and out == ""
         assert f"--max must be at least 1, got {max_n}" in err
         assert not target.exists()
+
+    def test_out_not_a_regular_file_refused(self, capsys, tmp_path):
+        # a FIFO at --out is left in place, not replaced by the CSV
+        target = tmp_path / "f"
+        os.mkfifo(target)
+        code, out, err = run(capsys, "hurwitz", "--max", "10", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err == (f"qrel hurwitz: cannot write cache: {target} exists "
+                       "and is not a regular file\n")
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+        assert os.listdir(tmp_path) == ["f"]
 
     def test_file_text_pinned(self, tmp_path):
         target = tmp_path / "h.csv"

@@ -283,9 +283,8 @@ class TestPellOrbit:
         for s, st in _small_unit_cases():
             for r in range(1, 41):
                 orb = pell.pell_orbit(s, st // s, r)
-                fundamental, window = _linear_scan(s, st // s, r)
-                assert orb.fundamental_solutions == fundamental, (s, st, r)
-                assert orb.window_reps == window, (s, st, r)
+                assert orb.fundamental_solutions == _linear_scan(s, st // s, r), \
+                    (s, st, r)
                 cases += 1
         assert cases > 10000
 
@@ -299,10 +298,11 @@ class TestPellOrbit:
             per_r = [hit for r in range(1, 41)
                      for hit in pell._window_hits(s, st, x, y, r, r)]
             assert batch == sorted(per_r) == _nagell_hits(s, st, 40), (s, st)
-            windows = {r: (f, w) for r, f, w in pell._windows(s, st, x, y, 1, 40)}
+            starts = dict(pell._starts(s, st, x, y, 1, 40))
             for r in range(1, 41):
-                fundamental, window = _linear_scan(s, st // s, r)
-                assert windows.get(r, ([], [])) == (fundamental, window), (s, st, r)
+                fundamental = _linear_scan(s, st // s, r)
+                assert starts.get(r, set()) == {(s * m, n) for m, n in fundamental}, \
+                    (s, st, r)
                 cases += 1
         assert cases > 10000
 
@@ -581,14 +581,14 @@ class TestOneDivisionPerSeries:
                                                  (2, 3, (-4, 3), 1),
                                                  (1, 53, (-4, -4), 1)])
     def test_orbits_sharing_a_start_match_oracle(self, s, t, chars, nu):
-        # the orbit sums are made once per start (s m, n) mod L; at T = 500
+        # the orbit sums are made once per start (u, n) mod L; at T = 500
         # orbits share their start with an earlier one
         chi, psi = kronecker_character(chars[0]), kronecker_character(chars[1])
         st, L = s * t, lcm(s * chi.modulus, psi.modulus)
         x, y = pell.pell_fundamental(st)
-        orbits = [mn for _, fundamental, _ in pell._windows(s, st, x, y, 1, 500)
-                  for mn in fundamental]
-        assert len({(s * m % L, n % L) for m, n in orbits}) < len(orbits)
+        orbits = [un for _, starts in pell._starts(s, st, x, y, 1, 500)
+                  for un in starts]
+        assert len({(u % L, n % L) for u, n in orbits}) < len(orbits)
         fn = hp.lambda_indef if chi.is_even else hp.delta_indef
         got = fn(s, t, chi, psi, nu, 500)
         want = _oracle_series(s, t, chi, psi, nu, 500)
@@ -732,7 +732,7 @@ def _nagell_hits(s: int, st: int, T: int):
 
 def _linear_scan(s: int, t: int, r: int):
     """Test oracle: pell_orbit's former scan over every n <= y (sqrt(sr) + 1),
-    returning (fundamental_solutions, window_reps)."""
+    returning fundamental_solutions."""
     st, sr = s * t, s * r
     x, y = pell.pell_fundamental(st)
     window = []
@@ -746,7 +746,7 @@ def _linear_scan(s: int, t: int, r: int):
         while n < 1 or u < s:
             u, n = pell._advance(u, n, x, y, st)
         fundamental.append((u // s, n))
-    return sorted(fundamental), window
+    return sorted(fundamental)
 
 
 def _dfloat(x) -> float:
